@@ -35,13 +35,19 @@ ZERO_FUNCTION_TOL = 1e-14
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A labelled real function of a real variable; evaluation must be deterministic."""
+    """A labelled real function of a real variable, evaluated on arrays of points.
 
-    fn: Callable[[float], float]
+    fn maps a 1-d float array of points to the array of values at those
+    points, of the same shape.  Evaluation must be deterministic and
+    pointwise: a value may not depend on the other points in the batch.
+    Calling the function on a single t is a convenience for fn([t])[0].
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
     label: str
 
     def __call__(self, t: float) -> float:
-        return float(self.fn(t))
+        return float(self.fn(np.array([t], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -114,19 +120,35 @@ class DichotomyReport:
     all_positive: bool
 
 
+def _evaluate(f: ScalarFunction, ts: np.ndarray) -> np.ndarray:
+    """f at every point of ts in one call; a non-finite value raises EvaluationFailure."""
+    vals = np.asarray(f.fn(ts), dtype=float)
+    if vals.shape != ts.shape:
+        raise EvaluationFailure(
+            f"{f.label} returned shape {vals.shape} for points of shape {ts.shape}"
+        )
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        i = int(bad[0])
+        raise EvaluationFailure(f"{f.label} returned {vals[i]} at t = {float(ts[i])}")
+    return vals
+
+
+def _distinct_sums(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct exact sums t_r + t_s and the index of each (r, s) among them.
+
+    Sums are compared as computed, never rounded: two sums that are equal
+    in exact arithmetic but differ in the last bit stay distinct, so every
+    entry is f at exactly pts[r] + pts[s].
+    """
+    ts, inverse = np.unique((pts[:, None] + pts[None, :]).ravel(), return_inverse=True)
+    return ts, inverse.reshape(pts.size, pts.size)
+
+
 def gram(f: ScalarFunction, grid: TGrid) -> GramMatrix:
-    """Evaluate G[r, s] = f(t_r + t_s), each unordered pair once."""
-    pts = grid.points
-    n = pts.size
-    g = np.zeros((n, n), dtype=float)
-    for r in range(n):
-        for s in range(r, n):
-            t = float(pts[r] + pts[s])
-            val = f(t)
-            if not math.isfinite(val):
-                raise EvaluationFailure(f"{f.label} returned {val} at t = {t}")
-            g[r, s] = val
-            g[s, r] = val
+    """Evaluate G[r, s] = f(t_r + t_s) with one call of f on the distinct sums."""
+    ts, inverse = _distinct_sums(grid.points)
+    g = _evaluate(f, ts)[inverse]
     return GramMatrix(matrix=_freeze(g), grid=grid, label=f.label)
 
 
@@ -158,11 +180,7 @@ def check_exponential_convexity(
 
 def midpoint_inequality_check(f: ScalarFunction, t1: float, t2: float) -> MidpointReport:
     """Check f(t1+t2) <= sqrt(f(2 t1) f(2 t2)), the 2x2 minor inequality."""
-    lhs = f(t1 + t2)
-    p1, p2 = f(2.0 * t1), f(2.0 * t2)
-    for val, t in ((lhs, t1 + t2), (p1, 2.0 * t1), (p2, 2.0 * t2)):
-        if not math.isfinite(val):
-            raise EvaluationFailure(f"{f.label} returned {val} at t = {t}")
+    lhs, p1, p2 = _evaluate(f, np.array([t1 + t2, 2.0 * t1, 2.0 * t2])).tolist()
     prod = p1 * p2
     if prod < 0.0:
         raise EvaluationFailure(
@@ -179,9 +197,7 @@ def dichotomy_check(f: ScalarFunction, grid: TGrid) -> DichotomyReport:
     function the alternative is exact, so a mixed sample signals either
     numerical failure or a non-EC input.
     """
-    vals = np.array([f(t) for t in grid.points])
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationFailure(f"{f.label} non-finite on grid")
+    vals = _evaluate(f, grid.points)
     all_zero = bool(np.all(np.abs(vals) <= ZERO_FUNCTION_TOL))
     all_positive = bool(np.all(vals > 0.0))
     if not (all_zero or all_positive):
@@ -196,26 +212,30 @@ def ec_scale(f: ScalarFunction, c: float) -> ScalarFunction:
     """c * f for c >= 0; preserves exponential convexity."""
     if c < 0.0:
         raise NegativeScale(f"scale constant must be nonnegative, got {c}")
-    return ScalarFunction(fn=lambda t: c * f(t), label=f"scale({c:g},{f.label})")
+    return ScalarFunction(fn=lambda ts: c * f.fn(ts), label=f"scale({c:g},{f.label})")
 
 
 def ec_sum(f1: ScalarFunction, f2: ScalarFunction) -> ScalarFunction:
     """Pointwise sum; preserves exponential convexity."""
-    return ScalarFunction(fn=lambda t: f1(t) + f2(t), label=f"sum({f1.label},{f2.label})")
+    return ScalarFunction(
+        fn=lambda ts: f1.fn(ts) + f2.fn(ts), label=f"sum({f1.label},{f2.label})"
+    )
 
 
 def ec_product(f1: ScalarFunction, f2: ScalarFunction) -> ScalarFunction:
     """Pointwise product; preserves exponential convexity."""
-    return ScalarFunction(fn=lambda t: f1(t) * f2(t), label=f"product({f1.label},{f2.label})")
+    return ScalarFunction(
+        fn=lambda ts: f1.fn(ts) * f2.fn(ts), label=f"product({f1.label},{f2.label})"
+    )
 
 
 def exp_function(mu: float) -> ScalarFunction:
     """The elementary exponentially convex function t -> e^{t mu}."""
-    return ScalarFunction(fn=lambda t: math.exp(t * mu), label=f"exp({mu:g}t)")
+    return ScalarFunction(fn=lambda ts: np.exp(ts * mu), label=f"exp({mu:g}t)")
 
 
 def zero_function() -> ScalarFunction:
-    return ScalarFunction(fn=lambda t: 0.0, label="zero")
+    return ScalarFunction(fn=np.zeros_like, label="zero")
 
 
 @dataclass(frozen=True)
@@ -223,8 +243,9 @@ class EntrywiseECResult:
     """Per-entry PSD reports for the matrix function t -> e^{Lt + M}.
 
     reports[j][k] checks Re(e^{Lt+M})_{jk}; max_imag is the largest
-    imaginary part seen on the grid, which must stay below the tolerance
-    for the real-part extraction to be sound.
+    imaginary part of the exponentials whose real parts were checked, one
+    per distinct grid sum t_r + t_s, and must stay below the tolerance for
+    the real-part extraction to be sound.
     """
 
     reports: tuple
@@ -262,35 +283,27 @@ def entrywise_ec_check(
 
     Requires l diagonal and m with nonnegative real off-diagonal entries;
     under that hypothesis every entry is exponentially convex.  The matrix
-    exponential is evaluated once per distinct grid sum and shared across
-    entries.
+    exponential is evaluated once per distinct exact grid sum and shared
+    across entries.
     """
     if l.n != m.n:
         raise HypothesisViolated(f"operands are {l.n}x{l.n} and {m.n}x{m.n}")
     _check_entrywise_hypothesis(l, m)
     n = l.n
-    pts = grid.points
-    ng = pts.size
-
-    def exp_at(t: float) -> np.ndarray:
+    ts, inverse = _distinct_sums(grid.points)
+    exps = np.empty((ts.size, n, n), dtype=complex)
+    for i, t in enumerate(ts):
         h = t * l.mat + m.mat
-        return matrix_exp_hermitian(HermitianMatrix((h + h.conj().T) / 2.0))
-
-    sums = np.zeros((ng, ng, n, n), dtype=complex)
-    for r in range(ng):
-        for s in range(r, ng):
-            e = exp_at(float(pts[r] + pts[s]))
-            sums[r, s] = e
-            sums[s, r] = e
-
-    max_imag = max(max_abs(exp_at(float(t)).imag) for t in pts)
+        exps[i] = matrix_exp_hermitian(HermitianMatrix((h + h.conj().T) / 2.0))
+    max_imag = max_abs(exps.imag)
+    entries = exps.real[inverse]
 
     reports = []
     for j in range(n):
         row = []
         for k in range(n):
             gm = GramMatrix(
-                matrix=_freeze(np.ascontiguousarray(sums[:, :, j, k].real)),
+                matrix=_freeze(np.ascontiguousarray(entries[:, :, j, k])),
                 grid=grid,
                 label=f"entry({j},{k})",
             )

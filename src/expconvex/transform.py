@@ -115,44 +115,88 @@ class MeasureFit:
     holdout_error: float
 
 
+# Stacked matrices per eigvalsh call: about 1 MiB of complex entries, so a
+# long batch at large n holds one chunk of (k, n, n) at a time, not all k.
+_CHUNK_BYTES = 2**20
+
+
+def trace_values(pair: TracePair, ts) -> np.ndarray:
+    """tr e^{tA + B} at every t of the 1-d array ts, in input order.
+
+    The matrices tA + B are stacked and handed to one eigvalsh call per
+    chunk of about 1 MiB; each value is the sum of the exponentiated
+    eigenvalues, identical to evaluating the points one at a time.  Raises
+    ConvergenceFailure when the eigensolver fails and Overflow, naming the
+    first such t, when a largest eigenvalue exceeds the exp range.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"ts must be a 1-d array of points, got shape {ts.shape}")
+    a, b = pair.A.mat, pair.B.mat
+    n = pair.n
+    per_chunk = max(1, _CHUNK_BYTES // (16 * max(1, n * n)))
+    out = np.empty(ts.size, dtype=float)
+    for lo in range(0, ts.size, per_chunk):
+        chunk = ts[lo : lo + per_chunk]
+        h = chunk[:, None, None] * a + b
+        try:
+            w = np.linalg.eigvalsh((h + h.conj().swapaxes(-1, -2)) / 2.0)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+        if n:
+            over = np.flatnonzero(w[:, -1] > EXP_OVERFLOW_LIMIT)
+            if over.size:
+                k = int(over[0])
+                raise Overflow(
+                    f"largest eigenvalue {w[k, -1]:.2f} of t*A + B exceeds exp range "
+                    f"at t = {float(chunk[k])}"
+                )
+        out[lo : lo + chunk.size] = np.sum(np.exp(w), axis=-1)
+    return out
+
+
 def trace_f(pair: TracePair, t: float) -> float:
-    """tr e^{tA + B}: the sum of exponentiated eigenvalues of tA + B."""
-    h = t * pair.A.mat + pair.B.mat
-    try:
-        w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    if w.size and float(w[-1]) > EXP_OVERFLOW_LIMIT:
-        raise Overflow(
-            f"largest eigenvalue {w[-1]:.2f} of t*A + B exceeds exp range at t = {t}"
-        )
-    return float(np.sum(np.exp(w)))
+    """tr e^{tA + B} at a single point."""
+    return float(trace_values(pair, [t])[0])
 
 
 def trace_function(pair: TracePair) -> ScalarFunction:
     """The trace function of a pair as a labelled scalar function."""
-    return ScalarFunction(fn=lambda t: trace_f(pair, t), label=f"trace(n={pair.n})")
+    return ScalarFunction(fn=lambda ts: trace_values(pair, ts), label=f"trace(n={pair.n})")
 
 
 def sample_trace_f(pair: TracePair, grid: TGrid) -> list[tuple[float, float]]:
     """Evaluate the trace function on a grid, preserving order."""
-    return [(float(t), trace_f(pair, float(t))) for t in grid.points]
+    return list(zip(grid.points.tolist(), trace_values(pair, grid.points).tolist()))
+
+
+def laplace_values(measure: AtomicMeasure, ts) -> np.ndarray:
+    """Two-sided Laplace transform sum_j w_j e^{t lambda_j} at every t of the 1-d ts.
+
+    Raises Overflow, naming the first such t, when a live atom's exponent
+    exceeds the exp range.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if measure.locations.size == 0:
+        return np.zeros(ts.shape)
+    exponents = ts[:, None] * measure.locations
+    live = measure.weights > 0.0
+    over = np.any(exponents[:, live] > EXP_OVERFLOW_LIMIT, axis=1)
+    if np.any(over):
+        raise Overflow(f"transform overflows at t = {float(ts[np.argmax(over)])}")
+    return np.sum(
+        measure.weights * np.exp(np.minimum(exponents, EXP_OVERFLOW_LIMIT)), axis=-1
+    )
 
 
 def laplace_transform(measure: AtomicMeasure, t: float) -> float:
     """Two-sided Laplace transform sum_j w_j e^{t lambda_j} at a single point."""
-    if measure.locations.size == 0:
-        return 0.0
-    exponents = t * measure.locations
-    live = measure.weights > 0.0
-    if np.any(exponents[live] > EXP_OVERFLOW_LIMIT):
-        raise Overflow(f"transform overflows at t = {t}")
-    return float(np.sum(measure.weights * np.exp(np.minimum(exponents, EXP_OVERFLOW_LIMIT))))
+    return float(laplace_values(measure, [t])[0])
 
 
 def laplace_function(measure: AtomicMeasure) -> ScalarFunction:
     return ScalarFunction(
-        fn=lambda t: laplace_transform(measure, t),
+        fn=lambda ts: laplace_values(measure, ts),
         label=f"laplace({measure.locations.size} atoms)",
     )
 
@@ -164,7 +208,7 @@ def lie_trace_function(l: HermitianMatrix, m: HermitianMatrix, p: int) -> Scalar
         approx = lie_product_approx(HermitianMatrix(t * l.mat), m, p)
         return float(np.trace(approx.value).real)
 
-    return ScalarFunction(fn=f, label=f"lie_trace(p={p})")
+    return ScalarFunction(fn=lambda ts: np.array([f(t) for t in ts]), label=f"lie_trace(p={p})")
 
 
 def commuting_measure(pair: TracePair, comm_tol: float = COMM_TOL) -> AtomicMeasure:
@@ -221,11 +265,10 @@ def growth_exponents(pair: TracePair, t_far: float | None = None) -> SupportEsti
     if t_far <= 0.0:
         raise ValueError(f"t_far must be positive, got {t_far}")
 
-    def log_f(t: float) -> float:
-        return math.log(trace_f(pair, t))
-
-    est_max = (log_f(2.0 * t_far) - log_f(t_far)) / t_far
-    est_min = (log_f(-t_far) - log_f(-2.0 * t_far)) / t_far
+    far = [2.0 * t_far, t_far, -t_far, -2.0 * t_far]
+    log_2, log_1, log_m1, log_m2 = (math.log(v) for v in trace_values(pair, far))
+    est_max = (log_2 - log_1) / t_far
+    est_min = (log_m1 - log_m2) / t_far
     w = eigh(pair.A).eigenvalues
     return SupportEstimate(
         lambda_min_est=float(est_min),

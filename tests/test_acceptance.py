@@ -245,12 +245,12 @@ def test_criterion_07_measure_fit(capsys):
 
 def test_criterion_08_negative_controls(capsys):
     grid = TGrid(np.array([-1.0, 0.0, 1.0]))
-    gauss = ScalarFunction(fn=lambda t: math.exp(-t * t), label="exp(-t^2)")
+    gauss = ScalarFunction(fn=lambda t: np.exp(-t * t), label="exp(-t^2)")
     rep = psd_check(gram(gauss, grid))
     quad = float(np.real(rep.witness.conj() @ gram(gauss, grid).matrix @ rep.witness))
     gauss_ok = (not rep.passed) and quad < 0.0
 
-    relu = ScalarFunction(fn=lambda t: max(t, 0.0), label="max(t,0)")
+    relu = ScalarFunction(fn=lambda t: np.maximum(t, 0.0), label="max(t,0)")
     try:
         dichotomy_check(relu, grid)
         relu_ok = False
@@ -278,7 +278,7 @@ def test_criterion_09_closure_properties(capsys):
             cs = rng.uniform(0.1, 2.0, size=4)
             mus = rng.uniform(-2.0, 2.0, size=4)
             fs.append(ScalarFunction(
-                fn=lambda t, cs=cs, mus=mus: float(np.dot(cs, np.exp(mus * t))),
+                fn=lambda t, cs=cs, mus=mus: np.exp(np.outer(t, mus)) @ cs,
                 label="mixture",
             ))
         f1, f2 = fs

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from expconvex import convexity
 from expconvex import (
     DichotomyViolated,
     EvaluationFailure,
@@ -41,7 +42,7 @@ GAUSS_GRAM_MIN_EIG = -0.9816843611112656
 
 
 def gauss():
-    return ScalarFunction(fn=lambda t: math.exp(-t * t), label="exp(-t^2)")
+    return ScalarFunction(fn=lambda t: np.exp(-t * t), label="exp(-t^2)")
 
 
 def three_grid():
@@ -53,7 +54,7 @@ def random_mixture(rng, k=4):
     cs = rng.uniform(0.1, 2.0, size=k)
     mus = rng.uniform(-2.0, 2.0, size=k)
     return ScalarFunction(
-        fn=lambda t: float(np.dot(cs, np.exp(mus * t))),
+        fn=lambda t: np.exp(np.outer(t, mus)) @ cs,
         label="mixture",
     )
 
@@ -84,7 +85,7 @@ def test_gram_exponential_rank_one_structure():
 
 
 def test_gram_constant_function_all_ones():
-    one = ScalarFunction(fn=lambda t: 1.0, label="one")
+    one = ScalarFunction(fn=np.ones_like, label="one")
     g = gram(one, TGrid(np.array([-1.0, 0.5, 2.0, 3.0])))
     assert np.array_equal(g.matrix, np.ones((4, 4)))
 
@@ -97,8 +98,25 @@ def test_gram_gauss_values_and_symmetry():
     assert np.array_equal(g.matrix, g.matrix.T)
 
 
+def test_gram_evaluates_once_on_distinct_exact_sums():
+    calls = []
+
+    def fn(t):
+        calls.append(t.copy())
+        return np.exp(-t * t)
+
+    pts = default_grid().points
+    g = gram(ScalarFunction(fn=fn, label="gauss"), default_grid())
+    sums = pts[:, None] + pts[None, :]
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.unique(sums))
+    # sums equal in exact arithmetic but not in floating point stay distinct
+    assert calls[0].size == 26
+    assert np.array_equal(g.matrix, np.exp(-sums * sums))
+
+
 def test_gram_nonfinite_evaluation():
-    bad = ScalarFunction(fn=lambda t: float("nan"), label="bad")
+    bad = ScalarFunction(fn=lambda t: np.full_like(t, np.nan), label="bad")
     with pytest.raises(EvaluationFailure):
         gram(bad, three_grid())
 
@@ -216,7 +234,7 @@ def test_dichotomy_zero_function():
 
 
 def test_dichotomy_violated_by_relu():
-    relu = ScalarFunction(fn=lambda t: max(t, 0.0), label="relu")
+    relu = ScalarFunction(fn=lambda t: np.maximum(t, 0.0), label="relu")
     with pytest.raises(DichotomyViolated):
         dichotomy_check(relu, three_grid())
 
@@ -292,6 +310,23 @@ def test_entrywise_ec_worked_instance():
     assert res.all_passed
     assert res.max_imag <= 1e-10
     assert len(res.reports) == 2 and len(res.reports[0]) == 2
+
+
+def test_entrywise_one_exponential_per_distinct_sum(monkeypatch):
+    calls = []
+    real_exp = convexity.matrix_exp_hermitian
+
+    def counting_exp(h):
+        calls.append(h)
+        return real_exp(h)
+
+    monkeypatch.setattr(convexity, "matrix_exp_hermitian", counting_exp)
+    grid = TGrid(np.array([-1.0, 0.0, 1.0, 2.5]))
+    l = hermitian_from_diag([0.0, 1.0])
+    m = validate_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    res = entrywise_ec_check(l, m, grid)
+    assert len(calls) == np.unique(grid.points[:, None] + grid.points[None, :]).size
+    assert res.all_passed
 
 
 def test_entrywise_diagonal_m_trivial():

@@ -27,6 +27,7 @@ from expconvex import (
     validate_hermitian,
     validate_unitary,
 )
+from expconvex.hermitian import _fix_column_phases
 
 COSH1 = math.cosh(1.0)
 SINH1 = math.sinh(1.0)
@@ -116,6 +117,30 @@ def test_eigh_phase_convention_deterministic():
         j = np.flatnonzero(np.abs(col) > 1e-12)[0]
         assert col[j].imag == pytest.approx(0.0, abs=1e-15)
         assert col[j].real > 0.0
+
+
+def _fix_column_phases_loop(v):
+    # column-by-column reference for the vectorized phase convention
+    v = v.copy()
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size == 0:
+            continue
+        lead = col[nz[0]]
+        v[:, j] = col * (lead.conjugate() / abs(lead))
+    return v
+
+
+def test_fix_column_phases_bitwise_equals_loop():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 5, 8, 12, 31):
+        for k in range(20):
+            v = np.linalg.eigh(random_hermitian(rng, n).mat)[1]
+            if k % 2:
+                v[: n // 2] = 0.0  # the first nonzero entry sits lower down
+            assert np.array_equal(_fix_column_phases(v), _fix_column_phases_loop(v))
+    assert _fix_column_phases(np.zeros((0, 0), dtype=complex)).shape == (0, 0)
 
 
 def test_matrix_exp_diagonal():

@@ -169,13 +169,13 @@ def test_measure_and_fit_docs():
 
 def test_ec_report_doc_witness_only_on_failure():
     grid = TGrid(np.array([-1.0, 0.0, 1.0]))
-    good = ScalarFunction(fn=lambda t: float(np.exp(t)), label="exp")
+    good = ScalarFunction(fn=np.exp, label="exp")
     rep = check_exponential_convexity(good, grid)
     doc = ec_report_to_doc(rep, "exp", grid.points)
     assert doc["passed"] is True
     assert doc["witness"] is None
 
-    bad = ScalarFunction(fn=lambda t: float(np.exp(-t * t)), label="gauss")
+    bad = ScalarFunction(fn=lambda t: np.exp(-t * t), label="gauss")
     rep = psd_check(gram(bad, grid))
     doc = ec_report_to_doc(rep, "gauss", grid.points)
     assert doc["passed"] is False

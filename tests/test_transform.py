@@ -20,9 +20,11 @@ from expconvex import (
     hermitian_from_diag,
     laplace_function,
     laplace_transform,
+    random_rank_one_pair,
     sample_trace_f,
     trace_f,
     trace_function,
+    trace_values,
     validate_hermitian,
 )
 
@@ -101,6 +103,37 @@ def test_trace_f_overflow():
     pair = TracePair(hermitian_from_diag([0.0, 400.0]), hermitian_from_diag([0.0, 0.0]))
     with pytest.raises(Overflow):
         trace_f(pair, 2.0)
+
+
+def _scalar_trace_reference(pair, t):
+    # one eigvalsh per point: the evaluation that trace_values batches
+    h = t * pair.A.mat + pair.B.mat
+    return float(np.sum(np.exp(np.linalg.eigvalsh((h + h.conj().T) / 2.0))))
+
+
+@pytest.mark.parametrize("n, points", [(2, 40), (7, 40), (12, 40), (256, 4)])
+def test_trace_values_bitwise_equals_pointwise(n, points):
+    # n = 256 holds one matrix per eigvalsh chunk, so the batch spans chunks
+    rng = np.random.default_rng([44, n])
+    pair = random_rank_one_pair(rng, n)
+    ts = rng.uniform(-2.0, 2.0, size=points)
+    vals = trace_values(pair, ts)
+    assert vals.shape == ts.shape
+    assert vals.tolist() == [trace_f(pair, float(t)) for t in ts]
+    assert vals.tolist() == [_scalar_trace_reference(pair, float(t)) for t in ts]
+
+
+def test_trace_values_overflow_names_first_t():
+    pair = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([0.0, 0.0]))
+    with pytest.raises(Overflow, match=r"at t = 750\.0$"):
+        trace_values(pair, [0.0, 750.0, 720.0])
+    # n = 128 holds four matrices per chunk: the first offender in input
+    # order sits in a later chunk than a smaller t would suggest
+    big = TracePair(
+        hermitian_from_diag([0.0] * 127 + [1.0]), hermitian_from_diag([0.0] * 128)
+    )
+    with pytest.raises(Overflow, match=r"at t = 900\.0$"):
+        trace_values(big, [0.0, 1.0, 2.0, 3.0, 4.0, 900.0, 800.0])
 
 
 def test_sample_trace_f():
