@@ -3,7 +3,8 @@
 Subcommands: reduce (rank-one pair to canonical form), check-ec (Gram PSD
 check of the trace function), fit-measure (NNLS atomic-measure fit), and
 verify (seeded ensemble run).  Exit codes: 0 ok, 1 usage or I/O error,
-2 rank check failed, 3 numerical check failed, 4 ill-conditioned fit.
+2 rank check failed, 3 numerical check failed, 4 numerical failure without
+a verdict (ill-conditioned fit, overflow, eigensolver failure).
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ import os
 import sys
 
 from . import matrixio
-from .convexity import DEFAULT_PSD_TOL, TGrid, check_exponential_convexity
+from .convexity import TGrid, check_exponential_convexity
 from .errors import (
+    ConvergenceFailure,
     DichotomyViolated,
     ExpConvexError,
     IllConditioned,
     MatrixFileError,
+    Overflow,
     RankNotOne,
 )
 from .hermitian import validate_hermitian
@@ -30,7 +33,8 @@ from .transform import (
     sample_trace_f,
     trace_function,
 )
-from .verify import run_verification
+from .tolerances import DEFAULT_PSD_TOL, HOLDOUT_LIMIT, RIDGE_REG, SUPPORT_MIN_WIDTH
+from .verify import MAX_N, run_verification
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,11 +42,21 @@ EXIT_RANK = 2
 EXIT_CHECK = 3
 EXIT_ILL = 4
 
-HOLDOUT_LIMIT = 1e-3
-
 
 class _UsageError(Exception):
     pass
+
+
+# (exception types, exit code, message prefix) for every error main reports;
+# the first matching row wins and the last row catches all the others
+_ERROR_EXITS = (
+    (RankNotOne, EXIT_RANK, "rank check failed: "),
+    (IllConditioned, EXIT_ILL, "ill-conditioned: "),
+    ((Overflow, ConvergenceFailure), EXIT_ILL, "numerical failure: "),
+    (DichotomyViolated, EXIT_CHECK, "check failed: "),
+    ((_UsageError, ValueError, OSError, ExpConvexError), EXIT_USAGE, ""),
+)
+_ERROR_TYPES = _ERROR_EXITS[-1][0]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,7 +127,7 @@ def cmd_fit_measure(args) -> int:
 
     est = growth_exponents(pair)
     lo, hi = est.lambda_min_est, est.lambda_max_est
-    if hi - lo < 1e-3:
+    if hi - lo < SUPPORT_MIN_WIDTH:
         mid = (lo + hi) / 2.0
         lo, hi = mid - 0.5, mid + 0.5
     samples = sample_trace_f(pair, TGrid.equispaced(-2.0, 2.0, args.t_points))
@@ -125,8 +139,8 @@ def cmd_fit_measure(args) -> int:
 def cmd_verify(args) -> int:
     if args.cases < 1:
         raise _UsageError(f"--cases must be at least 1, got {args.cases}")
-    if not 2 <= args.max_n <= 12:
-        raise _UsageError(f"--max-n must be between 2 and 12, got {args.max_n}")
+    if not 2 <= args.max_n <= MAX_N:
+        raise _UsageError(f"--max-n must be between 2 and {MAX_N}, got {args.max_n}")
     report = run_verification(args.cases, args.max_n, args.seed)
     text = matrixio.dumps_doc(report.to_doc())
     if args.out:
@@ -159,19 +173,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", type=int, default=8, help="number of grid points (default 8)")
     p.add_argument("--grid-lo", type=float, default=-2.0, help="grid start (default -2)")
     p.add_argument("--grid-hi", type=float, default=2.0, help="grid end (default 2)")
-    p.add_argument("--tol", type=float, default=None, help="PSD tolerance (default 1e-8)")
+    p.add_argument(
+        "--tol", type=float, default=None, help=f"PSD tolerance (default {DEFAULT_PSD_TOL:g})"
+    )
     p.set_defaults(func=cmd_check_ec)
 
     p = sub.add_parser("fit-measure", help="fit a nonnegative atomic measure to the trace function")
     p.add_argument("input", help="JSON file with matrices A and B")
     p.add_argument("--resolution", type=int, default=64, help="candidate atom count (default 64)")
-    p.add_argument("--reg", type=float, default=1e-10, help="ridge regularization (default 1e-10)")
+    p.add_argument(
+        "--reg", type=float, default=RIDGE_REG, help=f"ridge regularization (default {RIDGE_REG:g})"
+    )
     p.add_argument("--t-points", type=int, default=48, help="trace samples on [-2,2] (default 48)")
     p.set_defaults(func=cmd_fit_measure)
 
     p = sub.add_parser("verify", help="run the seeded random-ensemble check battery")
     p.add_argument("--cases", type=int, default=50, help="number of random cases (default 50)")
-    p.add_argument("--max-n", type=int, default=7, help="largest dimension, 2..12 (default 7)")
+    p.add_argument("--max-n", type=int, default=7, help=f"largest dimension, 2..{MAX_N} (default 7)")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--out", default=None, help="report path (default: stdout)")
     p.set_defaults(func=cmd_verify)
@@ -184,30 +202,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MatrixFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RankNotOne as exc:
-        print(f"error: rank check failed: {exc}", file=sys.stderr)
-        return EXIT_RANK
-    except IllConditioned as exc:
-        print(f"error: ill-conditioned: {exc}", file=sys.stderr)
-        return EXIT_ILL
-    except DichotomyViolated as exc:
-        print(f"error: check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ExpConvexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except _ERROR_TYPES as exc:
+        code, prefix = next((c, p) for types, c, p in _ERROR_EXITS if isinstance(exc, types))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -24,13 +24,12 @@ from .errors import (
 )
 from .hermitian import (
     HermitianMatrix,
+    _check_offdiag_nonneg,
     _freeze,
     matrix_exp_hermitian,
     max_abs,
 )
-
-DEFAULT_PSD_TOL = 1e-8
-ZERO_FUNCTION_TOL = 1e-14
+from .tolerances import DEFAULT_PSD_TOL, IMAG_TOL, MIDPOINT_SLACK, OFFDIAG_TOL, ZERO_FUNCTION_TOL
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,6 @@ class TGrid:
 
     @staticmethod
     def equispaced(lo: float, hi: float, n: int) -> "TGrid":
-        if n == 1:
-            return TGrid(np.array([lo], dtype=float))
         return TGrid(np.linspace(lo, hi, n))
 
 
@@ -187,7 +184,7 @@ def midpoint_inequality_check(f: ScalarFunction, t1: float, t2: float) -> Midpoi
             f"{f.label} takes opposite signs at 2*t1, 2*t2; sqrt undefined"
         )
     rhs = math.sqrt(prod)
-    return MidpointReport(holds=bool(lhs <= rhs * (1.0 + 1e-12)), lhs=lhs, rhs=rhs)
+    return MidpointReport(holds=bool(lhs <= rhs * (1.0 + MIDPOINT_SLACK)), lhs=lhs, rhs=rhs)
 
 
 def dichotomy_check(f: ScalarFunction, grid: TGrid) -> DichotomyReport:
@@ -259,25 +256,12 @@ class EntrywiseECResult:
         )
 
 
-def _check_entrywise_hypothesis(l: HermitianMatrix, m: HermitianMatrix, tol: float = 1e-12) -> None:
-    off = ~np.eye(l.n, dtype=bool)
-    if max_abs(l.mat[off]) > tol:
-        raise HypothesisViolated("first matrix must be diagonal")
-    bad = off & ((m.mat.real < -tol) | (np.abs(m.mat.imag) > tol))
-    if np.any(bad):
-        j, k = np.argwhere(bad)[0]
-        raise HypothesisViolated(
-            f"off-diagonal entry ({j},{k}) = {m.mat[j, k]:.6g} of the second matrix "
-            "is not a nonnegative real"
-        )
-
-
 def entrywise_ec_check(
     l: HermitianMatrix,
     m: HermitianMatrix,
     grid: TGrid,
     tol: float = DEFAULT_PSD_TOL,
-    imag_tol: float = 1e-10,
+    imag_tol: float = IMAG_TOL,
 ) -> EntrywiseECResult:
     """PSD-check every entry of t -> e^{Lt + M} as a function of t.
 
@@ -288,7 +272,9 @@ def entrywise_ec_check(
     """
     if l.n != m.n:
         raise HypothesisViolated(f"operands are {l.n}x{l.n} and {m.n}x{m.n}")
-    _check_entrywise_hypothesis(l, m)
+    if max_abs(l.mat[~np.eye(l.n, dtype=bool)]) > OFFDIAG_TOL:
+        raise HypothesisViolated("first matrix must be diagonal")
+    _check_offdiag_nonneg(m, " of the second matrix")
     n = l.n
     ts, inverse = _distinct_sums(grid.points)
     exps = np.empty((ts.size, n, n), dtype=complex)

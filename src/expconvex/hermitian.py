@@ -22,12 +22,10 @@ from .errors import (
     NotUnitary,
     Overflow,
 )
-
-HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-10
-EIGH_RESIDUAL_TOL = 1e-10
-# exp(x) overflows double precision near x = 709.78; stay clear of it.
-EXP_OVERFLOW_LIMIT = 700.0
+from .tolerances import (
+    EIGH_RESIDUAL_TOL, EXP_OVERFLOW_LIMIT, HERMITIAN_TOL, OFFDIAG_TOL, PHASE_ANCHOR_TOL,
+    UNITARY_TOL,
+)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -110,17 +108,15 @@ class EntrywiseReport:
     location: tuple[int, int]
 
 
-def validate_hermitian(m, tol: float | None = None) -> HermitianMatrix:
-    """Validate that m is Hermitian within tol and return the symmetrized wrapper.
+def validate_hermitian(m) -> HermitianMatrix:
+    """Validate that m is Hermitian and return the symmetrized wrapper.
 
-    tol defaults to HERMITIAN_TOL * max(1, ||m||_max).  The stored matrix is
+    The tolerance is HERMITIAN_TOL * max(1, ||m||_max).  The stored matrix is
     (m + m*)/2, which has an exactly real diagonal and exact conjugate
     symmetry.
     """
     a = _as_complex_square(m)
-    scale = max(1.0, max_abs(a))
-    if tol is None:
-        tol = HERMITIAN_TOL * scale
+    tol = HERMITIAN_TOL * max(1.0, max_abs(a))
     dev = max_abs(a - a.conj().T)
     if dev > tol:
         raise NotHermitian(
@@ -130,12 +126,12 @@ def validate_hermitian(m, tol: float | None = None) -> HermitianMatrix:
     return HermitianMatrix(_freeze(sym))
 
 
-def validate_unitary(m, tol: float = UNITARY_TOL) -> UnitaryMatrix:
-    """Validate ||m m* - I||_max <= tol and wrap."""
+def validate_unitary(m) -> UnitaryMatrix:
+    """Validate ||m m* - I||_max <= UNITARY_TOL and wrap."""
     a = _as_complex_square(m)
     dev = max_abs(a @ a.conj().T - np.eye(a.shape[0]))
-    if dev > tol:
-        raise NotUnitary(f"||U U* - I||_max = {dev:.3e} > {tol:.3e}")
+    if dev > UNITARY_TOL:
+        raise NotUnitary(f"||U U* - I||_max = {dev:.3e} > {UNITARY_TOL:.3e}")
     return UnitaryMatrix(_freeze(a.copy()))
 
 
@@ -147,7 +143,7 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     """
     if v.size == 0:
         return v.copy()
-    nonzero = np.abs(v) > 1e-12
+    nonzero = np.abs(v) > PHASE_ANCHOR_TOL
     cols = np.arange(v.shape[1])
     first = np.argmax(nonzero, axis=0)
     # a column with no entry above the threshold keeps its phase
@@ -229,16 +225,14 @@ def lie_product_approx(
     return LieApproximation(p=p, value=_freeze(value), reference_error=err)
 
 
-def _check_offdiag_nonneg(m: HermitianMatrix, tol: float = 1e-12) -> None:
+def _check_offdiag_nonneg(m: HermitianMatrix, what: str = "") -> None:
+    """Raise HypothesisViolated unless all off-diagonal entries of m are nonnegative reals."""
     a = m.mat
-    off = ~np.eye(m.n, dtype=bool)
-    if m.n == 0:
-        return
-    if np.any(a[off].real < -tol) or np.any(np.abs(a[off].imag) > tol):
-        bad = np.argwhere(off & ((a.real < -tol) | (np.abs(a.imag) > tol)))
-        j, k = bad[0]
+    bad = ~np.eye(m.n, dtype=bool) & ((a.real < -OFFDIAG_TOL) | (np.abs(a.imag) > OFFDIAG_TOL))
+    if np.any(bad):
+        j, k = np.argwhere(bad)[0]
         raise HypothesisViolated(
-            f"off-diagonal entry ({j},{k}) = {a[j, k]:.6g} is not a nonnegative real"
+            f"off-diagonal entry ({j},{k}) = {a[j, k]:.6g}{what} is not a nonnegative real"
         )
 
 
@@ -246,7 +240,7 @@ def perron_shift(m: HermitianMatrix) -> PerronShift:
     """Shift m by rho*I so every entry is nonnegative.
 
     Requires all off-diagonal entries of m to be nonnegative reals (within
-    1e-12); the diagonal is real by Hermiticity.  rho is the smallest
+    OFFDIAG_TOL); the diagonal is real by Hermiticity.  rho is the smallest
     deterministic choice: max(0, -min diagonal).
     """
     _check_offdiag_nonneg(m)
@@ -256,7 +250,7 @@ def perron_shift(m: HermitianMatrix) -> PerronShift:
     return PerronShift(rho=rho, shifted=_freeze(shifted))
 
 
-def exp_entrywise_nonneg_check(m: HermitianMatrix, tol: float = 1e-12) -> EntrywiseReport:
+def exp_entrywise_nonneg_check(m: HermitianMatrix, tol: float = OFFDIAG_TOL) -> EntrywiseReport:
     """Compute e^m and report whether every entry is a nonnegative real.
 
     holds is True iff every entry has real part >= -tol and |imag| <= tol.
@@ -268,11 +262,6 @@ def exp_entrywise_nonneg_check(m: HermitianMatrix, tol: float = 1e-12) -> Entryw
     min_entry = float(re[idx])
     holds = bool(min_entry >= -tol and max_abs(e.imag) <= tol)
     return EntrywiseReport(holds=holds, min_entry=min_entry, location=(int(idx[0]), int(idx[1])))
-
-
-def identity_matrix(n: int) -> np.ndarray:
-    """Complex identity, the unit for products and conjugations."""
-    return np.eye(n, dtype=complex)
 
 
 def hermitian_from_diag(diag) -> HermitianMatrix:

@@ -22,12 +22,11 @@ from .hermitian import (
     HermitianMatrix,
     UnitaryMatrix,
     _freeze,
+    conjugate,
     eigh,
     max_abs,
 )
-
-RANK_TOL_FACTOR = 1e-9
-PHASE_ZERO_TOL = 1e-13
+from .tolerances import PHASE_ZERO_TOL, RANK_TOL_FACTOR
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,9 @@ class ReductionResult:
 def assert_rank_one(a: HermitianMatrix, rank_tol: float | None = None) -> RankOneCertificate:
     """Certify that a has exactly one eigenvalue of magnitude above rank_tol.
 
-    rank_tol defaults to 1e-9 * ||a||_max.  Raises RankNotOne (carrying the
-    spectrum) when zero or several eigenvalues exceed the threshold.
+    rank_tol defaults to RANK_TOL_FACTOR * ||a||_max.  Raises RankNotOne
+    (carrying the spectrum) when zero or several eigenvalues exceed the
+    threshold.
     """
     if rank_tol is None:
         rank_tol = RANK_TOL_FACTOR * a.norm_max()
@@ -126,9 +126,7 @@ def phase_matrix(g) -> tuple[np.ndarray, UnitaryMatrix]:
     return _freeze(omegas), UnitaryMatrix(_freeze(np.diag(omegas)))
 
 
-def reduce(
-    a: HermitianMatrix, b: HermitianMatrix, rank_tol: float | None = None
-) -> ReductionResult:
+def reduce(a: HermitianMatrix, b: HermitianMatrix) -> ReductionResult:
     """Reduce the rank-one pair (a, b) to (diagonal L, nonneg-off-diag M).
 
     Steps: certify rank one and move the nonzero eigendirection of a into
@@ -140,10 +138,9 @@ def reduce(
         raise DimensionMismatch(f"operands are {a.n}x{a.n} and {b.n}x{b.n}")
     n = a.n
 
-    cert = assert_rank_one(a, rank_tol)
+    cert = assert_rank_one(a)
     u = corner_diagonalizer(cert)
-    b1 = u.mat @ b.mat @ u.mat.conj().T
-    b1 = (b1 + b1.conj().T) / 2.0
+    b1 = conjugate(u, b).mat
 
     b_block = HermitianMatrix(_freeze(b1[: n - 1, : n - 1].copy()))
     b_col = b1[: n - 1, n - 1].copy()

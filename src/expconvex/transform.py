@@ -24,16 +24,13 @@ from .errors import (
     Overflow,
 )
 from .hermitian import (
-    EXP_OVERFLOW_LIMIT,
     HermitianMatrix,
     _freeze,
     eigh,
     lie_product_approx,
     max_abs,
 )
-
-COMM_TOL = 1e-10
-ATOM_MERGE_TOL = 1e-9
+from .tolerances import ATOM_MERGE_TOL, COMM_TOL, EXP_OVERFLOW_LIMIT, RIDGE_REG
 
 
 @dataclass(frozen=True)
@@ -70,10 +67,10 @@ class AtomicMeasure:
         return float(self.weights.sum()) if self.weights.size else 0.0
 
     @staticmethod
-    def from_atoms(pairs, merge_tol: float = ATOM_MERGE_TOL) -> "AtomicMeasure":
+    def from_atoms(pairs) -> "AtomicMeasure":
         """Build a measure from (location, weight) pairs.
 
-        Locations within merge_tol are merged by weight addition; negative
+        Locations within ATOM_MERGE_TOL are merged by weight addition; negative
         weights are rejected.
         """
         pairs = sorted((float(l), float(w)) for l, w in pairs)
@@ -84,7 +81,7 @@ class AtomicMeasure:
                 raise ValueError(f"non-finite atom ({loc}, {w})")
             if w < 0.0:
                 raise ValueError(f"negative weight {w} at location {loc}")
-            if locs and loc - locs[-1] <= merge_tol:
+            if locs and loc - locs[-1] <= ATOM_MERGE_TOL:
                 wts[-1] += w
             else:
                 locs.append(loc)
@@ -211,20 +208,20 @@ def lie_trace_function(l: HermitianMatrix, m: HermitianMatrix, p: int) -> Scalar
     return ScalarFunction(fn=lambda ts: np.array([f(t) for t in ts]), label=f"lie_trace(p={p})")
 
 
-def commuting_measure(pair: TracePair, comm_tol: float = COMM_TOL) -> AtomicMeasure:
+def commuting_measure(pair: TracePair) -> AtomicMeasure:
     """Exact atomic measure for a commuting pair.
 
     In a common eigenbasis with A-eigenvalues lambda_i and B-values mu_i the
     measure has atoms (lambda_i, e^{mu_i}), merged over coinciding
     locations.  Raises NotCommuting when ||AB - BA||_max exceeds
-    comm_tol * max(1, ||A||_max ||B||_max).
+    COMM_TOL * max(1, ||A||_max ||B||_max).
     """
     a, b = pair.A.mat, pair.B.mat
     comm = max_abs(a @ b - b @ a)
     scale = max(1.0, pair.A.norm_max() * pair.B.norm_max())
-    if comm > comm_tol * scale:
+    if comm > COMM_TOL * scale:
         raise NotCommuting(
-            f"||AB - BA||_max = {comm:.3e} exceeds {comm_tol * scale:.3e}"
+            f"||AB - BA||_max = {comm:.3e} exceeds {COMM_TOL * scale:.3e}"
         )
 
     dec = eigh(pair.A)
@@ -282,7 +279,7 @@ def fit_measure(
     samples,
     support: tuple[float, float],
     grid_resolution: int,
-    reg: float = 1e-10,
+    reg: float = RIDGE_REG,
 ) -> MeasureFit:
     """Fit a nonnegative atomic measure to samples of a transform.
 

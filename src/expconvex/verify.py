@@ -18,6 +18,10 @@ from .convexity import TGrid, check_exponential_convexity, default_grid
 from .errors import ExpConvexError
 from .hermitian import HermitianMatrix, lie_product_approx, validate_hermitian
 from .reduction import reduce, reduction_residuals
+from .tolerances import (
+    GRID_MIN_GAP, GROWTH_TOL, LIE_ERROR_FLOOR, LIE_RATIO_LIMIT, OFFDIAG_TOL, RESIDUAL_TOL,
+    ROUNDTRIP_TOL, TRACE_INV_TOL,
+)
 from .transform import (
     TracePair,
     commuting_measure,
@@ -35,13 +39,8 @@ ENSEMBLE_LAW = (
     "case rng = default_rng([seed, case_index])"
 )
 
-RESIDUAL_TOL = 1e-10
-OFFDIAG_TOL = 1e-12
-TRACE_INV_TOL = 1e-9
-GRAM_TOL = 1e-8
-LIE_RATIO_LIMIT = 0.75
-ROUNDTRIP_TOL = 1e-10
-GROWTH_TOL = 0.05
+# Largest case dimension accepted by run_verification and the verify command.
+MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -112,12 +111,8 @@ def random_grid(rng: np.random.Generator, n_points: int = 8) -> TGrid:
     """Strictly increasing random grid on [-2, 2]."""
     while True:
         pts = np.sort(rng.uniform(-2.0, 2.0, size=n_points))
-        if np.all(np.diff(pts) > 1e-6):
+        if np.all(np.diff(pts) > GRID_MIN_GAP):
             return TGrid(pts)
-
-
-def _eleven_points() -> np.ndarray:
-    return np.linspace(-2.0, 2.0, 11)
 
 
 def run_case(master_seed: int, index: int, max_n: int) -> list[CaseRecord]:
@@ -148,7 +143,7 @@ def run_case(master_seed: int, index: int, max_n: int) -> list[CaseRecord]:
         min_off = float(m.real[off].min()) if n > 1 else 0.0
         records.append(record("reduce_offdiag_min", min_off >= -OFFDIAG_TOL, min_off))
 
-        ts = _eleven_points()
+        ts = np.linspace(-2.0, 2.0, 11)
         fa = trace_values(pair, ts)
         fl = trace_values(TracePair(red.L, red.M), ts)
         worst = float(np.max(np.abs(fa - fl) / np.maximum(1.0, fa)))
@@ -156,12 +151,12 @@ def run_case(master_seed: int, index: int, max_n: int) -> list[CaseRecord]:
 
         f = trace_function(pair)
         for check, grid in (("ec_gram_uniform", default_grid()), ("ec_gram_random", grid_rand)):
-            rep = check_exponential_convexity(f, grid, tol=GRAM_TOL)
+            rep = check_exponential_convexity(f, grid)
             records.append(record(check, rep.passed, rep.min_eigenvalue))
 
         e1 = lie_product_approx(pair.A, pair.B, 64, with_reference=True).reference_error
         e2 = lie_product_approx(pair.A, pair.B, 128, with_reference=True).reference_error
-        ratio = 0.0 if e1 < 1e-300 else e2 / e1
+        ratio = 0.0 if e1 < LIE_ERROR_FLOOR else e2 / e1
         records.append(record("lie_ratio", ratio <= LIE_RATIO_LIMIT, ratio))
 
         # Round trip on the commuting pair (L, diag M) produced by this case.
@@ -194,8 +189,8 @@ def run_verification(cases: int, max_n: int, seed: int) -> VerificationReport:
     """Run the full battery over `cases` seeded instances."""
     if cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases}")
-    if not 2 <= max_n <= 12:
-        raise ValueError(f"max_n must be in [2, 12], got {max_n}")
+    if not 2 <= max_n <= MAX_N:
+        raise ValueError(f"max_n must be in [2, {MAX_N}], got {max_n}")
     started = time.perf_counter()
     records: list[CaseRecord] = []
     for index in range(cases):

@@ -144,6 +144,26 @@ def test_fit_measure_flag_validation(worked_pair, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["check-ec", "fit-measure"])
+def test_overflow_exits_4_and_names_t(tmp_path, capsys, command):
+    # largest eigenvalue of tA + B is near 800 at every point: e^800 overflows
+    f = write_pair(tmp_path / "big.json", np.diag([0.0, 1.0]), np.diag([0.0, 800.0]))
+    assert main([command, f]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure: largest eigenvalue ")
+    assert "exceeds exp range at t = " in err
+
+
+@pytest.mark.parametrize("command", ["check-ec", "fit-measure"])
+def test_eigensolver_failure_exits_4(worked_pair, capsys, monkeypatch, command):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert main([command, worked_pair]) == 4
+    assert "eigensolver failed: did not converge" in capsys.readouterr().err
+
+
 def test_verify_deterministic_and_green(tmp_path, capsys):
     o1, o2 = tmp_path / "v1.json", tmp_path / "v2.json"
     assert main(["verify", "--cases", "5", "--seed", "42", "--out", str(o1)]) == 0

@@ -19,7 +19,6 @@ from expconvex import (
     eigh,
     exp_entrywise_nonneg_check,
     hermitian_from_diag,
-    identity_matrix,
     lie_product_approx,
     matrix_exp_hermitian,
     max_abs,
@@ -305,7 +304,3 @@ def test_exp_entrywise_random_nonneg_offdiag():
         m[off] = np.abs(m[off])
         rep = exp_entrywise_nonneg_check(validate_hermitian(m), tol=1e-12)
         assert rep.holds
-
-
-def test_identity_matrix():
-    assert np.array_equal(identity_matrix(3), np.eye(3))
