@@ -4,13 +4,13 @@ Subcommands: reduce (rank-one pair to canonical form), check-ec (Gram PSD
 check of the trace function), fit-measure (NNLS atomic-measure fit), and
 verify (seeded ensemble run).  Exit codes: 0 ok, 1 usage or I/O error,
 2 rank check failed, 3 numerical check failed, 4 numerical failure without
-a verdict (ill-conditioned fit, overflow, eigensolver failure).
+a verdict (ill-conditioned fit, overflow, trace underflow, eigensolver
+failure).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import matrixio
@@ -20,7 +20,6 @@ from .errors import (
     DichotomyViolated,
     ExpConvexError,
     IllConditioned,
-    MatrixFileError,
     Overflow,
     RankNotOne,
 )
@@ -65,24 +64,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _psd_tol(flag_value: float | None) -> float:
-    """PSD tolerance: --tol flag, then EXPCONVEX_TOL env, then the default."""
-    if flag_value is not None:
-        if flag_value <= 0.0:
-            raise _UsageError(f"--tol must be positive, got {flag_value}")
-        return flag_value
-    env = os.environ.get("EXPCONVEX_TOL")
-    if env is not None:
-        try:
-            val = float(env)
-        except ValueError:
-            raise _UsageError(f"EXPCONVEX_TOL must be a number, got {env!r}") from None
-        if val <= 0.0:
-            raise _UsageError(f"EXPCONVEX_TOL must be positive, got {env!r}")
-        return val
-    return DEFAULT_PSD_TOL
-
-
 def _load_pair(path: str) -> TracePair:
     a_raw, b_raw = matrixio.load_pair(path)
     return TracePair(validate_hermitian(a_raw), validate_hermitian(b_raw))
@@ -107,10 +88,11 @@ def cmd_check_ec(args) -> int:
         raise _UsageError(
             f"--grid-lo must be below --grid-hi, got [{args.grid_lo}, {args.grid_hi}]"
         )
-    tol = _psd_tol(args.tol)
+    if args.tol <= 0.0:
+        raise _UsageError(f"--tol must be positive, got {args.tol}")
     pair = _load_pair(args.input)
     grid = TGrid.equispaced(args.grid_lo, args.grid_hi, args.grid_n)
-    report = check_exponential_convexity(trace_function(pair), grid, tol=tol)
+    report = check_exponential_convexity(trace_function(pair), grid, tol=args.tol)
     doc = matrixio.ec_report_to_doc(report, f"trace(n={pair.n})", grid.points)
     sys.stdout.write(matrixio.dumps_doc(doc))
     return EXIT_OK if report.passed else EXIT_CHECK
@@ -119,8 +101,8 @@ def cmd_check_ec(args) -> int:
 def cmd_fit_measure(args) -> int:
     if args.resolution < 1:
         raise _UsageError(f"--resolution must be positive, got {args.resolution}")
-    if args.t_points < 2:
-        raise _UsageError(f"--t-points must be at least 2, got {args.t_points}")
+    if args.t_points < 3:
+        raise _UsageError(f"--t-points must be at least 3, got {args.t_points}")
     if args.reg < 0.0:
         raise _UsageError(f"--reg must be nonnegative, got {args.reg}")
     pair = _load_pair(args.input)
@@ -142,15 +124,11 @@ def cmd_verify(args) -> int:
     if not 2 <= args.max_n <= MAX_N:
         raise _UsageError(f"--max-n must be between 2 and {MAX_N}, got {args.max_n}")
     report = run_verification(args.cases, args.max_n, args.seed)
-    text = matrixio.dumps_doc(report.to_doc())
+    doc = report.to_doc()
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise MatrixFileError(f"{args.out}: {exc.strerror or exc}") from exc
+        matrixio.write_doc(args.out, doc)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(matrixio.dumps_doc(doc))
     print(
         f"{report.cases} cases, {len(report.records)} checks, "
         f"{report.failures} failures in {report.elapsed:.2f}s",
@@ -174,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-lo", type=float, default=-2.0, help="grid start (default -2)")
     p.add_argument("--grid-hi", type=float, default=2.0, help="grid end (default 2)")
     p.add_argument(
-        "--tol", type=float, default=None, help=f"PSD tolerance (default {DEFAULT_PSD_TOL:g})"
+        "--tol", type=float, default=DEFAULT_PSD_TOL,
+        help=f"PSD tolerance (default {DEFAULT_PSD_TOL:g})",
     )
     p.set_defaults(func=cmd_check_ec)
 
@@ -184,7 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--reg", type=float, default=RIDGE_REG, help=f"ridge regularization (default {RIDGE_REG:g})"
     )
-    p.add_argument("--t-points", type=int, default=48, help="trace samples on [-2,2] (default 48)")
+    p.add_argument(
+        "--t-points", type=int, default=48, help="trace samples on [-2,2], at least 3 (default 48)"
+    )
     p.set_defaults(func=cmd_fit_measure)
 
     p = sub.add_parser("verify", help="run the seeded random-ensemble check battery")

@@ -84,8 +84,6 @@ class GramMatrix:
     """The symmetric kernel matrix G[r, s] = f(t_r + t_s) over a grid."""
 
     matrix: np.ndarray
-    grid: TGrid
-    label: str
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,7 @@ def gram(f: ScalarFunction, grid: TGrid) -> GramMatrix:
     """Evaluate G[r, s] = f(t_r + t_s) with one call of f on the distinct sums."""
     ts, inverse = _distinct_sums(grid.points)
     g = _evaluate(f, ts)[inverse]
-    return GramMatrix(matrix=_freeze(g), grid=grid, label=f.label)
+    return GramMatrix(matrix=_freeze(g))
 
 
 def psd_check(g: GramMatrix, tol: float = DEFAULT_PSD_TOL) -> ECReport:
@@ -231,10 +229,6 @@ def exp_function(mu: float) -> ScalarFunction:
     return ScalarFunction(fn=lambda ts: np.exp(ts * mu), label=f"exp({mu:g}t)")
 
 
-def zero_function() -> ScalarFunction:
-    return ScalarFunction(fn=np.zeros_like, label="zero")
-
-
 @dataclass(frozen=True)
 class EntrywiseECResult:
     """Per-entry PSD reports for the matrix function t -> e^{Lt + M}.
@@ -288,11 +282,7 @@ def entrywise_ec_check(
     for j in range(n):
         row = []
         for k in range(n):
-            gm = GramMatrix(
-                matrix=_freeze(np.ascontiguousarray(entries[:, :, j, k])),
-                grid=grid,
-                label=f"entry({j},{k})",
-            )
+            gm = GramMatrix(matrix=_freeze(np.ascontiguousarray(entries[:, :, j, k])))
             row.append(psd_check(gm, tol))
         reports.append(tuple(row))
     return EntrywiseECResult(reports=tuple(reports), max_imag=float(max_imag), imag_tol=imag_tol)

@@ -26,7 +26,7 @@ class ConvergenceFailure(ExpConvexError):
 
 
 class Overflow(ExpConvexError):
-    """Exponentiation would leave double-precision range."""
+    """A value would leave the double-precision range: it overflows, or underflows to zero."""
 
 
 class DimensionMismatch(ExpConvexError):

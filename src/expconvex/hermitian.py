@@ -65,21 +65,18 @@ class HermitianMatrix:
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
-    """An n x n complex matrix with ||U U* - I||_max below UNITARY_TOL."""
+    """An n x n complex matrix meant to be unitary.
+
+    Only validate_unitary checks ||U U* - I||_max <= UNITARY_TOL; the
+    reduction wraps the unitaries it builds (corner reflection, block
+    diagonalizer, W) without a check.
+    """
 
     mat: np.ndarray
 
     @property
     def n(self) -> int:
         return self.mat.shape[0]
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Ascending real eigenvalues and the unitary matrix of eigenvectors (columns)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: UnitaryMatrix
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,6 @@ class PerronShift:
 class LieApproximation:
     """The split-step product (e^{X/p} e^{Y/p})^p with optional reference error."""
 
-    p: int
     value: np.ndarray
     reference_error: float | None = None
 
@@ -153,9 +149,10 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     return v * (lead.conjugate() / np.hypot(lead.real, lead.imag))
 
 
-def eigh(h: HermitianMatrix) -> EigenDecomposition:
-    """Full eigendecomposition with ascending eigenvalues and phase-fixed columns.
+def eigh(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition (w, v): ascending eigenvalues, phase-fixed eigenvector columns.
 
+    Both arrays are frozen; the result has the shape of np.linalg.eigh's.
     Raises ConvergenceFailure if LAPACK fails or the reconstruction residual
     ||H V - V diag(w)||_max exceeds EIGH_RESIDUAL_TOL * max(1, ||H||_max).
     """
@@ -170,7 +167,7 @@ def eigh(h: HermitianMatrix) -> EigenDecomposition:
         raise ConvergenceFailure(
             f"reconstruction residual {residual:.3e} exceeds {EIGH_RESIDUAL_TOL * scale:.3e}"
         )
-    return EigenDecomposition(_freeze(w), UnitaryMatrix(_freeze(v)))
+    return _freeze(w), _freeze(v)
 
 
 def matrix_exp_hermitian(h: HermitianMatrix) -> np.ndarray:
@@ -180,11 +177,9 @@ def matrix_exp_hermitian(h: HermitianMatrix) -> np.ndarray:
     Overflow when the largest eigenvalue exceeds the double-precision
     exponent range.
     """
-    dec = eigh(h)
-    w = dec.eigenvalues
+    w, v = eigh(h)
     if w.size and float(w[-1]) > EXP_OVERFLOW_LIMIT:
         raise Overflow(f"largest eigenvalue {w[-1]:.3f} exceeds exp range")
-    v = dec.eigenvectors.mat
     ew = np.exp(w)
     out = (v * ew) @ v.conj().T
     return (out + out.conj().T) / 2.0
@@ -222,7 +217,7 @@ def lie_product_approx(
     if with_reference:
         ref = matrix_exp_hermitian(validate_hermitian(x.mat + y.mat))
         err = max_abs(value - ref)
-    return LieApproximation(p=p, value=_freeze(value), reference_error=err)
+    return LieApproximation(value=_freeze(value), reference_error=err)
 
 
 def _check_offdiag_nonneg(m: HermitianMatrix, what: str = "") -> None:

@@ -112,8 +112,13 @@ def load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reduction_to_doc(result, residuals: tuple[float, float]) -> dict:
-    """Encode a reduction result together with its intermediate quantities."""
+    """Encode a reduction result together with its intermediate quantities.
+
+    Omega = diag(omegas), W_block = Omega V_block and g_abs = |g| are
+    rebuilt from the trace exactly as reduce computes them.
+    """
     tr = result.trace
+    omega = np.diag(tr.omegas)
     return {
         "W": matrix_to_doc(result.W.mat),
         "L": matrix_to_doc(result.L.mat),
@@ -131,9 +136,9 @@ def reduction_to_doc(result, residuals: tuple[float, float]) -> dict:
             "M_block": real_vector_to_doc(tr.M_block),
             "g": complex_vector_to_doc(tr.g),
             "omegas": complex_vector_to_doc(tr.omegas),
-            "Omega": matrix_to_doc(tr.Omega.mat),
-            "W_block": matrix_to_doc(tr.W_block.mat),
-            "g_abs": real_vector_to_doc(tr.g_abs),
+            "Omega": matrix_to_doc(omega),
+            "W_block": matrix_to_doc(omega @ tr.V_block.mat),
+            "g_abs": real_vector_to_doc(np.abs(tr.g)),
         },
     }
 

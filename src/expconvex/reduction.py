@@ -43,8 +43,8 @@ class ReductionTrace:
 
     U is the Householder corner diagonalizer; B_block, b_col, mu_n are the
     blocks of U B U*; V_block diagonalizes B_block to the diagonal M_block;
-    g = V_block b_col; omegas are the unit phases with omega_j * g_j = |g_j|,
-    assembled into the diagonal Omega; W_block = Omega V_block; g_abs = |g|.
+    g = V_block b_col; omegas are the unit phases with omega_j * g_j = |g_j|.
+    W's leading block is diag(omegas) V_block and M's coupling column is |g|.
     """
 
     U: UnitaryMatrix
@@ -55,9 +55,6 @@ class ReductionTrace:
     M_block: np.ndarray
     g: np.ndarray
     omegas: np.ndarray
-    Omega: UnitaryMatrix
-    W_block: UnitaryMatrix
-    g_abs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,8 +76,7 @@ def assert_rank_one(a: HermitianMatrix, rank_tol: float | None = None) -> RankOn
     """
     if rank_tol is None:
         rank_tol = RANK_TOL_FACTOR * a.norm_max()
-    dec = eigh(a)
-    w = dec.eigenvalues
+    w, v = eigh(a)
     big = np.flatnonzero(np.abs(w) > rank_tol)
     if big.size != 1:
         raise RankNotOne(
@@ -91,7 +87,7 @@ def assert_rank_one(a: HermitianMatrix, rank_tol: float | None = None) -> RankOn
     k = int(big[0])
     return RankOneCertificate(
         lambda_n=float(w[k]),
-        direction=_freeze(dec.eigenvectors.mat[:, k].copy()),
+        direction=_freeze(v[:, k].copy()),
     )
 
 
@@ -113,8 +109,8 @@ def corner_diagonalizer(cert: RankOneCertificate) -> UnitaryMatrix:
     return UnitaryMatrix(_freeze(u))
 
 
-def phase_matrix(g) -> tuple[np.ndarray, UnitaryMatrix]:
-    """Unit phases omega_j with omega_j * g_j = |g_j|, and Omega = diag(omega).
+def phase_matrix(g) -> np.ndarray:
+    """Unit phases omega_j with omega_j * g_j = |g_j|, the diagonal of the phase matrix.
 
     Components with |g_j| <= PHASE_ZERO_TOL are treated as zero and get
     omega_j = 1.
@@ -123,7 +119,7 @@ def phase_matrix(g) -> tuple[np.ndarray, UnitaryMatrix]:
     omegas = np.ones(g.shape[0], dtype=complex)
     nz = np.abs(g) > PHASE_ZERO_TOL
     omegas[nz] = g[nz].conjugate() / np.abs(g[nz])
-    return _freeze(omegas), UnitaryMatrix(_freeze(np.diag(omegas)))
+    return _freeze(omegas)
 
 
 def reduce(a: HermitianMatrix, b: HermitianMatrix) -> ReductionResult:
@@ -146,15 +142,14 @@ def reduce(a: HermitianMatrix, b: HermitianMatrix) -> ReductionResult:
     b_col = b1[: n - 1, n - 1].copy()
     mu_n = float(b1[n - 1, n - 1].real)
 
-    dec = eigh(b_block)
-    mus = dec.eigenvalues
+    mus, vecs = eigh(b_block)
     # eigh returns columns; the diagonalizing map is its conjugate transpose.
-    v_block = dec.eigenvectors.mat.conj().T
+    v_block = vecs.conj().T
 
     g = v_block @ b_col
-    omegas, omega = phase_matrix(g)
+    omegas = phase_matrix(g)
     g_abs = np.abs(g)
-    w_block = omega.mat @ v_block
+    w_block = np.diag(omegas) @ v_block
 
     w_full = np.zeros((n, n), dtype=complex)
     w_full[: n - 1, : n - 1] = w_block
@@ -176,12 +171,9 @@ def reduce(a: HermitianMatrix, b: HermitianMatrix) -> ReductionResult:
         b_col=_freeze(b_col),
         mu_n=mu_n,
         V_block=UnitaryMatrix(_freeze(v_block)),
-        M_block=_freeze(mus.copy()),
+        M_block=mus,
         g=_freeze(g),
         omegas=omegas,
-        Omega=omega,
-        W_block=UnitaryMatrix(_freeze(w_block)),
-        g_abs=_freeze(g_abs),
     )
     return ReductionResult(
         W=UnitaryMatrix(_freeze(w_full)),

@@ -191,13 +191,6 @@ def laplace_transform(measure: AtomicMeasure, t: float) -> float:
     return float(laplace_values(measure, [t])[0])
 
 
-def laplace_function(measure: AtomicMeasure) -> ScalarFunction:
-    return ScalarFunction(
-        fn=lambda ts: laplace_values(measure, ts),
-        label=f"laplace({measure.locations.size} atoms)",
-    )
-
-
 def lie_trace_function(l: HermitianMatrix, m: HermitianMatrix, p: int) -> ScalarFunction:
     """The split-step trace t -> tr (e^{Lt/p} e^{M/p})^p, converging to trace(L, M)."""
 
@@ -224,9 +217,8 @@ def commuting_measure(pair: TracePair) -> AtomicMeasure:
             f"||AB - BA||_max = {comm:.3e} exceeds {COMM_TOL * scale:.3e}"
         )
 
-    dec = eigh(pair.A)
-    w = dec.eigenvalues
-    v = dec.eigenvectors.mat.copy()
+    w, v = eigh(pair.A)
+    v = v.copy()
 
     # Within each eigenspace of A, rotate to diagonalize the projection of B.
     group_tol = ATOM_MERGE_TOL * max(1.0, pair.A.norm_max())
@@ -249,24 +241,26 @@ def commuting_measure(pair: TracePair) -> AtomicMeasure:
     return AtomicMeasure.from_atoms(zip(w.tolist(), np.exp(mus).tolist()))
 
 
-def growth_exponents(pair: TracePair, t_far: float | None = None) -> SupportEstimate:
+def growth_exponents(pair: TracePair) -> SupportEstimate:
     """Two-point log-slope estimates of the extreme eigenvalues of A.
 
     lambda_max_est = [log f(2 t_far) - log f(t_far)] / t_far, and
-    symmetrically at -t_far for the minimum.  Default t_far = 40/||A||_max,
-    far enough that the dominant eigenvalue carries the slope.
+    symmetrically at -t_far for the minimum, with t_far = 40/||A||_max (1
+    for A = 0), far enough that the dominant eigenvalue carries the slope.
+    Raises Overflow, naming the t, when a far value overflows or underflows
+    to zero.
     """
-    if t_far is None:
-        norm = pair.A.norm_max()
-        t_far = 40.0 / norm if norm > 0.0 else 1.0
-    if t_far <= 0.0:
-        raise ValueError(f"t_far must be positive, got {t_far}")
-
+    norm = pair.A.norm_max()
+    t_far = 40.0 / norm if norm > 0.0 else 1.0
     far = [2.0 * t_far, t_far, -t_far, -2.0 * t_far]
-    log_2, log_1, log_m1, log_m2 = (math.log(v) for v in trace_values(pair, far))
+    vals = trace_values(pair, far)
+    for t, v in zip(far, vals.tolist()):
+        if not v > 0.0:
+            raise Overflow(f"trace value {v} underflows at t = {t}")
+    log_2, log_1, log_m1, log_m2 = (math.log(v) for v in vals)
     est_max = (log_2 - log_1) / t_far
     est_min = (log_m1 - log_m2) / t_far
-    w = eigh(pair.A).eigenvalues
+    w, _ = eigh(pair.A)
     return SupportEstimate(
         lambda_min_est=float(est_min),
         lambda_max_est=float(est_max),
@@ -287,7 +281,7 @@ def fit_measure(
     solve min ||E w - f||^2 + reg ||w||^2 subject to w >= 0 with
     E[k][j] = e^{t_k lambda_j}, via deterministic active-set NNLS on the
     ridge-augmented system.  Every third sample is withheld and scored as
-    the relative holdout error.
+    the relative holdout error, so at least three samples are required.
     """
     samples = [(float(t), float(f)) for t, f in samples]
     lo, hi = float(support[0]), float(support[1])
@@ -302,6 +296,8 @@ def fit_measure(
         )
     if reg < 0.0:
         raise ValueError(f"reg must be nonnegative, got {reg}")
+    if len(samples) < 3:
+        raise ValueError(f"need at least 3 samples, so that one is held out; got {len(samples)}")
 
     ts = np.array([t for t, _ in samples])
     fs = np.array([f for _, f in samples])
@@ -329,12 +325,9 @@ def fit_measure(
         raise IllConditioned("NNLS produced non-finite weights")
 
     training_residual = float(np.linalg.norm(design @ weights - f_train))
-    if t_hold.size:
-        pred = np.exp(np.outer(t_hold, locs)) @ weights
-        denom = np.where(np.abs(f_hold) > 0.0, np.abs(f_hold), 1.0)
-        holdout_error = float(np.max(np.abs(pred - f_hold) / denom))
-    else:
-        holdout_error = 0.0
+    pred = np.exp(np.outer(t_hold, locs)) @ weights
+    denom = np.where(np.abs(f_hold) > 0.0, np.abs(f_hold), 1.0)
+    holdout_error = float(np.max(np.abs(pred - f_hold) / denom))
 
     live = weights > 0.0
     measure = AtomicMeasure.from_atoms(zip(locs[live].tolist(), weights[live].tolist()))

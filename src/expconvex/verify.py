@@ -107,10 +107,10 @@ def random_rank_one_pair(rng: np.random.Generator, n: int) -> TracePair:
     return TracePair(validate_hermitian(a), validate_hermitian(b))
 
 
-def random_grid(rng: np.random.Generator, n_points: int = 8) -> TGrid:
-    """Strictly increasing random grid on [-2, 2]."""
+def random_grid(rng: np.random.Generator) -> TGrid:
+    """Strictly increasing random grid of 8 points on [-2, 2]."""
     while True:
-        pts = np.sort(rng.uniform(-2.0, 2.0, size=n_points))
+        pts = np.sort(rng.uniform(-2.0, 2.0, size=8))
         if np.all(np.diff(pts) > GRID_MIN_GAP):
             return TGrid(pts)
 

@@ -87,24 +87,12 @@ def test_check_ec_flag_validation(worked_pair, capsys):
     capsys.readouterr()
 
 
-def test_check_ec_env_tolerance(tmp_path, capsys, monkeypatch):
+def test_check_ec_tol_flag(tmp_path, capsys):
     f = write_pair(tmp_path / "z.json", np.zeros((2, 2)), np.zeros((2, 2)))
     # Gram of f==2 on 8 points has max entry 2, so tolerance = tol * 2
-    monkeypatch.setenv("EXPCONVEX_TOL", "0.5")
-    assert main(["check-ec", f]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["tolerance"] == pytest.approx(1.0)
-
-    # explicit flag wins over the environment
     assert main(["check-ec", f, "--tol", "1e-5"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["tolerance"] == pytest.approx(2e-5)
-
-
-def test_check_ec_bad_env_exits_1(worked_pair, capsys, monkeypatch):
-    monkeypatch.setenv("EXPCONVEX_TOL", "banana")
-    assert main(["check-ec", worked_pair]) == 1
-    assert "EXPCONVEX_TOL" in capsys.readouterr().err
 
 
 def test_fit_measure_pauli(tmp_path, capsys):
@@ -144,6 +132,16 @@ def test_fit_measure_flag_validation(worked_pair, capsys):
     capsys.readouterr()
 
 
+def test_fit_measure_without_holdout_sample_exits_1(tmp_path, capsys):
+    # samples with index % 3 == 2 are held out: two samples hold none out
+    f = write_pair(tmp_path / "px.json", np.diag([0.0, 1.0]),
+                   np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert main(["fit-measure", f, "--t-points", "2", "--resolution", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--t-points must be at least 3" in err
+
+
 @pytest.mark.parametrize("command", ["check-ec", "fit-measure"])
 def test_overflow_exits_4_and_names_t(tmp_path, capsys, command):
     # largest eigenvalue of tA + B is near 800 at every point: e^800 overflows
@@ -152,6 +150,20 @@ def test_overflow_exits_4_and_names_t(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: numerical failure: largest eigenvalue ")
     assert "exceeds exp range at t = " in err
+
+
+@pytest.mark.parametrize(
+    "b_diag, t",
+    [((-800.0, -800.0), "40.0"), ((-800.0, -700.0), "-80.0")],
+    ids=["t=40", "t=-80"],
+)
+def test_trace_underflow_exits_4_and_names_t(tmp_path, capsys, b_diag, t):
+    # every eigenvalue of tA + B is below -745 at that far point: e^x underflows to 0
+    f = write_pair(tmp_path / "small.json", np.diag([0.0, 1.0]), np.diag(b_diag))
+    assert main(["fit-measure", f]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure: ")
+    assert err.rstrip().endswith(f"at t = {t}")
 
 
 @pytest.mark.parametrize("command", ["check-ec", "fit-measure"])

@@ -33,7 +33,6 @@ from expconvex import (
     trace_f,
     trace_function,
     validate_hermitian,
-    zero_function,
 )
 
 # min eigenvalue of the Gram matrix of e^{-t^2} on {-1, 0, 1}; frozen from a
@@ -122,18 +121,14 @@ def test_gram_nonfinite_evaluation():
 
 
 def test_psd_check_identity():
-    g = GramMatrix(matrix=np.eye(3), grid=three_grid(), label="id")
+    g = GramMatrix(matrix=np.eye(3))
     rep = psd_check(g)
     assert rep.passed
     assert rep.min_eigenvalue == pytest.approx(1.0)
 
 
 def test_psd_check_indefinite_with_witness():
-    g = GramMatrix(
-        matrix=np.array([[1.0, 2.0], [2.0, 1.0]]),
-        grid=TGrid(np.array([0.0, 1.0])),
-        label="indef",
-    )
+    g = GramMatrix(matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
     rep = psd_check(g)
     assert not rep.passed
     assert rep.min_eigenvalue == pytest.approx(-1.0)
@@ -229,7 +224,7 @@ def test_dichotomy_trace_function_positive():
 
 
 def test_dichotomy_zero_function():
-    rep = dichotomy_check(zero_function(), default_grid())
+    rep = dichotomy_check(ScalarFunction(np.zeros_like, "zero"), default_grid())
     assert rep.all_zero and not rep.all_positive
 
 

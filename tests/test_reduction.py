@@ -1,5 +1,7 @@
 """Tests for the rank-one canonical-form reduction W A W* = L, W B W* = M."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from expconvex import (
     trace_f,
     validate_hermitian,
 )
+from expconvex.matrixio import dumps_doc, matrix_from_doc, reduction_to_doc
 
 
 def random_rank_one(rng, n, lam=None):
@@ -98,23 +101,23 @@ def test_corner_diagonalizer_random():
 
 
 def test_phase_matrix_examples():
-    omegas, omega = phase_matrix(np.array([1j]))
+    omegas = phase_matrix(np.array([1j]))
     assert np.allclose(omegas, [-1j])
 
-    omegas, _ = phase_matrix(np.array([0.0j]))
+    omegas = phase_matrix(np.array([0.0j]))
     assert np.allclose(omegas, [1.0])
 
     g = np.array([3.0, -4.0j])
-    omegas, omega = phase_matrix(g)
+    omegas = phase_matrix(g)
     assert np.allclose(omegas, [1.0, 1j])
-    assert np.allclose(omega.mat @ g, [3.0, 4.0])
+    assert np.allclose(np.diag(omegas) @ g, [3.0, 4.0])
 
 
 def test_phase_matrix_unit_modulus_identity():
     rng = np.random.default_rng(23)
     g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     g[2] = 0.0
-    omegas, _ = phase_matrix(g)
+    omegas = phase_matrix(g)
     assert np.allclose(np.abs(omegas), 1.0)
     assert max_abs(omegas * g - np.abs(g)) <= 1e-12
 
@@ -222,22 +225,28 @@ def test_reduction_trace_fields_consistent():
     b = random_hermitian(rng, n)
     red = reduce(a, b)
     tr = red.trace
+    # Omega, W_block and g_abs are rebuilt when serializing; read them back
+    # from the decoded document
+    doc = json.loads(dumps_doc(reduction_to_doc(red, reduction_residuals(a, b, red))))
+    omega = matrix_from_doc(doc["trace"]["Omega"])
+    w_block = matrix_from_doc(doc["trace"]["W_block"])
+    g_abs = np.array(doc["trace"]["g_abs"])
 
     assert np.allclose(np.abs(tr.omegas), 1.0)
-    assert max_abs(tr.omegas * tr.g - tr.g_abs) <= 1e-12
-    assert np.all(tr.g_abs >= 0.0)
-    assert np.array_equal(tr.Omega.mat, np.diag(tr.omegas))
+    assert max_abs(tr.omegas * tr.g - g_abs) <= 1e-12
+    assert np.all(g_abs >= 0.0)
+    assert np.array_equal(omega, np.diag(tr.omegas))
 
     # M is assembled exactly from the trace pieces
     m = np.zeros((n, n), dtype=complex)
     m[: n - 1, : n - 1] = np.diag(tr.M_block)
-    m[: n - 1, n - 1] = tr.g_abs
-    m[n - 1, : n - 1] = tr.g_abs
+    m[: n - 1, n - 1] = g_abs
+    m[n - 1, : n - 1] = g_abs
     m[n - 1, n - 1] = tr.mu_n
     assert max_abs(red.M.mat - m) == 0.0
 
     # W factors as blockdiag(W_block, 1) @ U
     w_full = np.zeros((n, n), dtype=complex)
-    w_full[: n - 1, : n - 1] = tr.W_block.mat
+    w_full[: n - 1, : n - 1] = w_block
     w_full[n - 1, n - 1] = 1.0
     assert max_abs(red.W.mat - w_full @ tr.U.mat) == 0.0

@@ -18,7 +18,6 @@ from expconvex import (
     fit_measure,
     growth_exponents,
     hermitian_from_diag,
-    laplace_function,
     laplace_transform,
     random_rank_one_pair,
     sample_trace_f,
@@ -182,12 +181,6 @@ def test_laplace_transform_overflow():
         laplace_transform(m, 2.0)
 
 
-def test_laplace_function_label():
-    f = laplace_function(AtomicMeasure.from_atoms([(0.0, 1.0), (1.0, 2.0)]))
-    assert "2" in f.label
-    assert f(0.0) == pytest.approx(3.0)
-
-
 def test_commuting_measure_diagonal():
     pair = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([0.0, 0.0]))
     m = commuting_measure(pair)
@@ -270,12 +263,6 @@ def test_growth_exponents_random_within_tolerance():
         assert abs(est.lambda_max_est - est.lambda_max_true) <= 0.05
 
 
-def test_growth_exponents_rejects_bad_t_far():
-    pair = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([0.0, 0.0]))
-    with pytest.raises(ValueError):
-        growth_exponents(pair, t_far=-1.0)
-
-
 def test_fit_measure_two_atom_example():
     ts = np.linspace(-2.0, 2.0, 21)
     samples = [(float(t), 1.0 + math.exp(float(t))) for t in ts]
@@ -326,6 +313,13 @@ def test_fit_measure_preconditions():
         fit_measure(samples, (0.0, 1.0), 0)  # no atoms
     with pytest.raises(ValueError):
         fit_measure(samples, (0.0, 1.0), 2, reg=-1.0)
+
+
+def test_fit_measure_needs_a_holdout_sample():
+    # every third sample is held out: two samples leave none to score
+    samples = [(0.0, 1.0), (1.0, 2.0)]
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        fit_measure(samples, (0.0, 1.0), 1)
 
 
 def test_fit_measure_overflowing_design_is_ill_conditioned():
