@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -22,20 +23,17 @@ def matrix_to_doc(mat: np.ndarray) -> dict:
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    flat = m.reshape(-1)
-    return {
-        "n": int(m.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    return {"n": int(m.shape[0]), "entries": complex_vector_to_doc(m)}
 
 
 def complex_vector_to_doc(vec: np.ndarray) -> list:
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in v]
+    """[re, im] pairs of the entries of vec, in row-major order."""
+    v = np.asarray(vec, dtype=complex)
+    return np.stack([v.real, v.imag], -1).reshape(-1, 2).tolist()
 
 
 def real_vector_to_doc(vec: np.ndarray) -> list:
-    return [float(x) for x in np.asarray(vec, dtype=float).reshape(-1)]
+    return np.asarray(vec, dtype=float).reshape(-1).tolist()
 
 
 def _entry_to_complex(entry, index: int, n: int, where: str) -> complex:
@@ -48,13 +46,41 @@ def _entry_to_complex(entry, index: int, n: int, where: str) -> complex:
         isinstance(re, (int, float)) and isinstance(im, (int, float))
     ):
         raise MatrixFileError(f"{spot}: re and im must be numbers, got {entry!r}")
+    try:
+        re, im = float(re), float(im)
+    except OverflowError:
+        # an int beyond the double range; its repr may be too long to format
+        raise MatrixFileError(f"{spot}: number outside double range") from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise MatrixFileError(f"{spot}: non-finite value {entry!r}")
     return complex(re, im)
 
 
+def _bulk_floats(entries: list) -> np.ndarray | None:
+    """re0, im0, re1, im1, ... of all entries as one float array.
+
+    None unless every entry is a list or tuple of two numbers of exact type
+    int or float, all finite within the double range; bool, str and
+    subclasses are left to the positional checker.
+    """
+    if not set(map(type, entries)) <= {list, tuple} or set(map(len, entries)) != {2}:
+        return None
+    if not set(map(type, chain.from_iterable(entries))) <= {int, float}:
+        return None
+    try:
+        flat = np.fromiter(chain.from_iterable(entries), float, count=2 * len(entries))
+    except OverflowError:
+        return None
+    return flat if np.isfinite(flat).all() else None
+
+
 def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
-    """Decode a {n, entries} document, reporting the position of any defect."""
+    """Decode a {n, entries} document, reporting the position of any defect.
+
+    All entries are checked and converted in one bulk pass; only when that
+    fails does the per-entry checker run, to name the first defect by index,
+    row and column (or to accept subclasses of list, int and float).
+    """
     if not isinstance(doc, dict):
         raise MatrixFileError(f"{where}: expected an object, got {type(doc).__name__}")
     if "n" not in doc:
@@ -71,8 +97,12 @@ def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
         raise MatrixFileError(
             f"{where}: expected {n * n} entries for n = {n}, got {len(entries)}"
         )
-    flat = [_entry_to_complex(e, k, n, where) for k, e in enumerate(entries)]
-    return np.array(flat, dtype=complex).reshape(n, n)
+    flat = _bulk_floats(entries)
+    if flat is None:
+        z = [_entry_to_complex(e, k, n, where) for k, e in enumerate(entries)]
+        return np.array(z, dtype=complex).reshape(n, n)
+    # the view pairs each (re, im) into the bits complex(re, im) has, -0.0 included
+    return flat.view(complex).reshape(n, n)
 
 
 def _read_json(path: str):
@@ -87,6 +117,10 @@ def _read_json(path: str):
         raise MatrixFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # the decoder's other errors: an integer literal past the digit limit,
+        # or arrays nested past the interpreter's recursion limit
+        raise MatrixFileError(f"{path}: {exc}") from exc
 
 
 def load_matrix(path: str) -> np.ndarray:

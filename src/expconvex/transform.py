@@ -123,15 +123,18 @@ def trace_values(pair: TracePair, ts) -> np.ndarray:
     The matrices tA + B are stacked and handed to one eigvalsh call per
     chunk of about 1 MiB; each value is the sum of the exponentiated
     eigenvalues, identical to evaluating the points one at a time.  Raises
-    ConvergenceFailure when the eigensolver fails and Overflow, naming the
-    first such t, when a largest eigenvalue exceeds the exp range.
+    ConvergenceFailure when the eigensolver fails, and Overflow, naming the
+    first such t, when a largest eigenvalue exceeds the exp range or a
+    value underflows to zero (within a chunk, overflow is reported first).
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
         raise ValueError(f"ts must be a 1-d array of points, got shape {ts.shape}")
-    a, b = pair.A.mat, pair.B.mat
     n = pair.n
-    per_chunk = max(1, _CHUNK_BYTES // (16 * max(1, n * n)))
+    if n == 0:
+        return np.zeros(ts.size)
+    a, b = pair.A.mat, pair.B.mat
+    per_chunk = max(1, _CHUNK_BYTES // (16 * n * n))
     out = np.empty(ts.size, dtype=float)
     for lo in range(0, ts.size, per_chunk):
         chunk = ts[lo : lo + per_chunk]
@@ -140,15 +143,20 @@ def trace_values(pair: TracePair, ts) -> np.ndarray:
             w = np.linalg.eigvalsh((h + h.conj().swapaxes(-1, -2)) / 2.0)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-        if n:
-            over = np.flatnonzero(w[:, -1] > EXP_OVERFLOW_LIMIT)
-            if over.size:
-                k = int(over[0])
-                raise Overflow(
-                    f"largest eigenvalue {w[k, -1]:.2f} of t*A + B exceeds exp range "
-                    f"at t = {float(chunk[k])}"
-                )
-        out[lo : lo + chunk.size] = np.sum(np.exp(w), axis=-1)
+        over = np.flatnonzero(w[:, -1] > EXP_OVERFLOW_LIMIT)
+        if over.size:
+            k = int(over[0])
+            raise Overflow(
+                f"largest eigenvalue {w[k, -1]:.2f} of t*A + B exceeds exp range "
+                f"at t = {float(chunk[k])}"
+            )
+        vals = np.sum(np.exp(w), axis=-1)
+        # tr e^H > 0 for every Hermitian H, so a value that is not has underflowed
+        under = np.flatnonzero(~(vals > 0.0))
+        if under.size:
+            k = int(under[0])
+            raise Overflow(f"trace value {float(vals[k])} underflows at t = {float(chunk[k])}")
+        out[lo : lo + chunk.size] = vals
     return out
 
 
@@ -247,17 +255,13 @@ def growth_exponents(pair: TracePair) -> SupportEstimate:
     lambda_max_est = [log f(2 t_far) - log f(t_far)] / t_far, and
     symmetrically at -t_far for the minimum, with t_far = 40/||A||_max (1
     for A = 0), far enough that the dominant eigenvalue carries the slope.
-    Raises Overflow, naming the t, when a far value overflows or underflows
-    to zero.
+    Raises Overflow (from trace_values), naming the t, when a far value
+    overflows or underflows to zero.
     """
     norm = pair.A.norm_max()
     t_far = 40.0 / norm if norm > 0.0 else 1.0
     far = [2.0 * t_far, t_far, -t_far, -2.0 * t_far]
-    vals = trace_values(pair, far)
-    for t, v in zip(far, vals.tolist()):
-        if not v > 0.0:
-            raise Overflow(f"trace value {v} underflows at t = {t}")
-    log_2, log_1, log_m1, log_m2 = (math.log(v) for v in vals)
+    log_2, log_1, log_m1, log_m2 = (math.log(v) for v in trace_values(pair, far))
     est_max = (log_2 - log_1) / t_far
     est_min = (log_m1 - log_m2) / t_far
     w, _ = eigh(pair.A)

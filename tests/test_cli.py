@@ -166,6 +166,27 @@ def test_trace_underflow_exits_4_and_names_t(tmp_path, capsys, b_diag, t):
     assert err.rstrip().endswith(f"at t = {t}")
 
 
+def test_check_ec_trace_underflow_exits_4(tmp_path, capsys):
+    # f(t) = e^-800 (1 + e^t) is 0.0 in double precision on the whole default grid
+    f = write_pair(tmp_path / "small.json", np.diag([0.0, 1.0]), np.diag([-800.0, -800.0]))
+    assert main(["check-ec", f]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: numerical failure: trace value 0.0 underflows at t = -4.0\n"
+
+
+@pytest.mark.parametrize("command", ["reduce", "check-ec", "fit-measure"])
+def test_huge_integer_entry_exits_1_and_names_entry(tmp_path, capsys, command):
+    f = tmp_path / "huge.json"
+    f.write_text(
+        '{"A": {"n": 1, "entries": [[1' + "0" * 400 + ', 0]]}, "B": {"n": 1, "entries": [[0, 0]]}}'
+    )
+    argv = [command, str(f)] + ([str(tmp_path / "o.json")] if command == "reduce" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {f}: A: entry 0 (row 0, col 0): number outside double range\n"
+
+
 @pytest.mark.parametrize("command", ["check-ec", "fit-measure"])
 def test_eigensolver_failure_exits_4(worked_pair, capsys, monkeypatch, command):
     def fail(*args, **kwargs):

@@ -17,7 +17,10 @@ from expconvex import (
     reduction_residuals,
     validate_hermitian,
 )
+from expconvex import matrixio
 from expconvex.matrixio import (
+    _entry_to_complex,
+    complex_vector_to_doc,
     dumps_doc,
     ec_report_to_doc,
     fit_to_doc,
@@ -26,6 +29,7 @@ from expconvex.matrixio import (
     matrix_from_doc,
     matrix_to_doc,
     measure_to_doc,
+    real_vector_to_doc,
     reduction_to_doc,
     write_doc,
 )
@@ -79,6 +83,125 @@ def test_matrix_from_doc_rejects_nonfinite():
     doc = json.loads('{"n": 1, "entries": [[NaN, 0]]}')
     with pytest.raises(MatrixFileError, match="non-finite"):
         matrix_from_doc(doc)
+
+
+# awkward but valid numbers: signed zeros, subnormals, the double range's
+# edges, and an int that float() must round (2**53 + 1 is not a double)
+_EDGE_NUMBERS = [0, -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 2**53 + 1, -(2**53 + 1),
+                 1e308, -1e308, 1.7976931348623157e308, 3, -7, 0.1]
+
+
+def _random_entries(rng, n):
+    def number():
+        if rng.random() < 0.5:
+            return _EDGE_NUMBERS[rng.integers(len(_EDGE_NUMBERS))]
+        return float(rng.standard_normal()) * 10.0 ** int(rng.integers(-300, 300))
+
+    return [[number(), number()] for _ in range(n * n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_bulk_decode_bitwise_equals_positional(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        entries = _random_entries(rng, n)
+        entries[0] = [-0.0, -0.0]
+        got = matrix_from_doc({"n": n, "entries": entries})
+        per_entry = [complex(re, im) for re, im in entries]
+        positional = [_entry_to_complex(e, k, n, "m") for k, e in enumerate(entries)]
+        assert got.dtype == complex and got.shape == (n, n)
+        assert got.tobytes() == np.array(per_entry, dtype=complex).tobytes()
+        assert got.tobytes() == np.array(positional, dtype=complex).tobytes()
+
+
+def test_decode_accepts_subclasses_through_positional_path():
+    class Pair(list):
+        pass
+
+    doc = {"n": 2, "entries": [Pair([1, 0]), (np.float64(0.5), 0), [0, np.float64(-0.0)], [1, 0]]}
+    got = matrix_from_doc(doc)
+    expected = [complex(1, 0), complex(0.5, 0), complex(0, -0.0), complex(1, 0)]
+    assert got.tobytes() == np.array(expected).tobytes()
+
+
+_DEFECTS = {
+    "bool": ([True, 0], "re and im must be numbers, got [True, 0]"),
+    "string": ([0, "1.5"], "re and im must be numbers, got [0, '1.5']"),
+    "none": ([None, 0], "re and im must be numbers, got [None, 0]"),
+    "dict": ({"re": 1, "im": 0}, "expected an [re, im] pair, got {'re': 1, 'im': 0}"),
+    "nested": ([[1, 0], 0], "re and im must be numbers, got [[1, 0], 0]"),
+    "scalar": (1.0, "expected an [re, im] pair, got 1.0"),
+    "one": ([1.0], "expected an [re, im] pair, got [1.0]"),
+    "three": ([1.0, 0.0, 0.0], "expected an [re, im] pair, got [1.0, 0.0, 0.0]"),
+    "nan": ([0.0, float("nan")], "non-finite value [0.0, nan]"),
+    "infinity": ([float("inf"), 0.0], "non-finite value [inf, 0.0]"),
+    "huge-int": ([0, 10**400], "number outside double range"),
+}
+
+
+@pytest.mark.parametrize("spot", ["middle", "last"])
+@pytest.mark.parametrize("kind", sorted(_DEFECTS))
+def test_decode_names_first_defect_like_positional_checker(kind, spot):
+    defect, text = _DEFECTS[kind]
+    n = 7
+    entries = [[float(k), -0.5] for k in range(n * n)]
+    k = n * n // 2 if spot == "middle" else n * n - 1
+    entries[k] = defect
+    if spot == "middle":
+        entries[-1] = [float("nan"), 0.0]  # a later defect is not the one named
+    row, col = divmod(k, n)
+    expected = f"B: entry {k} (row {row}, col {col}): {text}"
+    with pytest.raises(MatrixFileError) as direct:
+        _entry_to_complex(defect, k, n, "B")
+    assert str(direct.value) == expected
+    with pytest.raises(MatrixFileError) as decoded:
+        matrix_from_doc({"n": n, "entries": entries}, where="B")
+    assert str(decoded.value) == expected
+
+
+def test_valid_doc_skips_per_entry_checker(monkeypatch):
+    def fail(*args):
+        raise AssertionError("per-entry checker ran on a valid document")
+
+    monkeypatch.setattr(matrixio, "_entry_to_complex", fail)
+    rng = np.random.default_rng(64)
+    entries = _random_entries(rng, 64)
+    got = matrix_from_doc({"n": 64, "entries": entries})
+    assert got.tobytes() == np.array([complex(*e) for e in entries]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [('{"n": 1, "entries": [[1' + "0" * 5000 + ', 0]]}', "4300 digits"),
+     ("[" * 100000, "recursion depth")],
+    ids=["digit-limit", "nesting"],
+)
+def test_load_names_path_on_decoder_limits(tmp_path, text, reason):
+    f = tmp_path / "limits.json"
+    f.write_text(text)
+    with pytest.raises(MatrixFileError, match=rf"^{f}: .*{reason}"):
+        load_matrix(str(f))
+
+
+def test_encoders_match_per_entry_reference():
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 0.1, -2.5, 3.0]
+    rng = np.random.default_rng(0)
+    m = np.array(rng.choice(values, 16) + 1j * rng.choice(values, 16)).reshape(4, 4)
+    m[0, 0] = complex(-0.0, -0.0)
+    vec = m.reshape(-1)
+    real = vec.real
+
+    def text(doc):
+        return dumps_doc(doc).encode()
+
+    assert text(matrix_to_doc(m)) == text(
+        {"n": 4, "entries": [[float(z.real), float(z.imag)] for z in vec]}
+    )
+    assert text(complex_vector_to_doc(vec)) == text([[float(z.real), float(z.imag)] for z in vec])
+    assert text(real_vector_to_doc(real)) == text([float(x) for x in real])
+    assert all(type(x) is float for x in real_vector_to_doc(real))
+    assert all(type(x) is float for pair in matrix_to_doc(m)["entries"] for x in pair)
+    assert b"-0.0" in text(matrix_to_doc(m))
 
 
 def test_load_matrix_and_pair(tmp_path):

@@ -135,6 +135,14 @@ def test_trace_values_overflow_names_first_t():
         trace_values(big, [0.0, 1.0, 2.0, 3.0, 4.0, 900.0, 800.0])
 
 
+def test_trace_values_underflow_names_first_t():
+    # f(t) = e^-800 (1 + e^t) is a positive number only for t above about 54.9
+    pair = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([-800.0, -800.0]))
+    assert trace_values(pair, [100.0])[0] > 0.0
+    with pytest.raises(Overflow, match=r"^trace value 0\.0 underflows at t = 10\.0$"):
+        trace_values(pair, [100.0, 10.0, -4.0])
+
+
 def test_sample_trace_f():
     pair = TracePair(hermitian_from_diag([0.0, 0.0]), hermitian_from_diag([0.0, 0.0]))
     samples = sample_trace_f(pair, TGrid(np.array([-1.0, 0.0, 1.0])))
