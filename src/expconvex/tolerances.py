@@ -15,6 +15,10 @@ OFFDIAG_TOL = 1e-12  # an off-diagonal entry is a nonnegative real: re >= -tol, 
 RANK_TOL_FACTOR = 1e-9  # |eigenvalue| / ||A||_max above this counts toward the rank
 PHASE_ZERO_TOL = 1e-13  # |g_j| at or below this is no coupling and keeps phase 1
 
+# trace evaluation: the contour kernel takes A of rank one up to RANK_TOL_FACTOR
+CONTOUR_MIN_N = 32  # rank-one A from this n: for 26 points dense is faster only up to n = 24-28
+CONTOUR_NODES = 32  # Talbot nodes: |log f error| 3e-7 at 16, 8e-11 at 24, 1e-13 at 32
+
 # exponential convexity
 DEFAULT_PSD_TOL = 1e-8  # Gram check: min eigenvalue >= -tol * max(1, ||G||_max)
 ZERO_FUNCTION_TOL = 1e-14  # |f(t)| at or below this is zero in the dichotomy

@@ -30,7 +30,10 @@ from .hermitian import (
     lie_product_approx,
     max_abs,
 )
-from .tolerances import ATOM_MERGE_TOL, COMM_TOL, EXP_OVERFLOW_LIMIT, RIDGE_REG
+from .tolerances import (
+    ATOM_MERGE_TOL, COMM_TOL, CONTOUR_MIN_N, CONTOUR_NODES, EXP_OVERFLOW_LIMIT, RANK_TOL_FACTOR,
+    RIDGE_REG,
+)
 
 
 @dataclass(frozen=True)
@@ -116,13 +119,116 @@ class MeasureFit:
 # long batch at large n holds one chunk of (k, n, n) at a time, not all k.
 _CHUNK_BYTES = 2**20
 
+# Midpoint nodes theta_k in (0, pi) of the Talbot parabola
+# z(theta) = N (0.1309 - 0.1194 theta^2 + 0.25 i theta), with the weights
+# (2/N) e^{z} z'(theta): conjugate symmetry supplies the nodes in (-pi, 0).
+_THETA = (np.arange(CONTOUR_NODES // 2) + 0.5) * (2.0 * np.pi / CONTOUR_NODES)
+_NODES = CONTOUR_NODES * (0.1309 - 0.1194 * _THETA**2 + 0.25j * _THETA)
+_WEIGHTS = 2.0 * np.exp(_NODES) * (-2.0 * 0.1194 * _THETA + 0.25j)
+
+
+def _rank_one_factor(a: HermitianMatrix) -> tuple[float, np.ndarray] | None:
+    """(lambda, v) with unit v and ||A - lambda v v*||_max <= RANK_TOL_FACTOR ||A||_max, else None.
+
+    v is the column of A with the largest norm, normalized, and lambda = tr A:
+    O(n^2) work, against the O(n^3) of the eigendecomposition behind reduce.
+    """
+    norms = np.linalg.norm(a.mat, axis=0)
+    j = int(np.argmax(norms))
+    if not norms[j] > 0.0:
+        return None
+    v = a.mat[:, j] / norms[j]
+    lam = float(np.trace(a.mat).real)
+    if max_abs(a.mat - lam * np.outer(v, v.conj())) > RANK_TOL_FACTOR * a.norm_max():
+        return None
+    return lam, v
+
+
+def _top_eigenvalue(beta: np.ndarray, p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of diag(beta) + c w w* for every c, where p = |w|^2 sums to 1.
+
+    Bisection on h(x) = 1/c - sum_j p_j / (x - beta_j), which increases on the
+    bracket (beta_max, beta_max + c] for c > 0 and (beta_{n-2}, beta_max] for
+    c < 0 and has the top eigenvalue as its root there, or at an end of the
+    bracket when a weight p_j is zero.  Each point stops on its own, once its
+    bracket is within rounding of the spectrum's scale.
+    """
+    top = beta[-1]
+    lo = np.where(c < 0.0, beta[-2], top)
+    hi = np.where(c > 0.0, top + c, top)
+    # every bracket end lies within the scale, so a wider bracket has a midpoint inside
+    scale = max(abs(beta[0]), abs(top)) + np.abs(c)
+    tol = np.maximum(np.finfo(float).eps * scale, np.finfo(float).tiny)
+    # 1/c and p_j / (x - beta_j) may overflow to inf, which still orders x against the root
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_c = 1.0 / c
+        while True:
+            act = np.flatnonzero(hi - lo > tol)
+            if not act.size:
+                return lo + (hi - lo) / 2.0
+            mid = lo[act] + (hi[act] - lo[act]) / 2.0
+            below = np.sum(p / (mid[:, None] - beta), axis=-1) > inv_c[act]
+            lo[act[below]] = mid[below]
+            hi[act[~below]] = mid[~below]
+
+
+def _contour_values(ts: np.ndarray, b: np.ndarray, lam: float, v: np.ndarray) -> np.ndarray:
+    """tr e^{t lambda v v* + B} at every t: one eigh of B, then O(n) work per node and t.
+
+    With B = Q diag(beta) Q*, p = |Q* v|^2, c = t lambda and s the top
+    eigenvalue, log f = s + log I, where I = tr e^{H - s} for H = B + c v v*
+    is the Talbot midpoint sum of (1/2 pi i) int e^z tr(z + s - H)^{-1} dz and
+    Sherman-Morrison gives the resolvent trace
+    sum_j g_j + c sum_j p_j g_j^2 / (1 - c sum_j p_j g_j), g_j = 1/(z + s - beta_j).
+    Same errors as the dense kernel, with the whole batch as one chunk.
+    """
+    try:
+        beta, q = np.linalg.eigh(b)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    p = np.abs(q.conj().T @ v) ** 2
+    c = ts * lam
+    s = _top_eigenvalue(beta, p, c)
+    _raise_overflow(ts, s)
+    total = np.zeros(ts.size)
+    for node, weight in zip(_NODES, _WEIGHTS):
+        g = 1.0 / ((s[:, None] + node) - beta)
+        phi = np.sum(p * g, axis=-1)
+        psi = np.sum(p * g * g, axis=-1)
+        total += (weight * (np.sum(g, axis=-1) + c * psi / (1.0 - c * phi))).imag
+    vals = np.exp(s + np.log(total))
+    _raise_underflow(ts, vals)
+    return vals
+
+
+def _raise_overflow(ts: np.ndarray, top: np.ndarray) -> None:
+    over = np.flatnonzero(top > EXP_OVERFLOW_LIMIT)
+    if over.size:
+        k = int(over[0])
+        raise Overflow(
+            f"largest eigenvalue {top[k]:.2f} of t*A + B exceeds exp range "
+            f"at t = {float(ts[k])}"
+        )
+
+
+def _raise_underflow(ts: np.ndarray, vals: np.ndarray) -> None:
+    # tr e^H > 0 for every Hermitian H, so a value that is not has underflowed
+    under = np.flatnonzero(~(vals > 0.0))
+    if under.size:
+        k = int(under[0])
+        raise Overflow(f"trace value {float(vals[k])} underflows at t = {float(ts[k])}")
+
 
 def trace_values(pair: TracePair, ts) -> np.ndarray:
     """tr e^{tA + B} at every t of the 1-d array ts, in input order.
 
-    The matrices tA + B are stacked and handed to one eigvalsh call per
-    chunk of about 1 MiB; each value is the sum of the exponentiated
-    eigenvalues, identical to evaluating the points one at a time.  Raises
+    Two kernels give the values.  The dense one stacks the matrices tA + B
+    and hands them to one eigvalsh call per chunk of about 1 MiB; each value
+    is the sum of the exponentiated eigenvalues, identical to evaluating the
+    points one at a time.  When n >= CONTOUR_MIN_N and A = lambda v v* up to
+    RANK_TOL_FACTOR * ||A||_max, the contour kernel instead diagonalizes B
+    once and sums Sherman-Morrison resolvent traces on a Talbot contour; its
+    values, too, do not depend on the other points of ts.  Raises
     ConvergenceFailure when the eigensolver fails, and Overflow, naming the
     first such t, when a largest eigenvalue exceeds the exp range or a
     value underflows to zero (within a chunk, overflow is reported first).
@@ -133,6 +239,10 @@ def trace_values(pair: TracePair, ts) -> np.ndarray:
     n = pair.n
     if n == 0:
         return np.zeros(ts.size)
+    if n >= CONTOUR_MIN_N:
+        factor = _rank_one_factor(pair.A)
+        if factor is not None:
+            return _contour_values(ts, pair.B.mat, *factor)
     a, b = pair.A.mat, pair.B.mat
     per_chunk = max(1, _CHUNK_BYTES // (16 * n * n))
     out = np.empty(ts.size, dtype=float)
@@ -143,19 +253,9 @@ def trace_values(pair: TracePair, ts) -> np.ndarray:
             w = np.linalg.eigvalsh((h + h.conj().swapaxes(-1, -2)) / 2.0)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-        over = np.flatnonzero(w[:, -1] > EXP_OVERFLOW_LIMIT)
-        if over.size:
-            k = int(over[0])
-            raise Overflow(
-                f"largest eigenvalue {w[k, -1]:.2f} of t*A + B exceeds exp range "
-                f"at t = {float(chunk[k])}"
-            )
+        _raise_overflow(chunk, w[:, -1])
         vals = np.sum(np.exp(w), axis=-1)
-        # tr e^H > 0 for every Hermitian H, so a value that is not has underflowed
-        under = np.flatnonzero(~(vals > 0.0))
-        if under.size:
-            k = int(under[0])
-            raise Overflow(f"trace value {float(vals[k])} underflows at t = {float(chunk[k])}")
+        _raise_underflow(chunk, vals)
         out[lo : lo + chunk.size] = vals
     return out
 

@@ -26,6 +26,7 @@ from expconvex import (
     trace_values,
     validate_hermitian,
 )
+from expconvex.tolerances import CONTOUR_MIN_N
 
 COSH1 = math.cosh(1.0)
 
@@ -112,9 +113,13 @@ def _scalar_trace_reference(pair, t):
 
 @pytest.mark.parametrize("n, points", [(2, 40), (7, 40), (12, 40), (256, 4)])
 def test_trace_values_bitwise_equals_pointwise(n, points):
-    # n = 256 holds one matrix per eigvalsh chunk, so the batch spans chunks
+    # n = 256 holds one matrix per eigvalsh chunk, so the batch spans chunks;
+    # there A gets rank two, which keeps the pair on the dense kernel
     rng = np.random.default_rng([44, n])
     pair = random_rank_one_pair(rng, n)
+    if n >= CONTOUR_MIN_N:
+        a = pair.A.mat + random_rank_one_pair(rng, n).A.mat
+        pair = TracePair(validate_hermitian(a), pair.B)
     ts = rng.uniform(-2.0, 2.0, size=points)
     vals = trace_values(pair, ts)
     assert vals.shape == ts.shape
