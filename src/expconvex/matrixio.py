@@ -111,6 +111,8 @@ def _read_json(path: str):
             text = fh.read()
     except OSError as exc:
         raise MatrixFileError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixFileError(f"{path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

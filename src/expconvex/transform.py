@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .convexity import ScalarFunction, TGrid
 from .errors import (
@@ -421,6 +420,10 @@ def fit_measure(
         b_aug = np.concatenate([f_train, np.zeros(grid_resolution)])
     else:
         a_aug, b_aug = design, f_train
+    # scipy.optimize is imported here, on the first fit, so that the paths
+    # that never fit a measure (reduce, check-ec, verify) start without it
+    from scipy.optimize import nnls
+
     try:
         weights, _ = nnls(a_aug, b_aug)
     except (RuntimeError, np.linalg.LinAlgError) as exc:

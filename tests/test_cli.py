@@ -248,3 +248,48 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["reduce", "check-ec", "fit-measure"])
+def test_non_utf8_file_exits_1_and_names_path(tmp_path, capsys, command):
+    f = tmp_path / "utf16.json"
+    f.write_bytes(b"\xff\xfe{\x00}\x00")
+    argv = [command, str(f)] + ([str(tmp_path / "o.json")] if command == "reduce" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {f}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
+
+
+_SCIPY_PROBE = """
+import json, sys
+from expconvex import cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+path, out = sys.argv[1], sys.argv[2]
+codes = {}
+loaded = {"import": scipy_loaded()}
+for argv in (["reduce", path, out], ["check-ec", path], ["verify", "--cases", "2"],
+             ["fit-measure", path]):
+    codes[argv[0]] = cli.main(argv)
+    loaded[argv[0]] = scipy_loaded()
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_scipy_loaded_only_by_fit_measure(tmp_path, worked_pair):
+    # a fresh interpreter, so no other test has imported scipy yet
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, worked_pair, str(tmp_path / "o.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["codes"] == {"reduce": 0, "check-ec": 0, "verify": 0, "fit-measure": 0}
+    for step in ("import", "reduce", "check-ec", "verify"):
+        assert doc["loaded"][step] == [], step
+    assert "scipy.optimize" in doc["loaded"]["fit-measure"]

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expconvex import (
     DimensionMismatch,
@@ -17,9 +19,11 @@ from expconvex import (
     reduce,
     reduction_residuals,
     trace_f,
+    trace_values,
     validate_hermitian,
 )
 from expconvex.matrixio import dumps_doc, matrix_from_doc, reduction_to_doc
+from expconvex.tolerances import RESIDUAL_TOL, TRACE_INV_TOL, UNITARY_TOL
 
 
 def random_rank_one(rng, n, lam=None):
@@ -250,3 +254,90 @@ def test_reduction_trace_fields_consistent():
     w_full[: n - 1, : n - 1] = w_block
     w_full[n - 1, n - 1] = 1.0
     assert max_abs(red.W.mat - w_full @ tr.U.mat) == 0.0
+
+
+# Property tests on the spectra the contour tests draw.  A case is built in
+# B's eigenbasis: B = Q diag(beta) Q*, A = lambda v v* with v = Q w / |w|,
+# for a random unitary Q; w_j = 0 decouples eigenvector j of B from A.
+
+SIZES = st.integers(2, 40)
+SEEDS = st.integers(0, 2**32 - 1)
+TS = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)
+LAMBDAS = st.floats(0.1, 3.0).flatmap(lambda x: st.sampled_from([x, -x]))
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def _pair(seed, beta, w, lam):
+    n = beta.size
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    v = q @ (w / np.linalg.norm(w))
+    return TracePair(
+        validate_hermitian(lam * np.outer(v, v.conj())),
+        validate_hermitian((q * beta) @ q.conj().T),
+    )
+
+
+def _gaussian(seed, n):
+    rng = np.random.default_rng([seed, 1])
+    return rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _assert_reduction_properties(pair, ts):
+    n = pair.n
+    red = reduce(pair.A, pair.B)
+    w, m = red.W.mat, red.M.mat
+
+    # the trace function is invariant
+    ts = np.asarray(ts, dtype=float)
+    fa = trace_values(pair, ts)
+    fl = trace_values(TracePair(red.L, red.M), ts)
+    assert np.max(np.abs(fa - fl) / np.maximum(1.0, fa)) <= TRACE_INV_TOL
+
+    # W is unitary
+    assert max_abs(w @ w.conj().T - np.eye(n)) <= UNITARY_TOL
+
+    # M = W B W* has a nonnegative coupling column and a diagonal leading block
+    assert np.all(m[: n - 1, n - 1].real >= 0.0) and np.all(m[: n - 1, n - 1].imag == 0.0)
+    assert np.all(np.triu(m[: n - 1, : n - 1], 1) == 0.0)
+    assert max_abs(w @ pair.B.mat @ w.conj().T - m) <= RESIDUAL_TOL
+
+
+@PROPERTY
+@given(seed=SEEDS, n=SIZES, spread=st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]),
+       levels=st.integers(1, 4), lam=LAMBDAS, ts=TS)
+def test_property_reduce_clustered_spectrum(seed, n, spread, levels, lam, ts):
+    # beta in a few tight clusters, exact repeats when spread is 0
+    beta, w = _gaussian(seed, n)
+    centers = np.linspace(-1.0, 1.0, levels)
+    beta = np.sort(centers[np.arange(n) % levels] + spread * beta)
+    _assert_reduction_properties(_pair(seed, beta, w, lam), ts)
+
+
+@PROPERTY
+@given(seed=SEEDS, n=SIZES, others=st.sets(st.integers(2, 4)),
+       size=st.sampled_from([0.0, 1e-14, 1e-8]), lam=LAMBDAS, ts=TS)
+def test_property_reduce_zero_coupling(seed, n, others, size, lam, ts):
+    # w_j at or near zero on the top eigenvector of B and maybe on the next
+    # ones (j counts from the top), leaving w_0 as it is
+    beta, w = _gaussian(seed, n)
+    for j in {1} | others:
+        if j < n:
+            w[n - j] = size
+    _assert_reduction_properties(_pair(seed, np.sort(beta), w, lam), ts)
+
+
+@PROPERTY
+@given(seed=SEEDS, n=SIZES, lam=LAMBDAS, ts=TS)
+def test_property_reduce_zero_b(seed, n, lam, ts):
+    _, w = _gaussian(seed, n)
+    _assert_reduction_properties(_pair(seed, np.zeros(n), w, lam), ts)
+
+
+@PROPERTY
+@given(seed=SEEDS, n=SIZES, scale=st.floats(-11.0, -7.0), sign=st.sampled_from([1.0, -1.0]),
+       ts=TS)
+def test_property_reduce_tiny_lambda(seed, n, scale, sign, ts):
+    # |lambda| of the order of RANK_TOL_FACTOR: the rank test is relative
+    beta, w = _gaussian(seed, n)
+    _assert_reduction_properties(_pair(seed, np.sort(beta), w, sign * 10.0**scale), ts)
