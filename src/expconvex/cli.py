@@ -11,6 +11,7 @@ failure).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import matrixio
@@ -64,6 +65,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _require_finite(flag: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise _UsageError(f"{flag} must be finite, got {value}")
+
+
 def _load_pair(path: str) -> TracePair:
     a_raw, b_raw = matrixio.load_pair(path)
     return TracePair(validate_hermitian(a_raw), validate_hermitian(b_raw))
@@ -88,8 +94,11 @@ def cmd_check_ec(args) -> int:
         raise _UsageError(
             f"--grid-lo must be below --grid-hi, got [{args.grid_lo}, {args.grid_hi}]"
         )
+    _require_finite("--grid-lo", args.grid_lo)
+    _require_finite("--grid-hi", args.grid_hi)
     if args.tol <= 0.0:
         raise _UsageError(f"--tol must be positive, got {args.tol}")
+    _require_finite("--tol", args.tol)
     pair = _load_pair(args.input)
     grid = TGrid.equispaced(args.grid_lo, args.grid_hi, args.grid_n)
     report = check_exponential_convexity(trace_function(pair), grid, tol=args.tol)
@@ -105,6 +114,7 @@ def cmd_fit_measure(args) -> int:
         raise _UsageError(f"--t-points must be at least 3, got {args.t_points}")
     if args.reg < 0.0:
         raise _UsageError(f"--reg must be nonnegative, got {args.reg}")
+    _require_finite("--reg", args.reg)
     pair = _load_pair(args.input)
 
     est = growth_exponents(pair)

@@ -2,14 +2,18 @@
 
 A matrix document is {"n": dim, "entries": [[re, im], ...]} with entries in
 row-major order; a pair file holds two such documents under keys "A" and
-"B".  All writers serialize with sorted keys and fixed indentation so that
-output bytes are deterministic.
+"B".  Files are parsed with orjson, and parsed again with json whenever
+that route refuses one, so that json reports every error.  All writers
+serialize with sorted keys and fixed indentation so that output bytes are
+deterministic.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
 from itertools import chain
 
 import numpy as np
@@ -105,12 +109,23 @@ def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
     return flat.view(complex).reshape(n, n)
 
 
-def _read_json(path: str):
+def _read_bytes(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise MatrixFileError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _parse_text(path: str, data: bytes):
+    """Parse data with json.loads, as text read from a UTF-8 file in text mode.
+
+    The text mode of the read (universal newlines included) keeps the line
+    and column of a syntax error, and the byte offset of a decode error, as
+    they are in the file.
+    """
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
     try:
@@ -125,14 +140,72 @@ def _read_json(path: str):
         raise MatrixFileError(f"{path}: {exc}") from exc
 
 
+# a pair file nests object > matrix object > entries array > [re, im] array
+_FORMAT_DEPTH = 4
+# +1 for an opening bracket, -1 for a closing one, by byte value
+_BRACKET_STEP = np.zeros(256, dtype=np.int8)
+_BRACKET_STEP[[ord("["), ord("{")]] = 1
+_BRACKET_STEP[[ord("]"), ord("}")]] = -1
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+
+
+def _within_format_depth(data: bytes) -> bool:
+    """True when data has no backslash and nests at most _FORMAT_DEPTH deep.
+
+    Without a backslash no quote is escaped, so the strings are the spans
+    between alternate quotes and their brackets are skipped.  The bound
+    keeps orjson, which recurses without limit and overflows the C stack
+    on deep nesting, to documents that json.loads parses as well.
+    """
+    if b"\\" in data:
+        return False
+    marks = np.frombuffer(data.translate(None, _NOT_MARKS), dtype=np.uint8)
+    step = _BRACKET_STEP[marks]
+    step[np.cumsum(marks == ord('"')) % 2 == 1] = 0
+    return np.cumsum(step).max(initial=0) <= _FORMAT_DEPTH
+
+
+def _load(path: str, fast, slow):
+    """Decode the file at path: fast(data, orjson.loads), else slow(document).
+
+    fast runs only on a file within the format's depth.  When it returns
+    None, or orjson or the decoder refuses the file, the file is parsed
+    again by _parse_text and decoded by slow, so every error message comes
+    from the json route.
+    """
+    data = _read_bytes(path)
+    if _within_format_depth(data):
+        # imported on the first file read, so that import expconvex.cli and
+        # verify never load it
+        import orjson
+
+        try:
+            result = fast(data, orjson.loads)
+        except (orjson.JSONDecodeError, MatrixFileError):
+            result = None
+        if result is not None:
+            return result
+    return slow(_parse_text(path, data))
+
+
 def load_matrix(path: str) -> np.ndarray:
     """Load a single-matrix file."""
-    return matrix_from_doc(_read_json(path), where=path)
+    return _load(
+        path,
+        lambda data, loads: matrix_from_doc(loads(data), where=path),
+        lambda doc: matrix_from_doc(doc, where=path),
+    )
 
 
-def load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Load a two-matrix file with keys "A" and "B"."""
-    doc = _read_json(path)
+def _same_shape(a: np.ndarray, b: np.ndarray, path: str) -> tuple[np.ndarray, np.ndarray]:
+    if a.shape != b.shape:
+        raise MatrixFileError(
+            f"{path}: A is {a.shape[0]}x{a.shape[0]} but B is {b.shape[0]}x{b.shape[0]}"
+        )
+    return a, b
+
+
+def _pair_from_doc(doc, path: str) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(doc, dict):
         raise MatrixFileError(f"{path}: expected an object at top level")
     for key in ("A", "B"):
@@ -140,11 +213,50 @@ def load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
             raise MatrixFileError(f"{path}: missing key '{key}'")
     a = matrix_from_doc(doc["A"], where=f"{path}: A")
     b = matrix_from_doc(doc["B"], where=f"{path}: B")
-    if a.shape != b.shape:
-        raise MatrixFileError(
-            f"{path}: A is {a.shape[0]}x{a.shape[0]} but B is {b.shape[0]}x{b.shape[0]}"
-        )
-    return a, b
+    return _same_shape(a, b, path)
+
+
+_SPACE = rb"[ \t\n\r]*"
+# the bytes before, between and after the two matrix objects of a pair file
+# whose top level holds the keys "A" and "B" and no other; compiled on first
+# use, by re's cache
+_PAIR_HEAD = _SPACE + rb'\{' + _SPACE + rb'"([AB])"' + _SPACE + b":" + _SPACE
+_PAIR_MID = _SPACE + b"," + _SPACE + rb'"([AB])"' + _SPACE + b":" + _SPACE
+_PAIR_TAIL = _SPACE + rb"\}" + _SPACE
+
+
+def _pair_by_parts(data: bytes, path: str, loads):
+    """(A, B) from one parse per matrix object, or None for another layout.
+
+    Each matrix is decoded before the next one is parsed, so the parse trees
+    of the two never exist at once.  A part that does not parse as a whole
+    object, or a key or byte between the parts that does not match, sends
+    the file to the json route.
+    """
+    first = data.find(b"{", data.find(b"{") + 1)
+    first_end = data.find(b"}", first) + 1
+    second = data.find(b"{", first_end)
+    second_end = data.find(b"}", second) + 1
+    if min(first, first_end, second, second_end) <= 0:  # a brace is missing
+        return None
+    head = re.fullmatch(_PAIR_HEAD, data[:first])
+    mid = re.fullmatch(_PAIR_MID, data[first_end:second])
+    if not (head and mid and head[1] != mid[1] and re.fullmatch(_PAIR_TAIL, data[second_end:])):
+        return None
+    view = memoryview(data)
+    parts = {head[1]: view[first:first_end], mid[1]: view[second:second_end]}
+    a = matrix_from_doc(loads(parts[b"A"]), where=f"{path}: A")
+    b = matrix_from_doc(loads(parts[b"B"]), where=f"{path}: B")
+    return _same_shape(a, b, path)
+
+
+def load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Load a two-matrix file with keys "A" and "B"."""
+    return _load(
+        path,
+        lambda data, loads: _pair_by_parts(data, path, loads),
+        lambda doc: _pair_from_doc(doc, path),
+    )
 
 
 def reduction_to_doc(result, residuals: tuple[float, float]) -> dict:

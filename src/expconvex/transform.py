@@ -399,6 +399,8 @@ def fit_measure(
         )
     if reg < 0.0:
         raise ValueError(f"reg must be nonnegative, got {reg}")
+    if not math.isfinite(reg):
+        raise ValueError(f"reg must be finite, got {reg}")
     if len(samples) < 3:
         raise ValueError(f"need at least 3 samples, so that one is held out; got {len(samples)}")
 

@@ -132,6 +132,24 @@ def test_fit_measure_flag_validation(worked_pair, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [(["check-ec", "--tol", "nan"], "--tol", "nan"),
+     (["check-ec", "--tol", "inf"], "--tol", "inf"),
+     (["check-ec", "--grid-hi", "inf"], "--grid-hi", "inf"),
+     (["check-ec", "--grid-lo=-inf"], "--grid-lo", "-inf"),
+     (["fit-measure", "--reg", "nan"], "--reg", "nan"),
+     (["fit-measure", "--reg", "inf"], "--reg", "inf")],
+    ids=["tol-nan", "tol-inf", "grid-hi-inf", "grid-lo-inf", "reg-nan", "reg-inf"],
+)
+def test_nonfinite_flag_is_usage_error_before_reading(tmp_path, capsys, argv, flag, value):
+    # the input does not exist: the flag is refused before the file is opened
+    assert main(argv[:1] + [str(tmp_path / "absent.json")] + argv[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag} must be finite, got {value}\n"
+
+
 def test_fit_measure_without_holdout_sample_exits_1(tmp_path, capsys):
     # samples with index % 3 == 2 are held out: two samples hold none out
     f = write_pair(tmp_path / "px.json", np.diag([0.0, 1.0]),
@@ -263,33 +281,120 @@ def test_non_utf8_file_exits_1_and_names_path(tmp_path, capsys, command):
     )
 
 
-_SCIPY_PROBE = """
+def _pair_text(a_entries="[[1, 0], [0, 0], [0, 0], [0, 0]]", extra=""):
+    return ('{"A": {"n": 2, "entries": ' + a_entries + '}, '
+            '"B": {"n": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]}' + extra + '}')
+
+
+_DEEP = 100000
+_DIGIT_LIMIT = ("Exceeds the limit (4300 digits) for integer string conversion: value has "
+                "5001 digits; use sys.set_int_max_str_digits() to increase the limit")
+_ARRAY_DEPTH = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+_OBJECT_DEPTH = "maximum recursion depth exceeded while decoding a JSON object from a unicode string"
+
+# file bytes -> check-ec's exit code and the stderr after "error: PATH: ", as
+# the stdlib json parser reports them; orjson must not change a byte of it
+_MALFORMED = {
+    "nan": (_pair_text("[[NaN, 0], [0, 0], [0, 0], [0, 0]]").encode(), 1,
+            "A: entry 0 (row 0, col 0): non-finite value [nan, 0]"),
+    "infinity": (_pair_text("[[1, 0], [0, -Infinity], [0, 0], [0, 0]]").encode(), 1,
+                 "A: entry 1 (row 0, col 1): non-finite value [0, -inf]"),
+    "int-400-digits": (_pair_text("[[1, 0], [0, 0], [1" + "0" * 400 + ", 0], [0, 0]]").encode(), 1,
+                       "A: entry 2 (row 1, col 0): number outside double range"),
+    "int-5000-digits": (_pair_text("[[1, 0], [0, 0], [0, 0], [0, 1" + "0" * 5000 + "]]").encode(),
+                        1, _DIGIT_LIMIT),
+    "n-2**64": (b'{"A": {"n": 18446744073709551616, "entries": [[1, 0]]}, '
+                b'"B": {"n": 1, "entries": [[0, 0]]}}', 1,
+                "A: expected 340282366920938463463374607431768211456 entries "
+                "for n = 18446744073709551616, got 1"),
+    "n-below-int64": (b'{"A": {"n": 1, "entries": [[1, 0]]}, '
+                      b'"B": {"n": -9223372036854775809, "entries": [[0, 0]]}}', 1,
+                      "B: 'n' must be a positive integer, got -9223372036854775809"),
+    "lone-surrogate": (_pair_text(extra=', "note": "\\ud800"').encode(), 0, None),
+    "bom": (b"\xef\xbb\xbf" + _pair_text().encode(), 1,
+            "invalid JSON at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    "trailing-garbage": (_pair_text().encode() + b" x", 1,
+                         "invalid JSON at line 1, column 122: Extra data"),
+    "crlf-line-3": (b'{\r\n"A": {"n": 1, "entries": [[1, 0]]},\r\n'
+                    b'"B": {"n": 1, "entries": [[0, 0]],}\r\n}\r\n', 1,
+                    "invalid JSON at line 3, column 35: "
+                    "Expecting property name enclosed in double quotes"),
+    "unclosed-brackets": (b"[" * _DEEP, 1, _ARRAY_DEPTH),
+    "byte-ff": (_pair_text(extra=', "note": "caf\xff"').encode("latin-1"), 1,
+                "'utf-8' codec can't decode byte 0xff in position 133: invalid start byte"),
+    "repeated-key": (b'{"A": {"n": 1, "entries": [[1, 0]]}, "A": {"n": 1, "entries": [[0, 0]]}}',
+                     1, "missing key 'B'"),
+    "b-first-shape-mismatch": (b'{"B": {"n": 1, "entries": [[1, 0]]}, '
+                               b'"A": {"n": 2, "entries": [[0, 0], [0, 0], [0, 0], [0, 0]]}}',
+                               1, "A is 2x2 but B is 1x1"),
+    # nesting json refuses under an ignored key; orjson would accept the
+    # arrays and overflow the C stack on the objects
+    "deep-matrix-key": (_pair_text("[[1, 0], [0, 0], [0, 0], [0, 0]], \"x\": "
+                                   + "[" * _DEEP + "]" * _DEEP).encode(), 1, _ARRAY_DEPTH),
+    # an escaped quote would hide the nesting from a scan that pairs quotes
+    "escaped-quote-deep-key": (_pair_text('[[1, 0], [0, 0], [0, 0], [0, 0]], "q": "\\"", "x": '
+                                          + "[" * _DEEP + "]" * _DEEP).encode(), 1, _ARRAY_DEPTH),
+    "deep-extra-key": (_pair_text(extra=', "x": ' + "[" * _DEEP + "]" * _DEEP).encode(), 1,
+                       _ARRAY_DEPTH),
+    "deep-repeated-key": (('{"A": ' + '{"a": ' * _DEEP + "0" + "}" * _DEEP + ", "
+                           + _pair_text()[1:]).encode(), 1, _OBJECT_DEPTH),
+}
+
+
+@pytest.mark.parametrize("kind", list(_MALFORMED))
+def test_malformed_file_reports_like_json(tmp_path, capsys, kind):
+    data, code, message = _MALFORMED[kind]
+    f = tmp_path / "pair.json"
+    f.write_bytes(data)
+    assert main(["check-ec", str(f)]) == code
+    out, err = capsys.readouterr()
+    if message is None:
+        assert err == ""
+        assert json.loads(out)["passed"] is True
+    else:
+        assert out == ""
+        assert err == f"error: {f}: {message}\n"
+
+
+_IMPORT_PROBE = """
 import json, sys
 from expconvex import cli
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+module, path, out = sys.argv[1], sys.argv[2], sys.argv[3]
 
-path, out = sys.argv[1], sys.argv[2]
+def loaded():
+    return sorted(m for m in sys.modules if m == module or m.startswith(module + "."))
+
+steps = {"reduce": ["reduce", path, out], "check-ec": ["check-ec", path],
+         "verify": ["verify", "--cases", "2"], "fit-measure": ["fit-measure", path]}
 codes = {}
-loaded = {"import": scipy_loaded()}
-for argv in (["reduce", path, out], ["check-ec", path], ["verify", "--cases", "2"],
-             ["fit-measure", path]):
-    codes[argv[0]] = cli.main(argv)
-    loaded[argv[0]] = scipy_loaded()
-print(json.dumps({"codes": codes, "loaded": loaded}))
+seen = {"import": loaded()}
+for step in sys.argv[4:]:
+    codes[step] = cli.main(steps[step])
+    seen[step] = loaded()
+print(json.dumps({"codes": codes, "loaded": seen}))
 """
 
 
-def test_scipy_loaded_only_by_fit_measure(tmp_path, worked_pair):
-    # a fresh interpreter, so no other test has imported scipy yet
+@pytest.mark.parametrize(
+    "module, unloaded, loader, loaded_name",
+    [("scipy", ["reduce", "check-ec", "verify"], "fit-measure", "scipy.optimize"),
+     ("orjson", ["verify"], "check-ec", "orjson")],
+    ids=["scipy", "orjson"],
+)
+def test_scipy_loaded_only_by_fit_measure(tmp_path, worked_pair, module, unloaded, loader,
+                                          loaded_name):
+    # a fresh interpreter, so no other test has imported the module yet;
+    # the steps run in order and the module must first appear at loader
+    steps = unloaded + [loader]
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, worked_pair, str(tmp_path / "o.json")],
+        [sys.executable, "-c", _IMPORT_PROBE, module, worked_pair, str(tmp_path / "o.json")]
+        + steps,
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
-    assert doc["codes"] == {"reduce": 0, "check-ec": 0, "verify": 0, "fit-measure": 0}
-    for step in ("import", "reduce", "check-ec", "verify"):
+    assert doc["codes"] == {step: 0 for step in steps}
+    for step in ["import"] + unloaded:
         assert doc["loaded"][step] == [], step
-    assert "scipy.optimize" in doc["loaded"]["fit-measure"]
+    assert loaded_name in doc["loaded"][loader]

@@ -3,7 +3,10 @@
 import json
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expconvex import (
     MatrixFileError,
@@ -20,6 +23,7 @@ from expconvex import (
 from expconvex import matrixio
 from expconvex.matrixio import (
     _entry_to_complex,
+    _parse_text,
     complex_vector_to_doc,
     dumps_doc,
     ec_report_to_doc,
@@ -173,14 +177,101 @@ def test_valid_doc_skips_per_entry_checker(monkeypatch):
 @pytest.mark.parametrize(
     "text, reason",
     [('{"n": 1, "entries": [[1' + "0" * 5000 + ', 0]]}', "4300 digits"),
-     ("[" * 100000, "recursion depth")],
-    ids=["digit-limit", "nesting"],
+     ("[" * 100000, "recursion depth"),
+     ('{"n": 1, "entries": [[1, 0]], "x": ' + '{"a": ' * 100000 + "0" + "}" * 100000 + "}",
+      "recursion depth")],
+    ids=["digit-limit", "nesting", "nested-extra-key"],
 )
 def test_load_names_path_on_decoder_limits(tmp_path, text, reason):
     f = tmp_path / "limits.json"
     f.write_text(text)
     with pytest.raises(MatrixFileError, match=rf"^{f}: .*{reason}"):
         load_matrix(str(f))
+
+
+PARITY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+_FLOAT_EDGES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                1e308, -1e308, 1.7976931348623157e308]
+_INT_EDGES = [2**53 + 1, 2**63, 2**64 + 1, -(2**53 + 1), -(2**63) - 1, -(2**64 + 1)]
+_SPELLINGS = ["1E+2", "-0", "1e-400", "-1e-400", "0e0", "1.5E-3", "-0.0e+0", "1e-320"]
+
+
+def _spellings_of(x):
+    # shortest repr and long decimal expansions that round back to or near x
+    return st.sampled_from([repr(x), f"{x:.25e}", f"{x:.40E}", f"{x:.60e}"])
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(_spellings_of),
+    st.sampled_from(_FLOAT_EDGES).flatmap(_spellings_of),
+    st.sampled_from(_INT_EDGES).map(str),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(_SPELLINGS),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,25})(\.[0-9]{1,30})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+)
+SPACES = st.sampled_from(["", " ", "\n", "\r\n", "\r", "\t", " \r\n\t "])
+# an extra key of a matrix object, which the decoder ignores; brackets
+# inside a string do not nest
+EXTRAS = st.sampled_from(["", ', "note": "[[[[[["', ', "note": "]]]"', ', "note": [1, [2e5]]'])
+
+
+@st.composite
+def pair_texts(draw):
+    n = draw(st.integers(1, 3))
+
+    def sp():
+        return draw(SPACES)
+
+    def matrix():
+        entries = ",".join(
+            f"{sp()}[{sp()}{draw(NUMBERS)}{sp()},{sp()}{draw(NUMBERS)}{sp()}]"
+            for _ in range(n * n)
+        )
+        return (f'{{{sp()}"n"{sp()}:{sp()}{n}{sp()},{sp()}"entries"{sp()}:'
+                f'{sp()}[{entries}{sp()}]{draw(EXTRAS)}{sp()}}}')
+
+    first, second = draw(st.permutations("AB"))
+    return (f'{sp()}{{{sp()}"{first}"{sp()}:{sp()}{matrix()}{sp()},{sp()}"{second}"{sp()}:'
+            f'{sp()}{matrix()}{sp()}}}{sp()}')
+
+
+@pytest.fixture(scope="module")
+def pair_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("parity") / "pair.json"
+
+
+def _refuse(data):
+    raise orjson.JSONDecodeError("refused", "", 0)
+
+
+def _load_outcome(path):
+    """(A, B) as int64 views of their bits, or the error text."""
+    try:
+        a, b = load_pair(str(path))
+    except MatrixFileError as exc:
+        return str(exc)
+    return a.view(np.int64), b.view(np.int64)
+
+
+@PARITY
+@given(text=pair_texts())
+def test_orjson_route_decodes_like_json_route(pair_path, text):
+    pair_path.write_bytes(text.encode())
+    reparsed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrixio, "_parse_text",
+                   lambda *args: reparsed.append(args) or _parse_text(*args))
+        fast = _load_outcome(pair_path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orjson, "loads", _refuse)  # forces the json route
+        slow = _load_outcome(pair_path)
+    if isinstance(slow, str):
+        assert fast == slow
+    else:
+        assert not isinstance(fast, str), fast
+        assert not reparsed  # orjson decoded the file, not the json route
+        assert all(np.array_equal(f, s) for f, s in zip(fast, slow))
 
 
 def test_encoders_match_per_entry_reference():

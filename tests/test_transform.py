@@ -328,6 +328,13 @@ def test_fit_measure_preconditions():
         fit_measure(samples, (0.0, 1.0), 2, reg=-1.0)
 
 
+@pytest.mark.parametrize("reg", [math.nan, math.inf])
+def test_fit_measure_rejects_nonfinite_reg(reg):
+    samples = [(float(t), math.exp(t)) for t in np.linspace(-2.0, 2.0, 12)]
+    with pytest.raises(ValueError, match=f"reg must be finite, got {reg}"):
+        fit_measure(samples, (0.0, 1.0), 4, reg=reg)
+
+
 def test_fit_measure_needs_a_holdout_sample():
     # every third sample is held out: two samples leave none to score
     samples = [(0.0, 1.0), (1.0, 2.0)]
