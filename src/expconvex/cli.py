@@ -42,6 +42,11 @@ EXIT_RANK = 2
 EXIT_CHECK = 3
 EXIT_ILL = 4
 
+# the largest --grid-n: the Gram matrix and its grid sums are dense; at this
+# size one check-ec on an n = 2 pair takes about 15 s on one x86-64 core and
+# 0.8 GB
+MAX_GRID_N = 4096
+
 
 class _UsageError(Exception):
     pass
@@ -90,6 +95,8 @@ def cmd_reduce(args) -> int:
 def cmd_check_ec(args) -> int:
     if args.grid_n < 2:
         raise _UsageError(f"--grid-n must be at least 2, got {args.grid_n}")
+    if args.grid_n > MAX_GRID_N:
+        raise _UsageError(f"--grid-n must be at most {MAX_GRID_N}, got {args.grid_n}")
     if not args.grid_lo < args.grid_hi:
         raise _UsageError(
             f"--grid-lo must be below --grid-hi, got [{args.grid_lo}, {args.grid_hi}]"
@@ -99,8 +106,9 @@ def cmd_check_ec(args) -> int:
     if args.tol <= 0.0:
         raise _UsageError(f"--tol must be positive, got {args.tol}")
     _require_finite("--tol", args.tol)
-    pair = _load_pair(args.input)
+    # the grid is checked before the file is read
     grid = TGrid.equispaced(args.grid_lo, args.grid_hi, args.grid_n)
+    pair = _load_pair(args.input)
     report = check_exponential_convexity(trace_function(pair), grid, tol=args.tol)
     doc = matrixio.ec_report_to_doc(report, f"trace(n={pair.n})", grid.points)
     sys.stdout.write(matrixio.dumps_doc(doc))
@@ -158,7 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-ec", help="Gram PSD check of the trace function")
     p.add_argument("input", help="JSON file with matrices A and B")
-    p.add_argument("--grid-n", type=int, default=8, help="number of grid points (default 8)")
+    p.add_argument(
+        "--grid-n", type=int, default=8,
+        help=f"number of grid points, 2..{MAX_GRID_N} (default 8)",
+    )
     p.add_argument("--grid-lo", type=float, default=-2.0, help="grid start (default -2)")
     p.add_argument("--grid-hi", type=float, default=2.0, help="grid end (default 2)")
     p.add_argument(

@@ -11,6 +11,7 @@ provides the closure combinators (nonnegative scaling, sum, product).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,8 +60,7 @@ class TGrid:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 1:
             raise ValueError(f"grid must be a nonempty 1-d sequence, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("grid contains non-finite points")
+        _check_points(pts)
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise ValueError("grid points must be strictly increasing")
         object.__setattr__(self, "points", _freeze(pts))
@@ -71,7 +71,23 @@ class TGrid:
 
     @staticmethod
     def equispaced(lo: float, hi: float, n: int) -> "TGrid":
+        # the ends first: past them linspace's step hi - lo overflows
+        _check_points(np.array([lo, hi], dtype=float))
         return TGrid(np.linspace(lo, hi, n))
+
+
+# the largest |t| whose double, and so every sum t_r + t_s of grid points, is finite
+_MAX_ABS_POINT = sys.float_info.max / 2
+
+
+def _check_points(pts: np.ndarray) -> None:
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("grid contains non-finite points")
+    if not np.all(np.abs(pts) <= _MAX_ABS_POINT):
+        raise ValueError(
+            f"grid points must lie within +-{_MAX_ABS_POINT:.17g}, "
+            "so that the sums t_r + t_s are finite"
+        )
 
 
 def default_grid() -> TGrid:

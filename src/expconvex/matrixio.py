@@ -2,10 +2,12 @@
 
 A matrix document is {"n": dim, "entries": [[re, im], ...]} with entries in
 row-major order; a pair file holds two such documents under keys "A" and
-"B".  Files are parsed with orjson, and parsed again with json whenever
-that route refuses one, so that json reports every error.  All writers
-serialize with sorted keys and fixed indentation so that output bytes are
-deterministic.
+"B".  Files are parsed with orjson in two tiers.  A canonical matrix object,
+with just the keys "n" and "entries" and n a plain integer, has its entries
+parsed as one flat array of numbers; any other object is parsed as a tree.
+A file that either tier refuses is parsed again with json, so that json
+reports every error.  All writers serialize with sorted keys and fixed
+indentation so that output bytes are deterministic.
 """
 
 from __future__ import annotations
@@ -165,26 +167,107 @@ def _within_format_depth(data: bytes) -> bool:
     return np.cumsum(step).max(initial=0) <= _FORMAT_DEPTH
 
 
-def _load(path: str, fast, slow):
-    """Decode the file at path: fast(data, orjson.loads), else slow(document).
+_SPACE = rb"[ \t\n\r]*"
+_SPACE_BYTES = (b" ", b"\t", b"\n", b"\r")
+# the bytes before and after the entries array of a canonical matrix object:
+# the keys "n" and "entries" and no other, in either order, with n a plain
+# positive integer of at most nine digits; compiled on first use, by re's cache
+_N_KEY = rb'"n"' + _SPACE + b":" + _SPACE + rb"([1-9][0-9]{0,8})" + _SPACE
+_FLAT_HEAD = (_SPACE + rb"\{" + _SPACE + rb"(?:" + _N_KEY + b"," + _SPACE + rb')?"entries"'
+              + _SPACE + b":" + _SPACE)
+_FLAT_TAIL = _SPACE + rb"(?:," + _SPACE + _N_KEY + rb")?\}" + _SPACE
+# every byte that can be part of a JSON number
+_NUMBER_BYTES = b"0123456789+-.eE"
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 
-    fast runs only on a file within the format's depth.  When it returns
-    None, or orjson or the decoder refuses the file, the file is parsed
-    again by _parse_text and decoded by slow, so every error message comes
-    from the json route.
+
+def _pairs_of_numbers(data: bytes, first: int, last: int, n: int) -> bool:
+    """True when data[first:last + 1] reads as n*n [re, im] arrays of number bytes.
+
+    Without numbers and spaces it must read [[,],[,],...,[,]]: no other
+    byte, so no string, literal or object, and no other shape.  Without
+    spaces, the arrays must be joined by "],[" alone, so no number byte
+    lies outside them.  A slot may still hold no number, or a malformed
+    one; orjson refuses both.
+    """
+    packed = data[first:last + 1]
+    for space in _SPACE_BYTES:
+        packed = packed.replace(space, b"")
+    skeleton = packed.translate(None, _NUMBER_BYTES)
+    # lengths first, so that a huge n allocates nothing
+    if len(skeleton) != 4 * n * n + 1 or skeleton != b"[" + b"[,]," * (n * n - 1) + b"[,]]":
+        return False
+    return (packed.startswith(b"[[") and packed.endswith(b"]]")
+            and packed.count(b"],[") == n * n - 1)
+
+
+def _flat_matrix(data: bytes, lo: int, hi: int, loads) -> np.ndarray | None:
+    """The canonical matrix object at data[lo:hi], or None for any other.
+
+    The entries are parsed by one loads call as a flat array of numbers, so
+    no [re, im] list is built.  The numbers loads parses are the file's own
+    tokens, so the doubles are those the parse tree would hold; an object
+    this refuses takes the tree route.
+    """
+    first, last = data.find(b"[", lo, hi), data.rfind(b"]", lo, hi)
+    if not 0 <= first < last:
+        return None
+    head = re.compile(_FLAT_HEAD).fullmatch(data, lo, first)
+    tail = re.compile(_FLAT_TAIL).fullmatch(data, last + 1, hi)
+    if not (head and tail) or (head[1] is None) == (tail[1] is None):
+        return None
+    n = int(head[1] or tail[1])
+    if not _pairs_of_numbers(data, first, last, n):
+        return None
+    # the brackets become spaces, a plain byte map and faster than deleting
+    # them, so that the 2n*n comma-separated fields are the slots of the pairs
+    try:
+        values = loads(b"".join((b"[", data[first + 1:last].translate(_BRACKETS_TO_SPACES), b"]")))
+    except json.JSONDecodeError:  # orjson's error is a subclass
+        return None
+    flat = np.fromiter(values, float, count=2 * n * n)
+    # the view pairs each (re, im) into the bits complex(re, im) has, -0.0 included
+    return flat.view(complex).reshape(n, n) if np.isfinite(flat).all() else None
+
+
+class _TooDeep(Exception):
+    """The file nests past _FORMAT_DEPTH, so orjson may not build its tree."""
+
+
+def _load(path: str, fast, slow):
+    """Decode the file at path: fast(data, matrix), else slow(document).
+
+    matrix(lo, hi, where) decodes the matrix object at data[lo:hi]: by
+    _flat_matrix when the object is canonical, else from orjson's parse
+    tree, which is built only for a file within the format's depth.  When
+    fast returns None, or orjson or the decoder refuses the file, the file
+    is parsed again by _parse_text and decoded by slow, so every error
+    message comes from the json route.
     """
     data = _read_bytes(path)
-    if _within_format_depth(data):
-        # imported on the first file read, so that import expconvex.cli and
-        # verify never load it
-        import orjson
+    # imported on the first file read, so that import expconvex.cli and
+    # verify never load it
+    import orjson
 
-        try:
-            result = fast(data, orjson.loads)
-        except (orjson.JSONDecodeError, MatrixFileError):
-            result = None
-        if result is not None:
-            return result
+    within_depth = None  # scanned once, on the first tree parse
+
+    def matrix(lo: int, hi: int, where: str) -> np.ndarray:
+        nonlocal within_depth
+        flat = _flat_matrix(data, lo, hi, orjson.loads)
+        if flat is not None:
+            return flat
+        if within_depth is None:
+            within_depth = _within_format_depth(data)
+        if not within_depth:
+            raise _TooDeep
+        return matrix_from_doc(orjson.loads(memoryview(data)[lo:hi]), where=where)
+
+    try:
+        result = fast(data, matrix)
+    except (orjson.JSONDecodeError, MatrixFileError, _TooDeep):
+        result = None
+    if result is not None:
+        return result
     return slow(_parse_text(path, data))
 
 
@@ -192,7 +275,7 @@ def load_matrix(path: str) -> np.ndarray:
     """Load a single-matrix file."""
     return _load(
         path,
-        lambda data, loads: matrix_from_doc(loads(data), where=path),
+        lambda data, matrix: matrix(0, len(data), path),
         lambda doc: matrix_from_doc(doc, where=path),
     )
 
@@ -216,7 +299,6 @@ def _pair_from_doc(doc, path: str) -> tuple[np.ndarray, np.ndarray]:
     return _same_shape(a, b, path)
 
 
-_SPACE = rb"[ \t\n\r]*"
 # the bytes before, between and after the two matrix objects of a pair file
 # whose top level holds the keys "A" and "B" and no other; compiled on first
 # use, by re's cache
@@ -225,11 +307,11 @@ _PAIR_MID = _SPACE + b"," + _SPACE + rb'"([AB])"' + _SPACE + b":" + _SPACE
 _PAIR_TAIL = _SPACE + rb"\}" + _SPACE
 
 
-def _pair_by_parts(data: bytes, path: str, loads):
-    """(A, B) from one parse per matrix object, or None for another layout.
+def _pair_by_parts(data: bytes, path: str, matrix):
+    """(A, B) from one decode per matrix object, or None for another layout.
 
-    Each matrix is decoded before the next one is parsed, so the parse trees
-    of the two never exist at once.  A part that does not parse as a whole
+    Each matrix is decoded before the next one is parsed, so the parses of
+    the two never exist at once.  A part that does not decode as a whole
     object, or a key or byte between the parts that does not match, sends
     the file to the json route.
     """
@@ -243,10 +325,9 @@ def _pair_by_parts(data: bytes, path: str, loads):
     mid = re.fullmatch(_PAIR_MID, data[first_end:second])
     if not (head and mid and head[1] != mid[1] and re.fullmatch(_PAIR_TAIL, data[second_end:])):
         return None
-    view = memoryview(data)
-    parts = {head[1]: view[first:first_end], mid[1]: view[second:second_end]}
-    a = matrix_from_doc(loads(parts[b"A"]), where=f"{path}: A")
-    b = matrix_from_doc(loads(parts[b"B"]), where=f"{path}: B")
+    parts = {head[1]: (first, first_end), mid[1]: (second, second_end)}
+    a = matrix(*parts[b"A"], f"{path}: A")
+    b = matrix(*parts[b"B"], f"{path}: B")
     return _same_shape(a, b, path)
 
 
@@ -254,7 +335,7 @@ def load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load a two-matrix file with keys "A" and "B"."""
     return _load(
         path,
-        lambda data, loads: _pair_by_parts(data, path, loads),
+        lambda data, matrix: _pair_by_parts(data, path, matrix),
         lambda doc: _pair_from_doc(doc, path),
     )
 

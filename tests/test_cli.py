@@ -3,11 +3,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from expconvex.cli import main
+from expconvex.cli import MAX_GRID_N, main
 from expconvex.matrixio import matrix_from_doc
 
 
@@ -85,6 +86,34 @@ def test_check_ec_flag_validation(worked_pair, capsys):
     assert main(["check-ec", worked_pair, "--grid-lo", "2", "--grid-hi", "-2"]) == 1
     assert main(["check-ec", worked_pair, "--tol", "-1e-8"]) == 1
     capsys.readouterr()
+
+
+def test_grid_n_bound_is_checked_before_reading(tmp_path, capsys):
+    # the input does not exist: a grid of 10^10 sums is refused before the
+    # file is opened, and nothing of that size is allocated
+    absent = str(tmp_path / "absent.json")
+    assert main(["check-ec", absent, "--grid-n", "100000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --grid-n must be at most {MAX_GRID_N}, got 100000\n"
+    # the bound itself is accepted, and the run goes on to read the file
+    assert main(["check-ec", absent, "--grid-n", str(MAX_GRID_N)]) == 1
+    assert capsys.readouterr().err == f"error: {absent}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["--grid-hi", "1e308"], ["--grid-lo=-1e308", "--grid-hi", "1e308"]], ids=["hi", "both"]
+)
+def test_grid_with_overflowing_sums_is_usage_error(tmp_path, capsys, argv):
+    # the grid sums t_r + t_s would overflow; refused before the file is read,
+    # with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-ec", str(tmp_path / "absent.json")] + argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: grid points must lie within ")
 
 
 def test_check_ec_tol_flag(tmp_path, capsys):

@@ -2,6 +2,8 @@
 dichotomy, closure combinators, and the entrywise matrix-function checks."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +69,22 @@ def test_tgrid_validation():
         TGrid(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         TGrid(np.array([0.0, np.inf]))
+
+
+def test_tgrid_rejects_points_whose_sums_overflow():
+    big = sys.float_info.max / 2  # its double is the largest finite float
+    g = TGrid(np.array([-big, 0.0, big]))
+    assert np.isfinite(g.points[:, None] + g.points[None, :]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pts in ([0.0, np.nextafter(big, np.inf)], [-1e308, 1.0]):
+            with pytest.raises(ValueError, match="sums t_r \\+ t_s are finite"):
+                TGrid(np.array(pts))
+        # the ends are checked before linspace, whose step would overflow
+        with pytest.raises(ValueError, match="sums t_r \\+ t_s are finite"):
+            TGrid.equispaced(-1e308, 1e308, 8)
+        with pytest.raises(ValueError, match="non-finite"):
+            TGrid.equispaced(-np.inf, 1.0, 8)
 
 
 def test_tgrid_equispaced_and_default():

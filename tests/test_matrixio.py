@@ -1,6 +1,7 @@
 """Tests for the JSON matrix interchange format and report serializers."""
 
 import json
+import re
 
 import numpy as np
 import orjson
@@ -272,6 +273,132 @@ def test_orjson_route_decodes_like_json_route(pair_path, text):
         assert not isinstance(fast, str), fast
         assert not reparsed  # orjson decoded the file, not the json route
         assert all(np.array_equal(f, s) for f, s in zip(fast, slow))
+
+
+def _spy(mp, name, calls):
+    """Record in calls each call of matrixio.name, with its result."""
+    real = getattr(matrixio, name)
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((name, result))
+        return result
+
+    mp.setattr(matrixio, name, spy)
+
+
+def _json_route_outcome(path):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orjson, "loads", _refuse)  # forces the json route
+        return _load_outcome(path)
+
+
+def _same_outcome(got, expected):
+    if isinstance(expected, str) or isinstance(got, str):
+        return got == expected
+    return all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+@st.composite
+def canonical_pair_texts(draw):
+    """Pair files whose matrix objects hold just "n" and "entries"."""
+    n = draw(st.integers(1, 3))
+    spellings = []
+
+    def number():
+        spellings.append(draw(NUMBERS))
+        return f"@{len(spellings) - 1}"
+
+    def matrix():
+        entries = [[number(), number()] for _ in range(n * n)]
+        items = [("n", n), ("entries", entries)]
+        return dict(items[::-1] if draw(st.booleans()) else items)
+
+    first, second = draw(st.permutations("AB"))
+    doc = {first: matrix(), second: matrix()}
+    if draw(st.booleans()):
+        text = json.dumps(doc, indent=2)
+    else:
+        # every separator of json.dumps, with the whitespace around it drawn
+        text = re.sub(r"[\[\]{},:] ?", lambda m: draw(SPACES) + m[0].strip() + draw(SPACES),
+                      json.dumps(doc))
+    return re.sub(r'"@(\d+)"', lambda m: spellings[int(m[1])], text)
+
+
+@PARITY
+@given(text=canonical_pair_texts())
+def test_flat_tier_decodes_like_json_route(pair_path, text):
+    pair_path.write_bytes(text.encode())
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_within_format_depth", "matrix_from_doc", "_parse_text"):
+            _spy(mp, name, calls)
+        fast = _load_outcome(pair_path)
+    slow = _json_route_outcome(pair_path)
+    assert _same_outcome(fast, slow)
+    if not isinstance(slow, str):
+        # both objects took the flat tier: no depth scan, tree or json parse
+        assert not calls, calls
+
+
+# near-canonical matrix objects: each leaves the flat tier, and the file
+# then loads, or fails, exactly as on the json route
+_B = '{"n": 1, "entries": [[0, 0]]}'
+_NEAR_CANONICAL = {
+    "true": '{"n": 2, "entries": [[true, 0], [0, 0], [0, 0], [1, 0]]}',
+    "false": '{"n": 2, "entries": [[1, 0], [0, false], [0, 0], [1, 0]]}',
+    "null": '{"n": 2, "entries": [[1, 0], [0, 0], [null, 0], [1, 0]]}',
+    "string": '{"n": 2, "entries": [[1, 0], [0, 0], [0, 0], ["1", 0]]}',
+    "three-element": '{"n": 2, "entries": [[1, 0], [0, 0, 0], [0, 0], [1, 0]]}',
+    "n2-minus-1": '{"n": 2, "entries": [[1, 0], [0, 0], [0, 0]]}',
+    "n2-plus-1": '{"n": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0], [0, 0]]}',
+    "n-zero": '{"n": 0, "entries": []}',
+    "n-leading-zero": '{"n": 01, "entries": [[1, 0]]}',
+    "n-float": '{"n": 2.0, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
+    "n-10-digits": '{"n": 1000000000, "entries": [[1, 0]]}',
+    "n-twice": '{"n": 1, "entries": [[1, 0]], "n": 1}',
+    "n-negative": '{"n": -1, "entries": [[1, 0]]}',
+    "n-string": '{"n": "1", "entries": [[1, 0]]}',
+    "extra-key": '{"n": 1, "entries": [[1, 0]], "x": 0}',
+    "1e400": '{"n": 2, "entries": [[1, 0], [0, 1e400], [0, 0], [1, 0]]}',
+    "int-400-digits": '{"n": 1, "entries": [[1' + "0" * 400 + ', 0]]}',
+    "nested-entry": '{"n": 1, "entries": [[[1], 0]]}',
+    "plus-sign": '{"n": 1, "entries": [[+1, 0]]}',
+    "empty-slot": '{"n": 1, "entries": [[, 0]]}',
+    "two-numbers-in-slot": '{"n": 1, "entries": [[1 2, 0]]}',
+    # an empty slot next to a number outside the pairs: without brackets the
+    # numbers would line up as a valid flat array
+    "number-after-pair": '{"n": 2, "entries": [[1, ] 5, [0, 0], [0, 0], [1, 0]]}',
+    "number-before-pair": '{"n": 2, "entries": [[1, 0], 5 [, 0], [0, 0], [1, 0]]}',
+    "number-before-first-pair": '{"n": 1, "entries": [5 [, 0]]}',
+    "number-after-last-pair": '{"n": 1, "entries": [[1, ] 5]}',
+    "number-joined-across-bracket": '{"n": 1, "entries": [[1, 2]3]}',
+}
+
+
+@pytest.mark.parametrize("kind", list(_NEAR_CANONICAL))
+def test_near_canonical_object_leaves_flat_tier(tmp_path, kind):
+    path = tmp_path / "pair.json"
+    path.write_text(f'{{"A": {_NEAR_CANONICAL[kind]}, "B": {_B}}}')
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        _spy(mp, "_flat_matrix", calls)
+        got = _load_outcome(path)
+    assert calls and calls[0][1] is None  # A did not take the flat tier
+    assert _same_outcome(got, _json_route_outcome(path))
+
+
+def test_load_matrix_takes_flat_tier(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('\r\n {"entries": [[1.5, -0.0], [2, 0],\n [0, 0], [-1e-320, 3]], "n": 2}\n')
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_within_format_depth", "matrix_from_doc", "_parse_text"):
+            _spy(mp, name, calls)
+        m = load_matrix(str(path))
+    assert not calls, calls
+    expected = np.array([[complex(1.5, -0.0), 2], [0, complex(-1e-320, 3)]])
+    assert m.tobytes() == expected.tobytes()
 
 
 def test_encoders_match_per_entry_reference():
