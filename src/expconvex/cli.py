@@ -11,7 +11,9 @@ failure).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import re
 import sys
 
 from . import matrixio
@@ -65,6 +67,12 @@ _ERROR_TYPES = _ERROR_EXITS[-1][0]
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse before 3.13 reads "-1e5" as an option, not as a negative number,
+        # and then reports "expected one argument"; accept the exponent form too
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with code 2 on bad flags; route through main instead.
     def error(self, message):
         raise _UsageError(message)
@@ -199,10 +207,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call and then reused.
+
+    parse_args leaves a parser as it found it (each call fills a new
+    Namespace, and _Parser.error only raises), so a reused parser gives the
+    same results, and a caller of main in a loop skips argparse's set-up.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _ERROR_TYPES as exc:
         code, prefix = next((c, p) for types, c, p in _ERROR_EXITS if isinstance(exc, types))

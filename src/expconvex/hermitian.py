@@ -44,6 +44,11 @@ def _as_complex_square(m) -> np.ndarray:
     return a
 
 
+def _eigenvalue_text(x: float, decimals: int) -> str:
+    """x in fixed point below 1e15, else in exponent form, so that an error message stays short."""
+    return f"{x:.{decimals}f}" if abs(x) < 1e15 else f"{x:.{decimals}e}"
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -179,7 +184,7 @@ def matrix_exp_hermitian(h: HermitianMatrix) -> np.ndarray:
     """
     w, v = eigh(h)
     if w.size and float(w[-1]) > EXP_OVERFLOW_LIMIT:
-        raise Overflow(f"largest eigenvalue {w[-1]:.3f} exceeds exp range")
+        raise Overflow(f"largest eigenvalue {_eigenvalue_text(w[-1], 3)} exceeds exp range")
     ew = np.exp(w)
     out = (v * ew) @ v.conj().T
     return (out + out.conj().T) / 2.0

@@ -10,6 +10,7 @@ Growth exponents of the trace function estimate the support endpoints.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
 )
 from .hermitian import (
     HermitianMatrix,
+    _eigenvalue_text,
     _freeze,
     eigh,
     lie_product_approx,
@@ -118,6 +120,11 @@ class MeasureFit:
 # long batch at large n holds one chunk of (k, n, n) at a time, not all k.
 _CHUNK_BYTES = 2**20
 
+# Largest |t| ||A|| + ||B|| at which a kernel evaluates t: below it t*A + B, its
+# symmetrization (twice the entries) and t*lambda with the contour bracket stay
+# finite, with a factor 2 to spare for rounding.
+_MAX_SCALE = sys.float_info.max / 4
+
 # Midpoint nodes theta_k in (0, pi) of the Talbot parabola
 # z(theta) = N (0.1309 - 0.1194 theta^2 + 0.25 i theta), with the weights
 # (2/N) e^{z} z'(theta): conjugate symmetry supplies the nodes in (-pi, 0).
@@ -200,12 +207,22 @@ def _contour_values(ts: np.ndarray, b: np.ndarray, lam: float, v: np.ndarray) ->
     return vals
 
 
+def _raise_out_of_range(ts: np.ndarray, a_norm: float, b_norm: float) -> None:
+    """Overflow, naming the first t with |t| a_norm + b_norm above _MAX_SCALE, if there is one."""
+    if a_norm > 0.0:
+        # the bound on |t| is a Python float, which overflows to inf without a warning
+        beyond = np.flatnonzero(np.abs(ts) > (_MAX_SCALE - b_norm) / a_norm)
+        if beyond.size:
+            t = float(ts[beyond[0]])
+            raise Overflow(f"t*A + B leaves the double-precision range at t = {t}")
+
+
 def _raise_overflow(ts: np.ndarray, top: np.ndarray) -> None:
     over = np.flatnonzero(top > EXP_OVERFLOW_LIMIT)
     if over.size:
         k = int(over[0])
         raise Overflow(
-            f"largest eigenvalue {top[k]:.2f} of t*A + B exceeds exp range "
+            f"largest eigenvalue {_eigenvalue_text(top[k], 2)} of t*A + B exceeds exp range "
             f"at t = {float(ts[k])}"
         )
 
@@ -229,8 +246,9 @@ def trace_values(pair: TracePair, ts) -> np.ndarray:
     once and sums Sherman-Morrison resolvent traces on a Talbot contour; its
     values, too, do not depend on the other points of ts.  Raises
     ConvergenceFailure when the eigensolver fails, and Overflow, naming the
-    first such t, when a largest eigenvalue exceeds the exp range or a
-    value underflows to zero (within a chunk, overflow is reported first).
+    first such t, when t*A + B would leave the double-precision range (checked
+    before any evaluation), when a largest eigenvalue exceeds the exp range or
+    when a value underflows to zero (within a chunk, overflow is reported first).
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
@@ -241,7 +259,9 @@ def trace_values(pair: TracePair, ts) -> np.ndarray:
     if n >= CONTOUR_MIN_N:
         factor = _rank_one_factor(pair.A)
         if factor is not None:
+            _raise_out_of_range(ts, abs(factor[0]), pair.B.norm_max())
             return _contour_values(ts, pair.B.mat, *factor)
+    _raise_out_of_range(ts, pair.A.norm_max(), pair.B.norm_max())
     a, b = pair.A.mat, pair.B.mat
     per_chunk = max(1, _CHUNK_BYTES // (16 * n * n))
     out = np.empty(ts.size, dtype=float)

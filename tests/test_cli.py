@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from expconvex import cli
 from expconvex.cli import MAX_GRID_N, main
 from expconvex.matrixio import matrix_from_doc
 
@@ -114,6 +115,44 @@ def test_grid_with_overflowing_sums_is_usage_error(tmp_path, capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: grid points must lie within ")
+
+
+@pytest.mark.parametrize("shape", ["dense", "contour"])
+@pytest.mark.parametrize("grid_hi", ["8e307", "1e200"])
+def test_huge_grid_end_exits_4_with_one_short_line(tmp_path, capsys, shape, grid_hi):
+    # 8e307 passes the grid bound, but t*A + B (dense, n = 2) or t*lambda
+    # (contour, rank-one A at n = 32) leaves the double range at the largest
+    # sums; at 1e200 the range holds, and the message must not print the
+    # 200 digits of the largest eigenvalue
+    if shape == "dense":
+        a, b = np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    else:
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=32) + 1j * rng.normal(size=32)
+        a = 1.5 * np.outer(v, v.conj()) / np.vdot(v, v).real
+        x = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        b = (x + x.conj().T) / 4.0
+    f = write_pair(tmp_path / "pair.json", a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-ec", f, "--grid-hi", grid_hi]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and len(err) <= 121
+    assert err.startswith("error: numerical failure: ")
+    assert " at t = " in err
+
+
+def test_negative_flag_values_in_exponent_form(worked_pair, capsys):
+    assert main(["check-ec", worked_pair]) == 0
+    default = capsys.readouterr()
+    assert main(["check-ec", worked_pair, "--grid-lo", "-2e0", "--grid-hi", "2e0"]) == 0
+    assert capsys.readouterr() == default
+    # a separate value reads as the same number as an attached one
+    code = main(["check-ec", worked_pair, "--grid-lo=-1e5", "--grid-hi", "1"])
+    attached = capsys.readouterr()
+    assert main(["check-ec", worked_pair, "--grid-lo", "-1e5", "--grid-hi", "1"]) == code
+    assert capsys.readouterr() == attached
 
 
 def test_check_ec_tol_flag(tmp_path, capsys):
@@ -283,6 +322,46 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_unknown_flag_is_usage_error(worked_pair, capsys):
     assert main(["check-ec", worked_pair, "--bogus"]) == 1
     capsys.readouterr()
+
+
+def test_parser_is_built_once_per_process(worked_pair, capsys, monkeypatch):
+    built = []
+
+    def spy():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    try:
+        for argv in (["check-ec", worked_pair], ["check-ec", worked_pair, "--grid-n", "0"],
+                     ["fit-measure", worked_pair], ["verify", "--max-n", "1"]):
+            main(argv)
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert built == [1]
+    # any other caller still gets a parser of its own
+    assert build_parser() is not build_parser()
+
+
+def test_reused_parser_keeps_no_state(worked_pair, capsys):
+    cli._parser.cache_clear()
+    assert main(["check-ec", worked_pair]) == 0
+    first = capsys.readouterr()
+    assert main(["check-ec", worked_pair, "--grid-n", "4"]) == 0
+    assert main(["check-ec", worked_pair, "--grid-n", "0"]) == 1
+    assert capsys.readouterr().err == "error: --grid-n must be at least 2, got 0\n"
+    with pytest.raises(SystemExit) as stop:
+        main(["check-ec", "--help"])
+    assert stop.value.code == 0
+    reused_help = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["check-ec", "--help"])
+    assert reused_help == capsys.readouterr().out
+    assert main(["check-ec", worked_pair]) == 0
+    assert capsys.readouterr() == first
 
 
 def test_module_entry_point(tmp_path):

@@ -168,8 +168,11 @@ def test_matrix_exp_positive_definite():
 
 
 def test_matrix_exp_overflow():
-    with pytest.raises(Overflow):
+    with pytest.raises(Overflow, match=r"^largest eigenvalue 701\.000 exceeds exp range$"):
         matrix_exp_hermitian(hermitian_from_diag([0.0, 701.0]))
+    # from 1e15 on the eigenvalue is written in exponent form, not as 300 digits
+    with pytest.raises(Overflow, match=r"^largest eigenvalue 1\.000e\+300 exceeds exp range$"):
+        matrix_exp_hermitian(hermitian_from_diag([0.0, 1e300]))
 
 
 def test_conjugate_identity_and_swap():
