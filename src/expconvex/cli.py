@@ -48,6 +48,15 @@ EXIT_ILL = 4
 # size one check-ec on an n = 2 pair takes about 15 s on one x86-64 core and
 # 0.8 GB
 MAX_GRID_N = 4096
+# the largest --t-points: f is sampled at every point, and two thirds of the
+# samples are rows of the dense NNLS design; at this size, with the default
+# --resolution, one fit-measure on an n = 2 pair takes about 0.35 s on one
+# x86-64 core and 0.1 GB
+MAX_T_POINTS = 16384
+# the largest --resolution, the number of NNLS columns: at this size one
+# fit-measure on an n = 2 pair takes about 1.8 s and 0.17 GB with
+# --t-points 512, the fewest it allows, and 16 s and 0.66 GB with MAX_T_POINTS
+MAX_RESOLUTION = 2048
 
 
 class _UsageError(Exception):
@@ -126,11 +135,21 @@ def cmd_check_ec(args) -> int:
 def cmd_fit_measure(args) -> int:
     if args.resolution < 1:
         raise _UsageError(f"--resolution must be positive, got {args.resolution}")
+    if args.resolution > MAX_RESOLUTION:
+        raise _UsageError(f"--resolution must be at most {MAX_RESOLUTION}, got {args.resolution}")
     if args.t_points < 3:
         raise _UsageError(f"--t-points must be at least 3, got {args.t_points}")
+    if args.t_points > MAX_T_POINTS:
+        raise _UsageError(f"--t-points must be at most {MAX_T_POINTS}, got {args.t_points}")
+    if args.resolution > 4 * args.t_points:
+        raise _UsageError(
+            f"--resolution must be at most 4 * --t-points = {4 * args.t_points}, "
+            f"got {args.resolution}"
+        )
     if args.reg < 0.0:
         raise _UsageError(f"--reg must be nonnegative, got {args.reg}")
     _require_finite("--reg", args.reg)
+    # the flags are checked before the file is read
     pair = _load_pair(args.input)
 
     est = growth_exponents(pair)
@@ -149,6 +168,8 @@ def cmd_verify(args) -> int:
         raise _UsageError(f"--cases must be at least 1, got {args.cases}")
     if not 2 <= args.max_n <= MAX_N:
         raise _UsageError(f"--max-n must be between 2 and {MAX_N}, got {args.max_n}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
     report = run_verification(args.cases, args.max_n, args.seed)
     doc = report.to_doc()
     if args.out:
@@ -188,19 +209,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-measure", help="fit a nonnegative atomic measure to the trace function")
     p.add_argument("input", help="JSON file with matrices A and B")
-    p.add_argument("--resolution", type=int, default=64, help="candidate atom count (default 64)")
+    p.add_argument(
+        "--resolution", type=int, default=64,
+        help=f"candidate atom count, 1..{MAX_RESOLUTION} and at most 4 * --t-points (default 64)",
+    )
     p.add_argument(
         "--reg", type=float, default=RIDGE_REG, help=f"ridge regularization (default {RIDGE_REG:g})"
     )
     p.add_argument(
-        "--t-points", type=int, default=48, help="trace samples on [-2,2], at least 3 (default 48)"
+        "--t-points", type=int, default=48,
+        help=f"trace samples on [-2,2], 3..{MAX_T_POINTS} (default 48)",
     )
     p.set_defaults(func=cmd_fit_measure)
 
     p = sub.add_parser("verify", help="run the seeded random-ensemble check battery")
     p.add_argument("--cases", type=int, default=50, help="number of random cases (default 50)")
     p.add_argument("--max-n", type=int, default=7, help=f"largest dimension, 2..{MAX_N} (default 7)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="master seed, nonnegative (default 0)")
     p.add_argument("--out", default=None, help="report path (default: stdout)")
     p.set_defaults(func=cmd_verify)
 

@@ -2,10 +2,10 @@
 
 A matrix document is {"n": dim, "entries": [[re, im], ...]} with entries in
 row-major order; a pair file holds two such documents under keys "A" and
-"B".  Files are parsed with orjson in two tiers.  A canonical matrix object,
-with just the keys "n" and "entries" and n a plain integer, has its entries
-parsed as one flat array of numbers; any other object is parsed as a tree.
-A file that either tier refuses is parsed again with json, so that json
+"B".  A pair file takes one of two routes.  When both matrix objects are
+canonical, with just the keys "n" and "entries" and n a plain integer, the
+entries of each are parsed by orjson as one flat array of numbers.  Any
+other file is parsed by json and decoded entry by entry, and that route
 reports every error.  All writers serialize with sorted keys and fixed
 indentation so that output bytes are deterministic.
 """
@@ -16,7 +16,6 @@ import io
 import json
 import math
 import re
-from itertools import chain
 
 import numpy as np
 
@@ -62,31 +61,8 @@ def _entry_to_complex(entry, index: int, n: int, where: str) -> complex:
     return complex(re, im)
 
 
-def _bulk_floats(entries: list) -> np.ndarray | None:
-    """re0, im0, re1, im1, ... of all entries as one float array.
-
-    None unless every entry is a list or tuple of two numbers of exact type
-    int or float, all finite within the double range; bool, str and
-    subclasses are left to the positional checker.
-    """
-    if not set(map(type, entries)) <= {list, tuple} or set(map(len, entries)) != {2}:
-        return None
-    if not set(map(type, chain.from_iterable(entries))) <= {int, float}:
-        return None
-    try:
-        flat = np.fromiter(chain.from_iterable(entries), float, count=2 * len(entries))
-    except OverflowError:
-        return None
-    return flat if np.isfinite(flat).all() else None
-
-
 def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
-    """Decode a {n, entries} document, reporting the position of any defect.
-
-    All entries are checked and converted in one bulk pass; only when that
-    fails does the per-entry checker run, to name the first defect by index,
-    row and column (or to accept subclasses of list, int and float).
-    """
+    """Decode a {n, entries} document, naming the first defect by index, row and column."""
     if not isinstance(doc, dict):
         raise MatrixFileError(f"{where}: expected an object, got {type(doc).__name__}")
     if "n" not in doc:
@@ -103,12 +79,8 @@ def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
         raise MatrixFileError(
             f"{where}: expected {n * n} entries for n = {n}, got {len(entries)}"
         )
-    flat = _bulk_floats(entries)
-    if flat is None:
-        z = [_entry_to_complex(e, k, n, where) for k, e in enumerate(entries)]
-        return np.array(z, dtype=complex).reshape(n, n)
-    # the view pairs each (re, im) into the bits complex(re, im) has, -0.0 included
-    return flat.view(complex).reshape(n, n)
+    z = [_entry_to_complex(e, k, n, where) for k, e in enumerate(entries)]
+    return np.array(z, dtype=complex).reshape(n, n)
 
 
 def _read_bytes(path: str) -> bytes:
@@ -140,31 +112,6 @@ def _parse_text(path: str, data: bytes):
         # the decoder's other errors: an integer literal past the digit limit,
         # or arrays nested past the interpreter's recursion limit
         raise MatrixFileError(f"{path}: {exc}") from exc
-
-
-# a pair file nests object > matrix object > entries array > [re, im] array
-_FORMAT_DEPTH = 4
-# +1 for an opening bracket, -1 for a closing one, by byte value
-_BRACKET_STEP = np.zeros(256, dtype=np.int8)
-_BRACKET_STEP[[ord("["), ord("{")]] = 1
-_BRACKET_STEP[[ord("]"), ord("}")]] = -1
-_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'[]{}"')))
-
-
-def _within_format_depth(data: bytes) -> bool:
-    """True when data has no backslash and nests at most _FORMAT_DEPTH deep.
-
-    Without a backslash no quote is escaped, so the strings are the spans
-    between alternate quotes and their brackets are skipped.  The bound
-    keeps orjson, which recurses without limit and overflows the C stack
-    on deep nesting, to documents that json.loads parses as well.
-    """
-    if b"\\" in data:
-        return False
-    marks = np.frombuffer(data.translate(None, _NOT_MARKS), dtype=np.uint8)
-    step = _BRACKET_STEP[marks]
-    step[np.cumsum(marks == ord('"')) % 2 == 1] = 0
-    return np.cumsum(step).max(initial=0) <= _FORMAT_DEPTH
 
 
 _SPACE = rb"[ \t\n\r]*"
@@ -206,8 +153,9 @@ def _flat_matrix(data: bytes, lo: int, hi: int, loads) -> np.ndarray | None:
 
     The entries are parsed by one loads call as a flat array of numbers, so
     no [re, im] list is built.  The numbers loads parses are the file's own
-    tokens, so the doubles are those the parse tree would hold; an object
-    this refuses takes the tree route.
+    tokens, so the doubles are those json would parse.  The array loads
+    gets has no bracket inside it, so its nesting is one level whatever the
+    file holds.
     """
     first, last = data.find(b"[", lo, hi), data.rfind(b"]", lo, hi)
     if not 0 <= first < last:
@@ -230,64 +178,6 @@ def _flat_matrix(data: bytes, lo: int, hi: int, loads) -> np.ndarray | None:
     return flat.view(complex).reshape(n, n) if np.isfinite(flat).all() else None
 
 
-class _TooDeep(Exception):
-    """The file nests past _FORMAT_DEPTH, so orjson may not build its tree."""
-
-
-def _load(path: str, fast, slow):
-    """Decode the file at path: fast(data, matrix), else slow(document).
-
-    matrix(lo, hi, where) decodes the matrix object at data[lo:hi]: by
-    _flat_matrix when the object is canonical, else from orjson's parse
-    tree, which is built only for a file within the format's depth.  When
-    fast returns None, or orjson or the decoder refuses the file, the file
-    is parsed again by _parse_text and decoded by slow, so every error
-    message comes from the json route.
-    """
-    data = _read_bytes(path)
-    # imported on the first file read, so that import expconvex.cli and
-    # verify never load it
-    import orjson
-
-    within_depth = None  # scanned once, on the first tree parse
-
-    def matrix(lo: int, hi: int, where: str) -> np.ndarray:
-        nonlocal within_depth
-        flat = _flat_matrix(data, lo, hi, orjson.loads)
-        if flat is not None:
-            return flat
-        if within_depth is None:
-            within_depth = _within_format_depth(data)
-        if not within_depth:
-            raise _TooDeep
-        return matrix_from_doc(orjson.loads(memoryview(data)[lo:hi]), where=where)
-
-    try:
-        result = fast(data, matrix)
-    except (orjson.JSONDecodeError, MatrixFileError, _TooDeep):
-        result = None
-    if result is not None:
-        return result
-    return slow(_parse_text(path, data))
-
-
-def load_matrix(path: str) -> np.ndarray:
-    """Load a single-matrix file."""
-    return _load(
-        path,
-        lambda data, matrix: matrix(0, len(data), path),
-        lambda doc: matrix_from_doc(doc, where=path),
-    )
-
-
-def _same_shape(a: np.ndarray, b: np.ndarray, path: str) -> tuple[np.ndarray, np.ndarray]:
-    if a.shape != b.shape:
-        raise MatrixFileError(
-            f"{path}: A is {a.shape[0]}x{a.shape[0]} but B is {b.shape[0]}x{b.shape[0]}"
-        )
-    return a, b
-
-
 def _pair_from_doc(doc, path: str) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(doc, dict):
         raise MatrixFileError(f"{path}: expected an object at top level")
@@ -296,7 +186,11 @@ def _pair_from_doc(doc, path: str) -> tuple[np.ndarray, np.ndarray]:
             raise MatrixFileError(f"{path}: missing key '{key}'")
     a = matrix_from_doc(doc["A"], where=f"{path}: A")
     b = matrix_from_doc(doc["B"], where=f"{path}: B")
-    return _same_shape(a, b, path)
+    if a.shape != b.shape:
+        raise MatrixFileError(
+            f"{path}: A is {a.shape[0]}x{a.shape[0]} but B is {b.shape[0]}x{b.shape[0]}"
+        )
+    return a, b
 
 
 # the bytes before, between and after the two matrix objects of a pair file
@@ -307,13 +201,13 @@ _PAIR_MID = _SPACE + b"," + _SPACE + rb'"([AB])"' + _SPACE + b":" + _SPACE
 _PAIR_TAIL = _SPACE + rb"\}" + _SPACE
 
 
-def _pair_by_parts(data: bytes, path: str, matrix):
-    """(A, B) from one decode per matrix object, or None for another layout.
+def _pair_by_parts(data: bytes, loads) -> tuple[np.ndarray, np.ndarray] | None:
+    """(A, B) from _flat_matrix on each matrix object, or None for any other file.
 
     Each matrix is decoded before the next one is parsed, so the parses of
-    the two never exist at once.  A part that does not decode as a whole
-    object, or a key or byte between the parts that does not match, sends
-    the file to the json route.
+    the two never exist at once.  A key or byte between the parts that does
+    not match, an object that is not canonical, or matrices of two sizes
+    send the file to the json route.
     """
     first = data.find(b"{", data.find(b"{") + 1)
     first_end = data.find(b"}", first) + 1
@@ -326,18 +220,26 @@ def _pair_by_parts(data: bytes, path: str, matrix):
     if not (head and mid and head[1] != mid[1] and re.fullmatch(_PAIR_TAIL, data[second_end:])):
         return None
     parts = {head[1]: (first, first_end), mid[1]: (second, second_end)}
-    a = matrix(*parts[b"A"], f"{path}: A")
-    b = matrix(*parts[b"B"], f"{path}: B")
-    return _same_shape(a, b, path)
+    a = _flat_matrix(data, *parts[b"A"], loads)
+    b = None if a is None else _flat_matrix(data, *parts[b"B"], loads)
+    return None if b is None or a.shape != b.shape else (a, b)
 
 
 def load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Load a two-matrix file with keys "A" and "B"."""
-    return _load(
-        path,
-        lambda data, matrix: _pair_by_parts(data, path, matrix),
-        lambda doc: _pair_from_doc(doc, path),
-    )
+    """Load a two-matrix file with keys "A" and "B".
+
+    A file whose two matrix objects are canonical takes _pair_by_parts.
+    Any other file is parsed by _parse_text and decoded by matrix_from_doc,
+    which write every error message; a valid file that is not canonical
+    loads there too, only more slowly.
+    """
+    data = _read_bytes(path)
+    # imported on the first file read, so that import expconvex.cli and
+    # verify never load it
+    import orjson
+
+    pair = _pair_by_parts(data, orjson.loads)
+    return pair if pair is not None else _pair_from_doc(_parse_text(path, data), path)
 
 
 def reduction_to_doc(result, residuals: tuple[float, float]) -> dict:

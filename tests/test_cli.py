@@ -6,10 +6,11 @@ import sys
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 
 from expconvex import cli
-from expconvex.cli import MAX_GRID_N, main
+from expconvex.cli import MAX_GRID_N, MAX_RESOLUTION, MAX_T_POINTS, main
 from expconvex.matrixio import matrix_from_doc
 
 
@@ -218,6 +219,31 @@ def test_nonfinite_flag_is_usage_error_before_reading(tmp_path, capsys, argv, fl
     assert err == f"error: {flag} must be finite, got {value}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--t-points", "1000000000000"],
+      f"--t-points must be at most {MAX_T_POINTS}, got 1000000000000"),
+     (["--t-points", "100000", "--resolution", "400000"],
+      f"--resolution must be at most {MAX_RESOLUTION}, got 400000"),
+     (["--t-points", "100", "--resolution", "401"],
+      "--resolution must be at most 4 * --t-points = 400, got 401")],
+    ids=["t-points", "resolution", "resolution-per-sample"],
+)
+def test_fit_measure_sizes_are_checked_before_reading(tmp_path, capsys, argv, message):
+    # the input does not exist: sizes whose arrays would not fit in memory, or
+    # that fit_measure refuses, are usage errors before the file is opened
+    absent = str(tmp_path / "absent.json")
+    assert main(["fit-measure", absent] + argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+    # the bounds themselves are accepted, and the run goes on to read the file
+    for t_points, resolution in [(MAX_T_POINTS, MAX_RESOLUTION), (100, 400)]:
+        argv = ["--t-points", str(t_points), "--resolution", str(resolution)]
+        assert main(["fit-measure", absent] + argv) == 1
+        assert capsys.readouterr().err == f"error: {absent}: No such file or directory\n"
+
+
 def test_fit_measure_without_holdout_sample_exits_1(tmp_path, capsys):
     # samples with index % 3 == 2 are held out: two samples hold none out
     f = write_pair(tmp_path / "px.json", np.diag([0.0, 1.0]),
@@ -307,6 +333,13 @@ def test_verify_flag_validation(capsys):
     assert main(["verify", "--max-n", "13"]) == 1
     assert main(["verify", "--cases", "0"]) == 1
     capsys.readouterr()
+
+
+def test_verify_negative_seed_names_flag(capsys):
+    assert main(["verify", "--seed", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --seed must be nonnegative, got -1\n"
 
 
 def test_verify_unwritable_out_exits_1(capsys):
@@ -449,12 +482,22 @@ _MALFORMED = {
 }
 
 
+def _one_flat_array(data):
+    """True when data is one array with no array or object inside it."""
+    return (data.startswith(b"[") and data.endswith(b"]")
+            and not any(mark in data[1:-1] for mark in (b"[", b"]", b"{")))
+
+
 @pytest.mark.parametrize("kind", list(_MALFORMED))
-def test_malformed_file_reports_like_json(tmp_path, capsys, kind):
+def test_malformed_file_reports_like_json(tmp_path, capsys, monkeypatch, kind):
     data, code, message = _MALFORMED[kind]
     f = tmp_path / "pair.json"
     f.write_bytes(data)
+    # orjson parses only flat number arrays, so deep nesting never reaches it
+    loaded, real_loads = [], orjson.loads
+    monkeypatch.setattr(orjson, "loads", lambda b: loaded.append(bytes(b)) or real_loads(b))
     assert main(["check-ec", str(f)]) == code
+    assert all(map(_one_flat_array, loaded))
     out, err = capsys.readouterr()
     if message is None:
         assert err == ""

@@ -29,7 +29,6 @@ from expconvex.matrixio import (
     dumps_doc,
     ec_report_to_doc,
     fit_to_doc,
-    load_matrix,
     load_pair,
     matrix_from_doc,
     matrix_to_doc,
@@ -164,17 +163,6 @@ def test_decode_names_first_defect_like_positional_checker(kind, spot):
     assert str(decoded.value) == expected
 
 
-def test_valid_doc_skips_per_entry_checker(monkeypatch):
-    def fail(*args):
-        raise AssertionError("per-entry checker ran on a valid document")
-
-    monkeypatch.setattr(matrixio, "_entry_to_complex", fail)
-    rng = np.random.default_rng(64)
-    entries = _random_entries(rng, 64)
-    got = matrix_from_doc({"n": 64, "entries": entries})
-    assert got.tobytes() == np.array([complex(*e) for e in entries]).tobytes()
-
-
 @pytest.mark.parametrize(
     "text, reason",
     [('{"n": 1, "entries": [[1' + "0" * 5000 + ', 0]]}', "4300 digits"),
@@ -185,9 +173,13 @@ def test_valid_doc_skips_per_entry_checker(monkeypatch):
 )
 def test_load_names_path_on_decoder_limits(tmp_path, text, reason):
     f = tmp_path / "limits.json"
-    f.write_text(text)
-    with pytest.raises(MatrixFileError, match=rf"^{f}: .*{reason}"):
-        load_matrix(str(f))
+    f.write_text(f'{{"A": {text}, "B": {{"n": 1, "entries": [[0, 0]]}}}}')
+    loaded = []
+    with pytest.MonkeyPatch.context() as mp:
+        _spy_orjson(mp, loaded)
+        with pytest.raises(MatrixFileError, match=rf"^{f}: .*{reason}"):
+            load_pair(str(f))
+    assert all(map(_one_flat_array, loaded))
 
 
 PARITY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -246,6 +238,22 @@ def _refuse(data):
     raise orjson.JSONDecodeError("refused", "", 0)
 
 
+def _spy_orjson(mp, loaded):
+    """Record in loaded the bytes of each orjson.loads call."""
+    real = orjson.loads
+    mp.setattr(orjson, "loads", lambda data: loaded.append(bytes(data)) or real(data))
+
+
+def _one_flat_array(data):
+    """True when data is one array with no array or object inside it.
+
+    This is all orjson may parse: its nesting is one level whatever the
+    file holds, so no file can take orjson past its recursion limit.
+    """
+    return (data.startswith(b"[") and data.endswith(b"]")
+            and not any(mark in data[1:-1] for mark in (b"[", b"]", b"{")))
+
+
 def _load_outcome(path):
     """(A, B) as int64 views of their bits, or the error text."""
     try:
@@ -259,10 +267,11 @@ def _load_outcome(path):
 @given(text=pair_texts())
 def test_orjson_route_decodes_like_json_route(pair_path, text):
     pair_path.write_bytes(text.encode())
-    reparsed = []
+    reparsed, loaded = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrixio, "_parse_text",
                    lambda *args: reparsed.append(args) or _parse_text(*args))
+        _spy_orjson(mp, loaded)
         fast = _load_outcome(pair_path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orjson, "loads", _refuse)  # forces the json route
@@ -271,8 +280,10 @@ def test_orjson_route_decodes_like_json_route(pair_path, text):
         assert fast == slow
     else:
         assert not isinstance(fast, str), fast
-        assert not reparsed  # orjson decoded the file, not the json route
         assert all(np.array_equal(f, s) for f, s in zip(fast, slow))
+    if '"note"' in text:  # an extra key: the file is not canonical
+        assert reparsed
+    assert all(map(_one_flat_array, loaded))
 
 
 def _spy(mp, name, calls):
@@ -329,19 +340,21 @@ def canonical_pair_texts(draw):
 @given(text=canonical_pair_texts())
 def test_flat_tier_decodes_like_json_route(pair_path, text):
     pair_path.write_bytes(text.encode())
-    calls = []
+    calls, loaded = [], []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_within_format_depth", "matrix_from_doc", "_parse_text"):
+        for name in ("matrix_from_doc", "_parse_text"):
             _spy(mp, name, calls)
+        _spy_orjson(mp, loaded)
         fast = _load_outcome(pair_path)
     slow = _json_route_outcome(pair_path)
     assert _same_outcome(fast, slow)
     if not isinstance(slow, str):
-        # both objects took the flat tier: no depth scan, tree or json parse
+        # both objects took the flat route: no json parse, no per-entry decode
         assert not calls, calls
+    assert all(map(_one_flat_array, loaded))
 
 
-# near-canonical matrix objects: each leaves the flat tier, and the file
+# near-canonical matrix objects: each leaves the flat route, and the file
 # then loads, or fails, exactly as on the json route
 _B = '{"n": 1, "entries": [[0, 0]]}'
 _NEAR_CANONICAL = {
@@ -380,25 +393,29 @@ _NEAR_CANONICAL = {
 def test_near_canonical_object_leaves_flat_tier(tmp_path, kind):
     path = tmp_path / "pair.json"
     path.write_text(f'{{"A": {_NEAR_CANONICAL[kind]}, "B": {_B}}}')
-    calls = []
+    calls, loaded = [], []
     with pytest.MonkeyPatch.context() as mp:
         _spy(mp, "_flat_matrix", calls)
+        _spy_orjson(mp, loaded)
         got = _load_outcome(path)
-    assert calls and calls[0][1] is None  # A did not take the flat tier
+    assert calls and calls[0][1] is None  # A did not take the flat route
     assert _same_outcome(got, _json_route_outcome(path))
+    assert all(map(_one_flat_array, loaded))
 
 
-def test_load_matrix_takes_flat_tier(tmp_path):
-    path = tmp_path / "m.json"
-    path.write_text('\r\n {"entries": [[1.5, -0.0], [2, 0],\n [0, 0], [-1e-320, 3]], "n": 2}\n')
+def test_load_pair_takes_flat_tier(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text('\r\n {"B": {"n": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]},\r\n'
+                    '"A": {"entries": [[1.5, -0.0], [2, 0],\n [0, 0], [-1e-320, 3]], "n": 2}}\n')
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_within_format_depth", "matrix_from_doc", "_parse_text"):
+        for name in ("matrix_from_doc", "_parse_text"):
             _spy(mp, name, calls)
-        m = load_matrix(str(path))
+        a, b = load_pair(str(path))
     assert not calls, calls
     expected = np.array([[complex(1.5, -0.0), 2], [0, complex(-1e-320, 3)]])
-    assert m.tobytes() == expected.tobytes()
+    assert a.tobytes() == expected.tobytes()
+    assert b.tobytes() == np.array([[0, 1], [1, 0]], dtype=complex).tobytes()
 
 
 def test_encoders_match_per_entry_reference():
@@ -422,12 +439,7 @@ def test_encoders_match_per_entry_reference():
     assert b"-0.0" in text(matrix_to_doc(m))
 
 
-def test_load_matrix_and_pair(tmp_path):
-    single = tmp_path / "m.json"
-    single.write_text(json.dumps({"n": 1, "entries": [[2.5, 0]]}))
-    m = load_matrix(str(single))
-    assert m[0, 0] == 2.5
-
+def test_load_pair(tmp_path):
     pair_file = tmp_path / "pair.json"
     pair_file.write_text(json.dumps({
         "A": {"n": 1, "entries": [[1, 0]]},
@@ -463,7 +475,7 @@ def test_load_reports_json_position(tmp_path):
 
 def test_load_missing_file():
     with pytest.raises(MatrixFileError):
-        load_matrix("/nonexistent/nowhere.json")
+        load_pair("/nonexistent/nowhere.json")
 
 
 def test_dumps_doc_deterministic():
