@@ -127,6 +127,8 @@ def cmd_check_ec(args) -> int:
     grid = TGrid.equispaced(args.grid_lo, args.grid_hi, args.grid_n)
     pair = _load_pair(args.input)
     report = check_exponential_convexity(trace_function(pair), grid, tol=args.tol)
+    if not math.isfinite(report.tolerance):
+        raise _UsageError(f"--tol {args.tol:g} times max(1, max|G|) overflows; use a smaller --tol")
     doc = matrixio.ec_report_to_doc(report, f"trace(n={pair.n})", grid.points)
     sys.stdout.write(matrixio.dumps_doc(doc))
     return EXIT_OK if report.passed else EXIT_CHECK

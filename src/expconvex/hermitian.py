@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    ExpConvexError,
     HypothesisViolated,
     NonFinite,
     NotHermitian,
@@ -32,14 +33,14 @@ def max_abs(a: np.ndarray) -> float:
     """Entrywise max-norm; 0.0 for empty arrays."""
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def _as_complex_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not (np.isfinite(a.real).all() and np.isfinite(a.imag).all()):
         raise NonFinite("matrix contains NaN or Inf entries")
     return a
 
@@ -136,22 +137,61 @@ def validate_unitary(m) -> UnitaryMatrix:
     return UnitaryMatrix(_freeze(a.copy()))
 
 
+def _raised(result):
+    """result, unless it is the error a stacked call kept for one of its members: then raise it."""
+    if isinstance(result, ExpConvexError):
+        raise result
+    return result
+
+
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first nonzero component is real positive.
+    """Rotate each column (of a matrix or a stack) so its first nonzero component is real positive.
 
     Makes eigenvector output reproducible across runs; any unitary choice is
     equally valid downstream.
     """
     if v.size == 0:
         return v.copy()
-    nonzero = np.abs(v) > PHASE_ANCHOR_TOL
-    cols = np.arange(v.shape[1])
-    first = np.argmax(nonzero, axis=0)
+    s = v.reshape(-1, *v.shape[-2:])
+    k, r, c = s.shape
+    cols = s.swapaxes(1, 2).reshape(k * c, r)
+    nonzero = np.abs(cols) > PHASE_ANCHOR_TOL
+    at = (np.arange(k * c), nonzero.argmax(axis=1))
     # a column with no entry above the threshold keeps its phase
-    lead = np.where(nonzero[first, cols], v[first, cols], 1.0)
+    lead = np.where(nonzero[at], cols[at], 1.0).reshape(k, 1, c)
     # hypot, not np.abs: the vectorized complex abs can round differently
     # in the last bit, and the verify report bytes depend on these phases
-    return v * (lead.conjugate() / np.hypot(lead.real, lead.imag))
+    return (s * (lead.conjugate() / np.hypot(lead.real, lead.imag))).reshape(v.shape)
+
+
+def _stacked_eigh(hs) -> list:
+    """eigh of every matrix of hs, all of one size, by one stacked LAPACK call, bit for bit.
+    Per matrix: (w, v) or the ConvergenceFailure eigh raises for it; a failed call is redone singly.
+    """
+    mats = hs[0].mat[None] if len(hs) == 1 else np.array([h.mat for h in hs])
+    try:
+        w, v = np.linalg.eigh(mats)
+    except np.linalg.LinAlgError as exc:
+        if len(hs) > 1:
+            return [_stacked_eigh([h])[0] for h in hs]
+        return [ConvergenceFailure(f"eigensolver failed: {exc}")]
+    v = _fix_column_phases(v)
+    residuals = np.abs(mats @ v - v * w[:, None, :]).max(axis=(-2, -1), initial=0.0).tolist()
+    limits = (EIGH_RESIDUAL_TOL * np.abs(mats).max(axis=(-2, -1), initial=1.0)).tolist()
+    return [
+        ConvergenceFailure(f"reconstruction residual {r:.3e} exceeds {limit:.3e}")
+        if r > limit else (_freeze(wk), _freeze(vk))
+        for wk, vk, r, limit in zip(w, v, residuals, limits)
+    ]
+
+
+def _exp_of(eig) -> np.ndarray:
+    """e^H = V diag(e^w) V*, symmetrized, from eig = (w, v), one result of _stacked_eigh."""
+    w, v = _raised(eig)
+    if w.size and float(w[-1]) > EXP_OVERFLOW_LIMIT:
+        raise Overflow(f"largest eigenvalue {_eigenvalue_text(w[-1], 3)} exceeds exp range")
+    out = (v * np.exp(w)) @ v.conj().T
+    return (out + out.conj().T) / 2.0
 
 
 def eigh(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -161,18 +201,7 @@ def eigh(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
     Raises ConvergenceFailure if LAPACK fails or the reconstruction residual
     ||H V - V diag(w)||_max exceeds EIGH_RESIDUAL_TOL * max(1, ||H||_max).
     """
-    try:
-        w, v = np.linalg.eigh(h.mat)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    v = _fix_column_phases(v)
-    scale = max(1.0, h.norm_max())
-    residual = max_abs(h.mat @ v - v * w)
-    if residual > EIGH_RESIDUAL_TOL * scale:
-        raise ConvergenceFailure(
-            f"reconstruction residual {residual:.3e} exceeds {EIGH_RESIDUAL_TOL * scale:.3e}"
-        )
-    return _freeze(w), _freeze(v)
+    return _raised(_stacked_eigh([h])[0])
 
 
 def matrix_exp_hermitian(h: HermitianMatrix) -> np.ndarray:
@@ -182,12 +211,7 @@ def matrix_exp_hermitian(h: HermitianMatrix) -> np.ndarray:
     Overflow when the largest eigenvalue exceeds the double-precision
     exponent range.
     """
-    w, v = eigh(h)
-    if w.size and float(w[-1]) > EXP_OVERFLOW_LIMIT:
-        raise Overflow(f"largest eigenvalue {_eigenvalue_text(w[-1], 3)} exceeds exp range")
-    ew = np.exp(w)
-    out = (v * ew) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    return _exp_of(_stacked_eigh([h])[0])
 
 
 def conjugate(u: UnitaryMatrix, h: HermitianMatrix) -> HermitianMatrix:
@@ -213,16 +237,20 @@ def lie_product_approx(
         raise DimensionMismatch(f"operands are {x.n}x{x.n} and {y.n}x{y.n}")
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p}")
-    ex = matrix_exp_hermitian(HermitianMatrix(x.mat / p))
-    ey = matrix_exp_hermitian(HermitianMatrix(y.mat / p))
-    value = np.linalg.matrix_power(ex @ ey, p)
-    if not np.all(np.isfinite(value.real)) or not np.all(np.isfinite(value.imag)):
-        raise Overflow("split-step product overflowed double precision")
+    exps = map(_exp_of, _stacked_eigh([HermitianMatrix(x.mat / p), HermitianMatrix(y.mat / p)]))
+    value = _split_step(*exps, p)
     err = None
     if with_reference:
         ref = matrix_exp_hermitian(validate_hermitian(x.mat + y.mat))
         err = max_abs(value - ref)
     return LieApproximation(value=_freeze(value), reference_error=err)
+
+
+def _split_step(ex: np.ndarray, ey: np.ndarray, p: int) -> np.ndarray:
+    value = np.linalg.matrix_power(ex @ ey, p)
+    if not (np.isfinite(value.real).all() and np.isfinite(value.imag).all()):
+        raise Overflow("split-step product overflowed double precision")
+    return value
 
 
 def _check_offdiag_nonneg(m: HermitianMatrix, what: str = "") -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .convexity import ScalarFunction, TGrid
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    ExpConvexError,
     IllConditioned,
     NotCommuting,
     Overflow,
@@ -27,6 +29,7 @@ from .hermitian import (
     HermitianMatrix,
     _eigenvalue_text,
     _freeze,
+    _raised,
     eigh,
     lie_product_approx,
     max_abs,
@@ -235,20 +238,50 @@ def _raise_underflow(ts: np.ndarray, vals: np.ndarray) -> None:
         raise Overflow(f"trace value {float(vals[k])} underflows at t = {float(ts[k])}")
 
 
+def _stacked_trace_values(groups) -> list:
+    """The dense kernel: tr e^{tA + B} for every (pair, ts) of groups, all pairs of one size n.
+
+    The matrices tA + B of all groups go to one eigvalsh call per chunk of about 1 MiB, and a
+    value has the bits of its point alone.  Per group: its values or the error trace_values
+    raises for it, so a stack that fails is evaluated again group by group.
+    """
+    per_chunk = max(1, _CHUNK_BYTES // (16 * groups[0][0].n ** 2))
+    starts = list(accumulate((ts.size for _, ts in groups), initial=0))
+    ts_all = np.concatenate([ts for _, ts in groups])
+    vals = np.empty(ts_all.size)
+    try:
+        for p, ts in groups:
+            _raise_out_of_range(ts, p.A.norm_max(), p.B.norm_max())
+        for lo in range(0, ts_all.size, per_chunk):
+            chunk, hi = ts_all[lo : lo + per_chunk], lo + per_chunk
+            parts = [ts[max(lo - start, 0) : max(hi - start, 0), None, None] * p.A.mat + p.B.mat
+                     for (p, ts), start in zip(groups, starts)]
+            h = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            h += h.conj().swapaxes(-1, -2)  # in place: a stack holds no second copy
+            h /= 2.0
+            try:
+                w = np.linalg.eigvalsh(h)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+            _raise_overflow(chunk, w[:, -1])
+            vals[lo : lo + chunk.size] = np.sum(np.exp(w), axis=-1)
+            _raise_underflow(chunk, vals[lo : lo + chunk.size])
+    except ExpConvexError as exc:
+        return [exc] if len(groups) == 1 else [_stacked_trace_values([g])[0] for g in groups]
+    return [vals[s:e] for s, e in zip(starts, starts[1:])]
+
+
 def trace_values(pair: TracePair, ts) -> np.ndarray:
     """tr e^{tA + B} at every t of the 1-d array ts, in input order.
 
-    Two kernels give the values.  The dense one stacks the matrices tA + B
-    and hands them to one eigvalsh call per chunk of about 1 MiB; each value
-    is the sum of the exponentiated eigenvalues, identical to evaluating the
-    points one at a time.  When n >= CONTOUR_MIN_N and A = lambda v v* up to
-    RANK_TOL_FACTOR * ||A||_max, the contour kernel instead diagonalizes B
-    once and sums Sherman-Morrison resolvent traces on a Talbot contour; its
-    values, too, do not depend on the other points of ts.  Raises
-    ConvergenceFailure when the eigensolver fails, and Overflow, naming the
-    first such t, when t*A + B would leave the double-precision range (checked
-    before any evaluation), when a largest eigenvalue exceeds the exp range or
-    when a value underflows to zero (within a chunk, overflow is reported first).
+    Two kernels give the values, neither depending on the other points of ts: the
+    dense one is _stacked_trace_values with this pair alone.  When n >= CONTOUR_MIN_N
+    and A = lambda v v* up to RANK_TOL_FACTOR * ||A||_max, the contour kernel instead
+    diagonalizes B once and sums Sherman-Morrison resolvent traces on a Talbot
+    contour.  Raises ConvergenceFailure when the eigensolver fails, and Overflow,
+    naming the first such t, when t*A + B would leave the double-precision range
+    (checked before any evaluation), when a largest eigenvalue exceeds the exp range
+    or when a value underflows to zero (within a chunk, overflow is reported first).
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
@@ -261,22 +294,7 @@ def trace_values(pair: TracePair, ts) -> np.ndarray:
         if factor is not None:
             _raise_out_of_range(ts, abs(factor[0]), pair.B.norm_max())
             return _contour_values(ts, pair.B.mat, *factor)
-    _raise_out_of_range(ts, pair.A.norm_max(), pair.B.norm_max())
-    a, b = pair.A.mat, pair.B.mat
-    per_chunk = max(1, _CHUNK_BYTES // (16 * n * n))
-    out = np.empty(ts.size, dtype=float)
-    for lo in range(0, ts.size, per_chunk):
-        chunk = ts[lo : lo + per_chunk]
-        h = chunk[:, None, None] * a + b
-        try:
-            w = np.linalg.eigvalsh((h + h.conj().swapaxes(-1, -2)) / 2.0)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-        _raise_overflow(chunk, w[:, -1])
-        vals = np.sum(np.exp(w), axis=-1)
-        _raise_underflow(chunk, vals)
-        out[lo : lo + chunk.size] = vals
-    return out
+    return _raised(_stacked_trace_values([(pair, ts)])[0])
 
 
 def trace_f(pair: TracePair, t: float) -> float:
@@ -377,13 +395,21 @@ def growth_exponents(pair: TracePair) -> SupportEstimate:
     Raises Overflow (from trace_values), naming the t, when a far value
     overflows or underflows to zero.
     """
+    far = _far_points(pair)
+    return _support_estimate(far, trace_values(pair, far), eigh(pair.A))
+
+
+def _far_points(pair: TracePair) -> np.ndarray:
     norm = pair.A.norm_max()
-    t_far = 40.0 / norm if norm > 0.0 else 1.0
-    far = [2.0 * t_far, t_far, -t_far, -2.0 * t_far]
-    log_2, log_1, log_m1, log_m2 = (math.log(v) for v in trace_values(pair, far))
-    est_max = (log_2 - log_1) / t_far
-    est_min = (log_m1 - log_m2) / t_far
-    w, _ = eigh(pair.A)
+    return np.array([2.0, 1.0, -1.0, -2.0]) * (40.0 / norm if norm > 0.0 else 1.0)
+
+
+def _support_estimate(far: np.ndarray, f_far: np.ndarray, eig_a) -> SupportEstimate:
+    """growth_exponents from the values f_far at _far_points and eig_a = eigh(A) or its error."""
+    log_2, log_1, log_m1, log_m2 = (math.log(v) for v in f_far)
+    est_max = (log_2 - log_1) / far[1]  # far[1] = t_far
+    est_min = (log_m1 - log_m2) / far[1]
+    w, _ = _raised(eig_a)
     return SupportEstimate(
         lambda_min_est=float(est_min),
         lambda_max_est=float(est_max),

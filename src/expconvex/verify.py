@@ -9,15 +9,17 @@ deterministic and order-independent.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import TGrid, check_exponential_convexity, default_grid
+from .convexity import GramMatrix, TGrid, _distinct_sums, default_grid, psd_check
 from .errors import ExpConvexError
 from .hermitian import (
-    HermitianMatrix, lie_product_approx, matrix_exp_hermitian, max_abs, validate_hermitian,
+    HermitianMatrix, _exp_of, _freeze, _raised, _split_step, _stacked_eigh, max_abs,
+    validate_hermitian,
 )
 from .reduction import reduce, reduction_residuals
 from .tolerances import (
@@ -25,13 +27,9 @@ from .tolerances import (
     ROUNDTRIP_TOL, TRACE_INV_TOL,
 )
 from .transform import (
-    TracePair,
-    commuting_measure,
-    growth_exponents,
+    TracePair, _far_points, _stacked_trace_values, _support_estimate, commuting_measure,
     laplace_values,
     trace_f,  # noqa: F401  bench/test_bench.py refers to verify.trace_f
-    trace_function,
-    trace_values,
 )
 
 ENSEMBLE_LAW = (
@@ -43,6 +41,11 @@ ENSEMBLE_LAW = (
 
 # Largest case dimension accepted by run_verification and the verify command.
 MAX_N = 12
+
+# the points of the trace-invariance and round-trip checks
+_LINE = _freeze(np.linspace(-2.0, 2.0, 11))
+# the default grid's 26 distinct sums and (r, s) indices, lazily: a first np.unique costs 0.5 MB
+_uniform_sums = functools.cache(lambda: _distinct_sums(default_grid().points))
 
 
 @dataclass(frozen=True)
@@ -78,16 +81,8 @@ class VerificationReport:
                 "max_n": self.max_n,
                 "seed": self.master_seed,
             },
-            "records": [
-                {
-                    "seed": list(r.seed),
-                    "n": r.n,
-                    "check": r.check,
-                    "passed": r.passed,
-                    "metric": r.metric,
-                }
-                for r in self.records
-            ],
+            # the fields in declaration order, as the report has always listed them
+            "records": [dict(vars(r), seed=list(r.seed)) for r in self.records],
             "summary": {
                 "cases": self.cases,
                 "records": len(self.records),
@@ -113,7 +108,7 @@ def random_grid(rng: np.random.Generator) -> TGrid:
     """Strictly increasing random grid of 8 points on [-2, 2]."""
     while True:
         pts = np.sort(rng.uniform(-2.0, 2.0, size=8))
-        if np.all(np.diff(pts) > GRID_MIN_GAP):
+        if (np.diff(pts) > GRID_MIN_GAP).all():
             return TGrid(pts)
 
 
@@ -145,33 +140,42 @@ def run_case(master_seed: int, index: int, max_n: int) -> list[CaseRecord]:
         min_off = float(m.real[off].min()) if n > 1 else 0.0
         records.append(record("reduce_offdiag_min", min_off >= -OFFDIAG_TOL, min_off))
 
-        ts = np.linspace(-2.0, 2.0, 11)
-        fa = trace_values(pair, ts)
-        fl = trace_values(TracePair(red.L, red.M), ts)
+        # every trace value of the case from one stacked eigvalsh call; each check raises
+        # its group's error (n <= MAX_N < CONTOUR_MIN_N: trace_values is dense here too)
+        cpair = TracePair(red.L, HermitianMatrix(np.diag(np.diag(m).real).astype(complex)))
+        sums_rand, inverse_rand = _distinct_sums(grid_rand.points)
+        far = _far_points(pair)
+        fa, f_uniform, f_rand, f_far, fl, f_round = _stacked_trace_values([
+            (pair, _LINE), (pair, _uniform_sums()[0]), (pair, sums_rand), (pair, far),
+            (TracePair(red.L, red.M), _LINE), (cpair, np.append(_LINE, 0.0)),
+        ])
+        fa, fl = _raised(fa), _raised(fl)
         worst = float(np.max(np.abs(fa - fl) / np.maximum(1.0, fa)))
         records.append(record("trace_invariance", worst <= TRACE_INV_TOL, worst))
 
-        f = trace_function(pair)
-        for check, grid in (("ec_gram_uniform", default_grid()), ("ec_gram_random", grid_rand)):
-            rep = check_exponential_convexity(f, grid)
+        for check, inverse, vals in (("ec_gram_uniform", _uniform_sums()[1], f_uniform),
+                                     ("ec_gram_random", inverse_rand, f_rand)):
+            # gram() without its finiteness check: a value is at most n e^700, finite
+            rep = psd_check(GramMatrix(matrix=_raised(vals)[inverse]))
             records.append(record(check, rep.passed, rep.min_eigenvalue))
 
-        # one reference e^{A+B} for both split-step errors
-        v64 = lie_product_approx(pair.A, pair.B, 64).value
-        ref = matrix_exp_hermitian(validate_hermitian(pair.A.mat + pair.B.mat))
+        # lie_product_approx at p = 64, 128, e^{A+B} and the growth check's eigh(A): one eigh
+        # call; A + B needs no validate_hermitian, as a sum of two exactly Hermitian matrices
+        a, b = pair.A.mat, pair.B.mat
+        eigs = _stacked_eigh([*map(HermitianMatrix, (a / 64, b / 64, a + b, a / 128, b / 128)), pair.A])
+        v64 = _split_step(_exp_of(eigs[0]), _exp_of(eigs[1]), 64)
+        ref = _exp_of(eigs[2])
         e1 = max_abs(v64 - ref)
-        e2 = max_abs(lie_product_approx(pair.A, pair.B, 128).value - ref)
+        e2 = max_abs(_split_step(_exp_of(eigs[3]), _exp_of(eigs[4]), 128) - ref)
         ratio = 0.0 if e1 < LIE_ERROR_FLOOR else e2 / e1
         records.append(record("lie_ratio", ratio <= LIE_RATIO_LIMIT, ratio))
 
         # Round trip on the commuting pair (L, diag M) produced by this case.
-        b_diag = HermitianMatrix(np.diag(np.diag(m).real).astype(complex))
-        cpair = TracePair(red.L, b_diag)
         measure = commuting_measure(cpair)
         # the extra last point, t = 0, gives the reference mass
-        vals = trace_values(cpair, np.append(ts, 0.0))
+        vals = _raised(f_round)
         ft, ref_mass = vals[:-1], float(vals[-1])
-        lt = laplace_values(measure, ts)
+        lt = laplace_values(measure, _LINE)
         worst_rt = float(np.max(np.abs(ft - lt) / np.maximum(1.0, ft)))
         records.append(record("roundtrip_transform", worst_rt <= ROUNDTRIP_TOL, worst_rt))
 
@@ -179,7 +183,7 @@ def run_case(master_seed: int, index: int, max_n: int) -> list[CaseRecord]:
         mass_err = abs(mass - ref_mass) / max(1.0, ref_mass)
         records.append(record("roundtrip_mass", mass_err <= ROUNDTRIP_TOL, mass_err))
 
-        est = growth_exponents(pair)
+        est = _support_estimate(far, _raised(f_far), eigs[5])
         worst_g = max(
             abs(est.lambda_min_est - est.lambda_min_true),
             abs(est.lambda_max_est - est.lambda_max_true),

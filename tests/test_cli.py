@@ -164,6 +164,14 @@ def test_check_ec_tol_flag(tmp_path, capsys):
     assert doc["tolerance"] == pytest.approx(2e-5)
 
 
+def test_check_ec_infinite_tolerance_names_tol(worked_pair, capsys):
+    # tol * max(1, max|G|) overflows: no report, one line that names the flag
+    assert main(["check-ec", worked_pair, "--tol", "1e308"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: --tol 1e+308 ")
+
+
 def test_fit_measure_pauli(tmp_path, capsys):
     f = write_pair(tmp_path / "px.json", np.diag([0.0, 1.0]),
                    np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -26,7 +26,8 @@ from expconvex import (
     validate_hermitian,
     validate_unitary,
 )
-from expconvex.hermitian import _fix_column_phases
+from expconvex.errors import ExpConvexError
+from expconvex.hermitian import _exp_of, _fix_column_phases, _stacked_eigh
 
 COSH1 = math.cosh(1.0)
 SINH1 = math.sinh(1.0)
@@ -306,3 +307,53 @@ def test_exp_entrywise_random_nonneg_offdiag():
         m[off] = np.abs(m[off])
         rep = exp_entrywise_nonneg_check(validate_hermitian(m), tol=1e-12)
         assert rep.holds
+
+
+def _exp_reference(h):
+    # the one-matrix formula on 2-d arrays: eigh, phase fix, V diag(e^w) V*
+    w, v = np.linalg.eigh(h.mat)
+    v = _fix_column_phases(v)
+    e = (v * np.exp(w)) @ v.conj().T
+    return (e + e.conj().T) / 2.0
+
+
+def _stacked_exp(hs):
+    # each matrix's exponential, or the error matrix_exp_hermitian raises for it
+    out = []
+    for eig in _stacked_eigh(hs):
+        try:
+            out.append(_exp_of(eig))
+        except ExpConvexError as exc:
+            out.append(exc)
+    return out
+
+
+def test_stacked_exp_bitwise_equals_matrix_exp():
+    rng = np.random.default_rng(17)
+    for n in range(1, 13):
+        hs = [random_hermitian(rng, n, scale) for scale in (1e-2, 1.0, 30.0)]
+        hs.insert(1, hermitian_from_diag([0.0] * (n - 1) + [701.0]))
+        out = _stacked_exp(hs)
+        assert isinstance(out[1], Overflow)
+        assert str(out[1]) == "largest eigenvalue 701.000 exceeds exp range"
+        for h, e in zip(hs[:1] + hs[2:], out[:1] + out[2:]):
+            assert e.tobytes() == matrix_exp_hermitian(h).tobytes() == _exp_reference(h).tobytes()
+        for h, (w, v) in zip(hs, _stacked_eigh(hs)):
+            w1, v1 = eigh(h)
+            assert (w.tobytes(), v.tobytes()) == (w1.tobytes(), v1.tobytes())
+            assert not (w.flags.writeable or v.flags.writeable)
+
+
+def test_stacked_eigh_charges_a_failure_to_its_matrix(monkeypatch):
+    real = np.linalg.eigh
+
+    def flaky(a):
+        if np.any(a.real == 123.0):
+            raise np.linalg.LinAlgError("did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", flaky)
+    good = hermitian_from_diag([1.0, 2.0])
+    out = _stacked_exp([good, hermitian_from_diag([123.0, 0.0]), good])
+    assert str(out[1]) == "eigensolver failed: did not converge"
+    assert out[0].tobytes() == out[2].tobytes() == matrix_exp_hermitian(good).tobytes()

@@ -8,6 +8,7 @@ import pytest
 
 from expconvex import (
     AtomicMeasure,
+    ConvergenceFailure,
     DimensionMismatch,
     IllConditioned,
     NotCommuting,
@@ -27,6 +28,7 @@ from expconvex import (
     validate_hermitian,
 )
 from expconvex.tolerances import CONTOUR_MIN_N
+from expconvex.transform import _stacked_trace_values
 
 COSH1 = math.cosh(1.0)
 
@@ -352,3 +354,63 @@ def test_trace_function_label():
     f = trace_function(pauli_pair())
     assert "2" in f.label
     assert f(0.0) == pytest.approx(2.0 * COSH1)
+
+
+def test_stacked_kernel_bitwise_equals_trace_values():
+    # n = 12 holds 455 matrices per eigvalsh chunk, so the last batch
+    # (3 x 200 points) spans two chunks, with a group on each side of the cut
+    rng = np.random.default_rng(45)
+    for n, most in [(n, 40) for n in range(2, 13)] + [(12, 201)]:
+        groups = [
+            (random_rank_one_pair(rng, n), rng.uniform(-3.0, 3.0, size=int(rng.integers(1, most))))
+            for _ in range(3)
+        ]
+        if most > 40:
+            groups = [(pair, rng.uniform(-3.0, 3.0, size=200)) for pair, _ in groups]
+        for (pair, ts), vals in zip(groups, _stacked_trace_values(groups)):
+            assert vals.tobytes() == trace_values(pair, ts).tobytes()
+            assert vals.tolist() == [_scalar_trace_reference(pair, float(t)) for t in ts]
+
+
+def _error_or_values(pair, ts):
+    try:
+        return trace_values(pair, ts)
+    except Overflow as exc:
+        return exc
+
+
+def test_stacked_kernel_keeps_each_groups_error():
+    line = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([0.0, 0.0]))
+    cold = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([-800.0, -800.0]))
+    groups = [
+        (pauli_pair(), np.array([0.5, -1.0])),
+        (line, np.array([0.0, 750.0, 720.0])),  # overflow at 750
+        (cold, np.array([100.0, 10.0, -4.0])),  # underflow at 10
+        (line, np.array([1.0, 1e308])),  # out of range, checked before any evaluation
+        (pauli_pair(), np.array([2.0])),
+    ]
+    out = _stacked_trace_values(groups)
+    assert [type(r).__name__ for r in out] == ["ndarray", "Overflow", "Overflow", "Overflow", "ndarray"]
+    for (pair, ts), result in zip(groups, out):
+        expect = _error_or_values(pair, ts)
+        if isinstance(expect, Overflow):
+            assert str(result) == str(expect)
+        else:
+            assert result.tobytes() == expect.tobytes()
+
+
+def test_stacked_kernel_charges_a_failed_eigensolve_to_its_group(monkeypatch):
+    real = np.linalg.eigvalsh
+
+    def flaky(h):
+        if np.any(h.real == 123.0):
+            raise np.linalg.LinAlgError("did not converge")
+        return real(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+    bad = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([123.0, 0.0]))
+    ts = np.array([0.0, 0.5])
+    first, failed, last = _stacked_trace_values([(pauli_pair(), ts), (bad, ts), (pauli_pair(), ts)])
+    assert isinstance(failed, ConvergenceFailure)
+    assert str(failed) == "eigensolver failed: did not converge"
+    assert first.tobytes() == last.tobytes() == trace_values(pauli_pair(), ts).tobytes()
