@@ -26,8 +26,9 @@ from .errors import (
 from .hermitian import (
     HermitianMatrix,
     _check_offdiag_nonneg,
+    _exp_of,
     _freeze,
-    matrix_exp_hermitian,
+    _stacked_eigh,
     max_abs,
 )
 from .tolerances import DEFAULT_PSD_TOL, IMAG_TOL, MIDPOINT_SLACK, OFFDIAG_TOL, ZERO_FUNCTION_TOL
@@ -277,8 +278,8 @@ def entrywise_ec_check(
 
     Requires l diagonal and m with nonnegative real off-diagonal entries;
     under that hypothesis every entry is exponentially convex.  The matrix
-    exponential is evaluated once per distinct exact grid sum and shared
-    across entries.
+    exponential is evaluated once per distinct exact grid sum, all of them
+    from one stacked eigendecomposition, and shared across entries.
     """
     if l.n != m.n:
         raise HypothesisViolated(f"operands are {l.n}x{l.n} and {m.n}x{m.n}")
@@ -287,10 +288,10 @@ def entrywise_ec_check(
     _check_offdiag_nonneg(m, " of the second matrix")
     n = l.n
     ts, inverse = _distinct_sums(grid.points)
-    exps = np.empty((ts.size, n, n), dtype=complex)
-    for i, t in enumerate(ts):
-        h = t * l.mat + m.mat
-        exps[i] = matrix_exp_hermitian(HermitianMatrix((h + h.conj().T) / 2.0))
+    hs = [t * l.mat + m.mat for t in ts]
+    eigs = _stacked_eigh([HermitianMatrix((h + h.conj().T) / 2.0) for h in hs])
+    # in the order of ts, so the first sum that fails raises, as one call per sum would
+    exps = np.array([_exp_of(eig) for eig in eigs])
     max_imag = max_abs(exps.imag)
     entries = exps.real[inverse]
 

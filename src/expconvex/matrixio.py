@@ -7,7 +7,9 @@ canonical, with just the keys "n" and "entries" and n a plain integer, the
 entries of each are parsed by orjson as one flat array of numbers.  Any
 other file is parsed by json and decoded entry by entry, and that route
 reports every error.  All writers serialize with sorted keys and fixed
-indentation so that output bytes are deterministic.
+indentation so that output bytes are deterministic: orjson writes the
+text, and the few number tokens it writes differently from json are
+rewritten, so the bytes are json.dumps's.
 """
 
 from __future__ import annotations
@@ -301,9 +303,58 @@ def ec_report_to_doc(report, label: str, grid_points: np.ndarray) -> dict:
     }
 
 
+# orjson writes the shortest round-trip digits of a float, as float.__repr__
+# does, and lays them out differently in two cases only: its exponents have
+# no "+" and no leading zero ("1e-7", "1e16" where repr writes "1e-07",
+# "1e+16"), and it writes magnitudes in [1e-5, 1e-4) in fixed point
+# ("0.00001234" where repr writes "1.234e-05").  In indented output only a
+# number can end a line before ",\n" or "\n", so these patterns find every
+# such token, and each begins with a literal, which re scans for quickly;
+# compiled on first use, by re's cache
+_ORJSON_EXPONENT = rb"e(-?)([0-9]+)(?=,?\n)"
+_ORJSON_FIXED_POINT = rb"0\.0000[0-9]*(?=,?\n)"
+
+
+def _repr_exponent(match) -> bytes:
+    return b"e" + (match[1] or b"+") + match[2].rjust(2, b"0")
+
+
+def _repr_fixed_point(match) -> bytes:
+    """repr of a token 0.0000..., unless the match is the tail of a longer number."""
+    at = match.start()
+    if at and match.string[at - 1] not in b" -":
+        return match[0]
+    return repr(float(match[0])).encode()
+
+
 def dumps_doc(doc) -> str:
-    """Deterministic serialization: sorted keys, two-space indent, newline."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic serialization: sorted keys, two-space indent, newline.
+
+    The text is json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    plus a newline, byte for byte, and where that call raises, this raises
+    the same error, for any document of dicts, lists, tuples, strings,
+    numbers, booleans and None.  orjson writes it, and its float tokens are
+    laid out as repr lays them out.  json itself writes any document orjson
+    refuses (a non-str key, an int beyond 64 bits, a subclass of a JSON
+    type, deep nesting, a cycle) and any text that holds null (NaN and
+    infinity come out as null), DEL or a non-ASCII byte, which json would
+    escape.  Enum members and UUIDs, which orjson writes and json refuses,
+    are the exception.
+    """
+    # imported on the first write, so that import expconvex.cli never loads it
+    import orjson
+
+    try:
+        data = orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+                            | orjson.OPT_PASSTHROUGH_SUBCLASS | orjson.OPT_PASSTHROUGH_DATACLASS
+                            | orjson.OPT_PASSTHROUGH_DATETIME)
+    except orjson.JSONEncodeError:
+        data = None
+    if data is None or b"null" in data or b"\x7f" in data or not data.isascii():
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    # the newline first, so that a number at the top level ends a line too
+    data = re.sub(_ORJSON_EXPONENT, _repr_exponent, data + b"\n")
+    return re.sub(_ORJSON_FIXED_POINT, _repr_fixed_point, data).decode("ascii")
 
 
 def write_doc(path: str, doc) -> None:

@@ -13,8 +13,10 @@ from expconvex import (
     DichotomyViolated,
     EvaluationFailure,
     GramMatrix,
+    HermitianMatrix,
     HypothesisViolated,
     NegativeScale,
+    Overflow,
     ScalarFunction,
     TGrid,
     TracePair,
@@ -29,6 +31,7 @@ from expconvex import (
     gram,
     hermitian_from_diag,
     lie_trace_function,
+    matrix_exp_hermitian,
     max_abs,
     midpoint_inequality_check,
     psd_check,
@@ -326,20 +329,71 @@ def test_entrywise_ec_worked_instance():
 
 
 def test_entrywise_one_exponential_per_distinct_sum(monkeypatch):
-    calls = []
-    real_exp = convexity.matrix_exp_hermitian
+    # every 2x2 matrix handed to the eigensolver, counted through stacked
+    # calls; the Gram matrices of the PSD checks are 4x4
+    solved = []
+    real_eigh = np.linalg.eigh
 
-    def counting_exp(h):
-        calls.append(h)
-        return real_exp(h)
+    def counting_eigh(a):
+        solved.extend(np.reshape(a, (-1, *np.shape(a)[-2:])))
+        return real_eigh(a)
 
-    monkeypatch.setattr(convexity, "matrix_exp_hermitian", counting_exp)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     grid = TGrid(np.array([-1.0, 0.0, 1.0, 2.5]))
     l = hermitian_from_diag([0.0, 1.0])
     m = validate_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
     res = entrywise_ec_check(l, m, grid)
-    assert len(calls) == np.unique(grid.points[:, None] + grid.points[None, :]).size
+    exps = [a for a in solved if a.shape == (2, 2)]
+    assert len(exps) == np.unique(grid.points[:, None] + grid.points[None, :]).size
     assert res.all_passed
+
+
+def _entrywise_exps_per_sum(l, m, grid):
+    # the reference: one matrix_exp_hermitian call per distinct grid sum
+    ts, _ = convexity._distinct_sums(grid.points)
+    exps = []
+    for t in ts:
+        h = t * l.mat + m.mat
+        exps.append(matrix_exp_hermitian(HermitianMatrix((h + h.conj().T) / 2.0)))
+    return np.array(exps)
+
+
+def _bits(witness):
+    return None if witness is None else witness.tobytes()
+
+
+def test_entrywise_stacked_exponentials_bitwise_equal_per_sum_loop():
+    rng = np.random.default_rng(23)
+    grids = [default_grid(), TGrid.equispaced(-2.0, 3.0, 5), TGrid(np.array([0.5]))]
+    for n in (1, 2, 3, 5, 8):
+        l = hermitian_from_diag(2.0 * rng.normal(size=n))
+        m = np.abs(rng.normal(size=(n, n)))
+        m = validate_hermitian((m + m.T) / 2.0)
+        for grid in grids:
+            expect = _entrywise_exps_per_sum(l, m, grid)
+            ts, inverse = convexity._distinct_sums(grid.points)
+            res = entrywise_ec_check(l, m, grid)
+            assert res.max_imag == max_abs(expect.imag)
+            for j in range(n):
+                for k in range(n):
+                    got = res.reports[j][k]
+                    want = psd_check(GramMatrix(matrix=np.ascontiguousarray(
+                        expect.real[inverse][:, :, j, k])))
+                    assert (got.passed, got.min_eigenvalue, got.tolerance) == (
+                        want.passed, want.min_eigenvalue, want.tolerance)
+                    assert _bits(got.witness) == _bits(want.witness)
+
+
+def test_entrywise_first_overflowing_sum_raises_as_per_sum_loop():
+    # e^{tL + M} overflows from t = 8 on: the first such sum raises, as the loop's would
+    l = hermitian_from_diag([0.0, 100.0])
+    m = validate_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    grid = TGrid(np.array([0.0, 4.0, 8.0]))
+    with pytest.raises(Overflow) as per_sum:
+        _entrywise_exps_per_sum(l, m, grid)
+    with pytest.raises(Overflow) as stacked:
+        entrywise_ec_check(l, m, grid)
+    assert str(stacked.value) == str(per_sum.value)
 
 
 def test_entrywise_diagonal_m_trivial():

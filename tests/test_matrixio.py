@@ -1,7 +1,10 @@
 """Tests for the JSON matrix interchange format and report serializers."""
 
+import dataclasses
+import datetime
 import json
 import re
+import struct
 
 import numpy as np
 import orjson
@@ -21,7 +24,7 @@ from expconvex import (
     reduction_residuals,
     validate_hermitian,
 )
-from expconvex import matrixio
+from expconvex import cli, matrixio
 from expconvex.matrixio import (
     _entry_to_complex,
     _parse_text,
@@ -38,6 +41,7 @@ from expconvex.matrixio import (
     write_doc,
 )
 from expconvex.transform import AtomicMeasure, MeasureFit
+from expconvex.verify import run_verification
 
 
 def test_matrix_doc_round_trip():
@@ -485,6 +489,126 @@ def test_dumps_doc_deterministic():
     assert s1 == s2
     assert s1.endswith("\n")
     assert s1.index('"a"') < s1.index('"b"')
+
+
+def _json_text(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _outcome(write, doc):
+    """The text write returns for doc, or the type and message of what it raises."""
+    try:
+        return write(doc)
+    except Exception as exc:  # the outcomes are compared, whatever they are
+        return type(exc), str(exc)
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# every double, NaN and infinity included, with the spots where orjson's
+# layout of a float differs from repr's drawn on their own
+DUMP_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double),
+    st.builds(float.__mul__, st.floats(1e-5, 1e-4), st.sampled_from([1.0, -1.0])),
+    st.builds(float.__mul__, st.floats(1e16, allow_infinity=False), st.sampled_from([1.0, -1.0])),
+    st.builds(float.__mul__, st.floats(0.0, 1e-300), st.sampled_from([1.0, -1.0])),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-5, -1e-5, 9.999999999999999e-05, 1e-4,
+                     1e16, 9999999999999998.0, 1.7976931348623157e308, 10.00001, -0.00001]),
+)
+DUMP_INTS = st.one_of(st.integers(), st.integers(2**63 - 2, 2**64 + 2),
+                      st.integers(-(2**63) - 2, -(2**63) + 2),
+                      st.integers(-(2**80), 2**80))
+# control characters, DEL, quotes, backslashes, non-ASCII, lone surrogates,
+# and the bytes of number tokens
+DUMP_STRINGS = st.text(st.one_of(
+    st.sampled_from('\x00\x01\x08\x0c\x1f\x7f"\\/\n\r\te0.-+,'),
+    st.characters(max_codepoint=127),
+    st.characters(blacklist_categories=()),
+))
+# None is left to the keys and to the fixed cases: any null sends the whole
+# document to json, which would hide what the rest of it tests
+DUMP_SCALARS = st.one_of(DUMP_FLOATS, DUMP_INTS, DUMP_STRINGS, st.booleans())
+DUMP_KEYS = st.one_of(DUMP_STRINGS, st.sampled_from(["a", "b", "e5", "0.00001"]),
+                      st.integers(-3, 3), st.sampled_from([1.5, True, None]))
+DUMP_DOCS = st.recursive(
+    DUMP_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text("abe0", max_size=3), inner, max_size=4),
+        st.dictionaries(DUMP_KEYS, inner, max_size=3),
+    ),
+    max_leaves=16,
+)
+
+
+@PARITY
+@given(DUMP_DOCS)
+def test_dumps_doc_is_json_dumps(doc):
+    assert _outcome(dumps_doc, doc) == _outcome(_json_text, doc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(DUMP_FLOATS, max_size=32), st.sampled_from(["list", "dict", "top"]))
+def test_dumps_doc_writes_floats_as_json_dumps(values, layout):
+    doc = {"list": values, "dict": {f"k{i}": x for i, x in enumerate(values)},
+           "top": values[0] if values else -1e-5}[layout]
+    assert _outcome(dumps_doc, doc) == _outcome(_json_text, doc)
+
+
+class _Backwards(list):
+    # json iterates a list subclass through its own __iter__
+    def __iter__(self):
+        return reversed(self)
+
+
+@dataclasses.dataclass
+class _Point:
+    x: float
+
+
+def test_dumps_doc_refusals_and_fallbacks_match_json_dumps():
+    cycle, nested = [], {}
+    cycle.append(cycle)
+    nested["x"] = nested
+    deep = [1e-5]
+    for _ in range(300):  # deeper than orjson writes, well within json's limit
+        deep = [deep]
+    docs = [float("nan"), {"a": [1.0, float("-inf")]}, cycle, nested, deep,
+            {1: "a", "b": 2}, 10 ** 5000, np.float64(1e-5), {"s": "\x7f"}, {"\u00e9": 1.0},
+            None, {"witness": None, "x": 1e-5},
+            _Backwards([1e-5, 2.0]), _Point(1.0), datetime.date(2016, 1, 1)]
+    for doc in docs:
+        assert _outcome(dumps_doc, doc) == _outcome(_json_text, doc)
+    assert isinstance(_outcome(_json_text, deep), str)
+    assert _outcome(dumps_doc, cycle) == (ValueError, "Circular reference detected")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_verify_report_is_json_dumps(seed):
+    doc = run_verification(cases=200, max_n=12, seed=seed).to_doc()
+    assert dumps_doc(doc) == _json_text(doc)
+
+
+def test_cli_reports_are_json_dumps(tmp_path, monkeypatch, capsys):
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps({"A": matrix_to_doc(np.diag([0.0, 1.0])),
+                             "B": matrix_to_doc(np.array([[1.0, 1j], [-1j, 3.0]]))}))
+    # every document the CLI hands to dumps_doc, through write_doc too
+    docs = []
+    monkeypatch.setattr(matrixio, "dumps_doc", lambda doc: docs.append(doc) or dumps_doc(doc))
+    # a tolerance this small fails on rounding: a report with a witness
+    assert cli.main(["check-ec", str(f), "--tol", "1e-20", "--grid-n", "16"]) == 3
+    assert cli.main(["check-ec", str(f)]) == 0
+    assert cli.main(["fit-measure", str(f)]) == 0
+    assert cli.main(["reduce", str(f), str(tmp_path / "reduced.json")]) == 0
+    capsys.readouterr()
+    assert docs[0]["witness"] is not None and docs[1]["witness"] is None
+    assert "measure" in docs[2] and "W" in docs[3]
+    for doc in docs:
+        assert dumps_doc(doc) == _json_text(doc)
 
 
 def test_write_doc_round_trip(tmp_path):
