@@ -26,12 +26,11 @@ from .errors import (
     Overflow,
     RankNotOne,
 )
-from .hermitian import validate_hermitian
+from .hermitian import eigh, validate_hermitian
 from .reduction import reduce, reduction_residuals
 from .transform import (
     TracePair,
     fit_measure,
-    growth_exponents,
     sample_trace_f,
     trace_function,
 )
@@ -154,8 +153,9 @@ def cmd_fit_measure(args) -> int:
     # the flags are checked before the file is read
     pair = _load_pair(args.input)
 
-    est = growth_exponents(pair)
-    lo, hi = est.lambda_min_est, est.lambda_max_est
+    # the measure of tr e^{tA+B} lives on [lambda_min(A), lambda_max(A)] (Stahl's theorem)
+    w, _ = eigh(pair.A)
+    lo, hi = w[0], w[-1]
     if hi - lo < SUPPORT_MIN_WIDTH:
         mid = (lo + hi) / 2.0
         lo, hi = mid - 0.5, mid + 0.5

@@ -288,8 +288,8 @@ def entrywise_ec_check(
     _check_offdiag_nonneg(m, " of the second matrix")
     n = l.n
     ts, inverse = _distinct_sums(grid.points)
-    hs = [t * l.mat + m.mat for t in ts]
-    eigs = _stacked_eigh([HermitianMatrix((h + h.conj().T) / 2.0) for h in hs])
+    # t*L + M is exactly Hermitian for real t, as L and M are stored symmetrized
+    eigs = _stacked_eigh([HermitianMatrix(t * l.mat + m.mat) for t in ts])
     # in the order of ts, so the first sum that fails raises, as one call per sum would
     exps = np.array([_exp_of(eig) for eig in eigs])
     max_imag = max_abs(exps.imag)

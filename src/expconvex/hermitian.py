@@ -241,7 +241,7 @@ def lie_product_approx(
     value = _split_step(*exps, p)
     err = None
     if with_reference:
-        ref = matrix_exp_hermitian(validate_hermitian(x.mat + y.mat))
+        ref = matrix_exp_hermitian(HermitianMatrix(x.mat + y.mat))
         err = max_abs(value - ref)
     return LieApproximation(value=_freeze(value), reference_error=err)
 

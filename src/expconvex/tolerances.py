@@ -30,7 +30,7 @@ COMM_TOL = 1e-10  # relative ||AB - BA||_max for a pair to commute
 ATOM_MERGE_TOL = 1e-9  # atom locations this close are one atom
 RIDGE_REG = 1e-10  # default ridge weight of the NNLS measure fit
 HOLDOUT_LIMIT = 1e-3  # fit-measure passes at this relative holdout error or below
-SUPPORT_MIN_WIDTH = 1e-3  # a narrower support estimate is widened to unit width
+SUPPORT_MIN_WIDTH = 1e-3  # a narrower spec(A) range, as of A = cI, is widened to unit width
 
 # verify records
 RESIDUAL_TOL = 1e-10  # ||W A W* - L||_max and ||W B W* - M||_max
@@ -38,5 +38,5 @@ TRACE_INV_TOL = 1e-9  # relative gap of tr e^{tA+B} and tr e^{tL+M}
 LIE_RATIO_LIMIT = 0.75  # Lie error ratio e(128)/e(64); first order gives 0.5
 LIE_ERROR_FLOOR = 1e-300  # a p = 64 Lie error below this is zero; the ratio is 0
 ROUNDTRIP_TOL = 1e-10  # relative error of the commuting measure's transform and mass
-GROWTH_TOL = 0.05  # error of the log-slope support estimates against spec(A)
+GROWTH_TOL = 0.05  # error of the log-slope support estimates against spec(A), in verify only
 GRID_MIN_GAP = 1e-6  # smallest spacing of a random grid, so its Gram is not degenerate

@@ -123,9 +123,9 @@ class MeasureFit:
 # long batch at large n holds one chunk of (k, n, n) at a time, not all k.
 _CHUNK_BYTES = 2**20
 
-# Largest |t| ||A|| + ||B|| at which a kernel evaluates t: below it t*A + B, its
-# symmetrization (twice the entries) and t*lambda with the contour bracket stay
-# finite, with a factor 2 to spare for rounding.
+# Largest |t| ||A|| + ||B|| at which a kernel evaluates t: below it t*A + B and
+# t*lambda with the contour bracket (up to twice that) stay finite, with a factor
+# 2 to spare for rounding.
 _MAX_SCALE = sys.float_info.max / 4
 
 # Midpoint nodes theta_k in (0, pi) of the Talbot parabola
@@ -256,9 +256,8 @@ def _stacked_trace_values(groups) -> list:
             chunk, hi = ts_all[lo : lo + per_chunk], lo + per_chunk
             parts = [ts[max(lo - start, 0) : max(hi - start, 0), None, None] * p.A.mat + p.B.mat
                      for (p, ts), start in zip(groups, starts)]
+            # t*A + B is exactly Hermitian for real t, as A and B are stored symmetrized
             h = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            h += h.conj().swapaxes(-1, -2)  # in place: a stack holds no second copy
-            h /= 2.0
             try:
                 w = np.linalg.eigvalsh(h)
             except np.linalg.LinAlgError as exc:

@@ -12,6 +12,8 @@ import pytest
 from expconvex import cli
 from expconvex.cli import MAX_GRID_N, MAX_RESOLUTION, MAX_T_POINTS, main
 from expconvex.matrixio import matrix_from_doc
+from expconvex.tolerances import HOLDOUT_LIMIT
+from expconvex.verify import random_rank_one_pair
 
 
 def write_pair(path, a, b):
@@ -272,18 +274,35 @@ def test_overflow_exits_4_and_names_t(tmp_path, capsys, command):
     assert "exceeds exp range at t = " in err
 
 
-@pytest.mark.parametrize(
-    "b_diag, t",
-    [((-800.0, -800.0), "40.0"), ((-800.0, -700.0), "-80.0")],
-    ids=["t=40", "t=-80"],
-)
-def test_trace_underflow_exits_4_and_names_t(tmp_path, capsys, b_diag, t):
-    # every eigenvalue of tA + B is below -745 at that far point: e^x underflows to 0
-    f = write_pair(tmp_path / "small.json", np.diag([0.0, 1.0]), np.diag(b_diag))
+def test_trace_underflow_exits_4_and_names_t(tmp_path, capsys):
+    # f(t) = e^-800 (1 + e^t) is 0.0 in double precision at the first sample t = -2
+    f = write_pair(tmp_path / "small.json", np.diag([0.0, 1.0]), np.diag([-800.0, -800.0]))
     assert main(["fit-measure", f]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: numerical failure: ")
-    assert err.rstrip().endswith(f"at t = {t}")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: numerical failure: trace value 0.0 underflows at t = -2.0\n"
+
+
+def test_fit_measure_needs_no_far_points(tmp_path, capsys):
+    # f(t) = e^-800 + e^(t - 700) underflows at the far point t = -80 of growth_exponents,
+    # but not on the sampled [-2, 2], where it is e^(t - 700): one atom at 1 of [0, 1]
+    f = write_pair(tmp_path / "small.json", np.diag([0.0, 1.0]), np.diag([-800.0, -700.0]))
+    assert main(["fit-measure", f]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["holdout_error"] <= HOLDOUT_LIMIT
+    assert all(0.0 <= loc <= 1.0 for loc, _ in doc["measure"]["atoms"])
+
+
+def test_fit_measure_large_rank_one_pair_exits_0(tmp_path, capsys):
+    # the support comes from spec(A), so no far point t ~ 80 / ||A||_max overflows at n = 64
+    pair = random_rank_one_pair(np.random.default_rng([4242, 64, 0]), 64)
+    f = write_pair(tmp_path / "n64.json", pair.A.mat, pair.B.mat)
+    assert main(["fit-measure", f]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["holdout_error"] <= HOLDOUT_LIMIT
+    w = np.linalg.eigvalsh(pair.A.mat)
+    slack = 1e-12 * pair.A.norm_max()
+    assert all(w[0] - slack <= loc <= w[-1] + slack for loc, _ in doc["measure"]["atoms"])
 
 
 def test_check_ec_trace_underflow_exits_4(tmp_path, capsys):

@@ -260,6 +260,18 @@ def test_growth_exponents_zero_a():
     assert est.lambda_max_est == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "b_diag, t",
+    [((-800.0, -800.0), "40.0"), ((-800.0, -700.0), "-80.0")],
+    ids=["t=40", "t=-80"],
+)
+def test_growth_exponents_far_underflow_names_t(b_diag, t):
+    # every eigenvalue of tA + B is below -745 at that far point: e^x underflows to 0
+    pair = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag(b_diag))
+    with pytest.raises(Overflow, match=rf"^trace value 0\.0 underflows at t = {t}$"):
+        growth_exponents(pair)
+
+
 def test_growth_exponents_random_within_tolerance():
     rng = np.random.default_rng(45)
     for _ in range(10):
