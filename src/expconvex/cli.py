@@ -157,8 +157,10 @@ def cmd_fit_measure(args) -> int:
     w, _ = eigh(pair.A)
     lo, hi = w[0], w[-1]
     if hi - lo < SUPPORT_MIN_WIDTH:
+        # a unit-width window with the point mass at mid on node (R - 1) // 2 of the R atoms
         mid = (lo + hi) / 2.0
-        lo, hi = mid - 0.5, mid + 0.5
+        lo = mid - ((args.resolution - 1) // 2) / max(args.resolution - 1, 1)
+        hi = lo + 1.0
     samples = sample_trace_f(pair, TGrid.equispaced(-2.0, 2.0, args.t_points))
     fit = fit_measure(samples, (lo, hi), args.resolution, reg=args.reg)
     sys.stdout.write(matrixio.dumps_doc(matrixio.fit_to_doc(fit)))

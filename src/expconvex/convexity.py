@@ -171,16 +171,27 @@ def psd_check(g: GramMatrix, tol: float = DEFAULT_PSD_TOL) -> ECReport:
     witness is the corresponding unit eigenvector.  Full eigendecomposition
     rather than Cholesky so a failure always carries its certificate.
     """
-    w, v = np.linalg.eigh(g.matrix)
-    abs_tol = tol * max(1.0, max_abs(g.matrix))
-    min_eig = float(w[0])
-    witness = v[:, 0].copy()
-    return ECReport(
-        passed=bool(min_eig >= -abs_tol),
-        min_eigenvalue=min_eig,
-        witness=_freeze(witness),
-        tolerance=abs_tol,
-    )
+    return _stacked_psd([g], tol)[0]
+
+
+def _stacked_psd(gs, tol: float = DEFAULT_PSD_TOL) -> list:
+    """psd_check of every Gram matrix of gs, all of one size, by one stacked eigh call, bit for
+    bit."""
+    mats = gs[0].matrix[None] if len(gs) == 1 else np.array([g.matrix for g in gs])
+    w, v = np.linalg.eigh(mats)
+    # max(1, ||G||_max) as Python's max takes it (a NaN entry gives 1), times tol in Python
+    # floats, which overflow to inf without a warning
+    scales = np.fmax(np.abs(mats).max(axis=(-2, -1), initial=0.0), 1.0).tolist()
+    abs_tols = [tol * scale for scale in scales]
+    return [
+        ECReport(
+            passed=min_eig >= -abs_tol,
+            min_eigenvalue=min_eig,
+            witness=_freeze(vk[:, 0].copy()),
+            tolerance=abs_tol,
+        )
+        for min_eig, vk, abs_tol in zip(w[:, 0].tolist(), v, abs_tols)
+    ]
 
 
 def check_exponential_convexity(
@@ -295,11 +306,8 @@ def entrywise_ec_check(
     max_imag = max_abs(exps.imag)
     entries = exps.real[inverse]
 
-    reports = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            gm = GramMatrix(matrix=_freeze(np.ascontiguousarray(entries[:, :, j, k])))
-            row.append(psd_check(gm, tol))
-        reports.append(tuple(row))
-    return EntrywiseECResult(reports=tuple(reports), max_imag=float(max_imag), imag_tol=imag_tol)
+    # the n^2 entry Gram matrices, row by row, in one eigh call
+    grams = [GramMatrix(matrix=entries[:, :, j, k]) for j in range(n) for k in range(n)]
+    flat = _stacked_psd(grams, tol)
+    reports = tuple(tuple(flat[j * n : (j + 1) * n]) for j in range(n))
+    return EntrywiseECResult(reports=reports, max_imag=float(max_imag), imag_tol=imag_tol)

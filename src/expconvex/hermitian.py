@@ -40,7 +40,7 @@ def _as_complex_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-    if not (np.isfinite(a.real).all() and np.isfinite(a.imag).all()):
+    if not np.isfinite(a).all():
         raise NonFinite("matrix contains NaN or Inf entries")
     return a
 
@@ -119,12 +119,13 @@ def validate_hermitian(m) -> HermitianMatrix:
     """
     a = _as_complex_square(m)
     tol = HERMITIAN_TOL * max(1.0, max_abs(a))
-    dev = max_abs(a - a.conj().T)
+    a_star = a.conj().T
+    dev = max_abs(a - a_star)
     if dev > tol:
         raise NotHermitian(
             f"deviation from conjugate transpose is {dev:.3e}, tolerance {tol:.3e}"
         )
-    sym = (a + a.conj().T) / 2.0
+    sym = (a + a_star) / 2.0
     return HermitianMatrix(_freeze(sym))
 
 
@@ -178,20 +179,29 @@ def _stacked_eigh(hs) -> list:
     v = _fix_column_phases(v)
     residuals = np.abs(mats @ v - v * w[:, None, :]).max(axis=(-2, -1), initial=0.0).tolist()
     limits = (EIGH_RESIDUAL_TOL * np.abs(mats).max(axis=(-2, -1), initial=1.0)).tolist()
+    # each result is a view of the frozen stacks, so it is frozen too
+    _freeze(w)
+    _freeze(v)
     return [
         ConvergenceFailure(f"reconstruction residual {r:.3e} exceeds {limit:.3e}")
-        if r > limit else (_freeze(wk), _freeze(vk))
+        if r > limit else (wk, vk)
         for wk, vk, r, limit in zip(w, v, residuals, limits)
     ]
 
 
 def _exp_of(eig) -> np.ndarray:
-    """e^H = V diag(e^w) V*, symmetrized, from eig = (w, v), one result of _stacked_eigh."""
+    """e^H = V diag(e^w) V*, symmetrized, from eig = (w, v), one result of _stacked_eigh.
+
+    w and v may also stack k results, (k, n) and (k, n, n): one broadcast then gives every
+    member's exponential with the bits of its own call, and the largest eigenvalue of the
+    stack is the one an Overflow names.
+    """
     w, v = _raised(eig)
-    if w.size and float(w[-1]) > EXP_OVERFLOW_LIMIT:
-        raise Overflow(f"largest eigenvalue {_eigenvalue_text(w[-1], 3)} exceeds exp range")
-    out = (v * np.exp(w)) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    # eigenvalues ascend, so w.max() is the stack's largest top eigenvalue
+    if w.size and (top := w.max()) > EXP_OVERFLOW_LIMIT:
+        raise Overflow(f"largest eigenvalue {_eigenvalue_text(top, 3)} exceeds exp range")
+    out = (v * np.exp(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (out + out.conj().swapaxes(-1, -2)) / 2.0
 
 
 def eigh(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -246,11 +256,45 @@ def lie_product_approx(
     return LieApproximation(value=_freeze(value), reference_error=err)
 
 
-def _split_step(ex: np.ndarray, ey: np.ndarray, p: int) -> np.ndarray:
-    value = np.linalg.matrix_power(ex @ ey, p)
-    if not (np.isfinite(value.real).all() and np.isfinite(value.imag).all()):
+def _split_step(ex: np.ndarray, ey: np.ndarray, p) -> np.ndarray:
+    """(ex ey)^p by np.linalg.matrix_power.
+
+    ex and ey may also stack k factors, with p then k ascending powers of two: all
+    members are squared together, the products matrix_power forms, and member j
+    stops after log2(p[j]) squarings.  The result is the (k, n, n) stack of powers.
+    """
+    if np.ndim(p) == 0:
+        value = np.linalg.matrix_power(ex @ ey, p)
+    else:
+        z, power, value = ex @ ey, 1, np.empty_like(ex)
+        for j, pj in enumerate(p):
+            while power < pj:
+                z, power = z @ z, 2 * power
+            value[j], z = z[0], z[1:]
+    if not np.isfinite(value).all():
         raise Overflow("split-step product overflowed double precision")
     return value
+
+
+def _lie_reference_errors(x: HermitianMatrix, y: HermitianMatrix, eigs, ps) -> list:
+    """lie_product_approx(x, y, p, with_reference=True).reference_error for each p of ps.
+
+    ps holds ascending powers of two and eigs = _stacked_eigh([x, y, x + y]).  eigh(x / p)
+    is (w / p, v) of eigh(x) bit for bit, as dividing by a power of two scales every
+    rounding of the eigensolver exactly and keeps its residual within the limit, so the
+    2 len(ps) + 1 exponentials are one broadcast and the split steps one stack.  When an
+    eigendecomposition failed or an exponential would overflow, lie_product_approx itself
+    evaluates every p, and raises its errors in its order.
+    """
+    if not any(isinstance(e, ExpConvexError) for e in eigs):
+        (wx, vx), (wy, vy), (wxy, vxy) = eigs
+        k = len(ps)
+        w = np.array([wx / p for p in ps] + [wy / p for p in ps] + [wxy])
+        if w.max() <= EXP_OVERFLOW_LIMIT:
+            exps = _exp_of((w, np.array([vx] * k + [vy] * k + [vxy])))
+            values = _split_step(exps[:k], exps[k : 2 * k], ps)
+            return np.abs(values - exps[-1]).max(axis=(-2, -1), initial=0.0).tolist()
+    return [lie_product_approx(x, y, p, with_reference=True).reference_error for p in ps]
 
 
 def _check_offdiag_nonneg(m: HermitianMatrix, what: str = "") -> None:

@@ -327,6 +327,17 @@ def _repr_fixed_point(match) -> bytes:
     return repr(float(match[0])).encode()
 
 
+def _holds_non_finite(doc) -> bool:
+    """Whether a document orjson wrote, so one of exact JSON types, holds a NaN or an infinity."""
+    if type(doc) is float:
+        return not math.isfinite(doc)
+    if type(doc) is dict:
+        return any(map(_holds_non_finite, doc.values()))
+    if type(doc) in (list, tuple):
+        return any(map(_holds_non_finite, doc))
+    return False
+
+
 def dumps_doc(doc) -> str:
     """Deterministic serialization: sorted keys, two-space indent, newline.
 
@@ -336,10 +347,11 @@ def dumps_doc(doc) -> str:
     numbers, booleans and None.  orjson writes it, and its float tokens are
     laid out as repr lays them out.  json itself writes any document orjson
     refuses (a non-str key, an int beyond 64 bits, a subclass of a JSON
-    type, deep nesting, a cycle) and any text that holds null (NaN and
-    infinity come out as null), DEL or a non-ASCII byte, which json would
-    escape.  Enum members and UUIDs, which orjson writes and json refuses,
-    are the exception.
+    type, deep nesting, a cycle), any document with a NaN or an infinity,
+    which orjson writes as null (so a text that holds null has its document
+    searched for one), and any text that holds DEL or a non-ASCII byte,
+    which json would escape.  Enum members and UUIDs, which orjson writes
+    and json refuses, are the exception.
     """
     # imported on the first write, so that import expconvex.cli never loads it
     import orjson
@@ -350,7 +362,8 @@ def dumps_doc(doc) -> str:
                             | orjson.OPT_PASSTHROUGH_DATETIME)
     except orjson.JSONEncodeError:
         data = None
-    if data is None or b"null" in data or b"\x7f" in data or not data.isascii():
+    if (data is None or b"\x7f" in data or not data.isascii()
+            or (b"null" in data and _holds_non_finite(doc))):
         return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     # the newline first, so that a number at the top level ends a line too
     data = re.sub(_ORJSON_EXPONENT, _repr_exponent, data + b"\n")

@@ -22,9 +22,9 @@ from .hermitian import (
     HermitianMatrix,
     UnitaryMatrix,
     _freeze,
+    _raised,
     conjugate,
     eigh,
-    max_abs,
 )
 from .tolerances import PHASE_ZERO_TOL, RANK_TOL_FACTOR
 
@@ -76,7 +76,12 @@ def assert_rank_one(a: HermitianMatrix, rank_tol: float | None = None) -> RankOn
     """
     if rank_tol is None:
         rank_tol = RANK_TOL_FACTOR * a.norm_max()
-    w, v = eigh(a)
+    return _rank_one_certificate(eigh(a), rank_tol)
+
+
+def _rank_one_certificate(eig_a, rank_tol: float) -> RankOneCertificate:
+    """assert_rank_one from eig_a = eigh(a), or the error _stacked_eigh kept for it."""
+    w, v = _raised(eig_a)
     big = np.flatnonzero(np.abs(w) > rank_tol)
     if big.size != 1:
         raise RankNotOne(
@@ -132,9 +137,14 @@ def reduce(a: HermitianMatrix, b: HermitianMatrix) -> ReductionResult:
     """
     if a.n != b.n:
         raise DimensionMismatch(f"operands are {a.n}x{a.n} and {b.n}x{b.n}")
-    n = a.n
+    return _reduce(a, b, eigh(a))
 
-    cert = assert_rank_one(a)
+
+def _reduce(a: HermitianMatrix, b: HermitianMatrix, eig_a) -> ReductionResult:
+    """reduce(a, b) for a and b of one size, from eig_a = eigh(a) or the error _stacked_eigh
+    kept for it."""
+    n = a.n
+    cert = _rank_one_certificate(eig_a, RANK_TOL_FACTOR * a.norm_max())
     u = corner_diagonalizer(cert)
     b1 = conjugate(u, b).mat
 
@@ -186,6 +196,6 @@ def reduce(a: HermitianMatrix, b: HermitianMatrix) -> ReductionResult:
 def reduction_residuals(a: HermitianMatrix, b: HermitianMatrix, result: ReductionResult) -> tuple[float, float]:
     """Max-norm residuals (||W A W* - L||, ||W B W* - M||) of a reduction."""
     w = result.W.mat
-    ra = max_abs(w @ a.mat @ w.conj().T - result.L.mat)
-    rb = max_abs(w @ b.mat @ w.conj().T - result.M.mat)
+    diffs = w @ np.array([a.mat, b.mat]) @ w.conj().T - np.array([result.L.mat, result.M.mat])
+    ra, rb = np.abs(diffs).max(axis=(-2, -1), initial=0.0).tolist()
     return ra, rb

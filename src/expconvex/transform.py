@@ -242,20 +242,28 @@ def _stacked_trace_values(groups) -> list:
     """The dense kernel: tr e^{tA + B} for every (pair, ts) of groups, all pairs of one size n.
 
     The matrices tA + B of all groups go to one eigvalsh call per chunk of about 1 MiB, and a
-    value has the bits of its point alone.  Per group: its values or the error trace_values
-    raises for it, so a stack that fails is evaluated again group by group.
+    value has the bits of its point alone.  Adjacent groups of one pair form a run, whose
+    points share one double-range check and one tA + B product per chunk.  Per group: its
+    values or the error trace_values raises for it, so a stack that fails is evaluated
+    again group by group.
     """
     per_chunk = max(1, _CHUNK_BYTES // (16 * groups[0][0].n ** 2))
     starts = list(accumulate((ts.size for _, ts in groups), initial=0))
     ts_all = np.concatenate([ts for _, ts in groups])
+    runs = []  # [pair, start, stop] over ts_all
+    for (p, _), start, stop in zip(groups, starts, starts[1:]):
+        if runs and runs[-1][0] is p:
+            runs[-1][2] = stop
+        else:
+            runs.append([p, start, stop])
     vals = np.empty(ts_all.size)
     try:
-        for p, ts in groups:
-            _raise_out_of_range(ts, p.A.norm_max(), p.B.norm_max())
+        for p, start, stop in runs:
+            _raise_out_of_range(ts_all[start:stop], p.A.norm_max(), p.B.norm_max())
         for lo in range(0, ts_all.size, per_chunk):
             chunk, hi = ts_all[lo : lo + per_chunk], lo + per_chunk
-            parts = [ts[max(lo - start, 0) : max(hi - start, 0), None, None] * p.A.mat + p.B.mat
-                     for (p, ts), start in zip(groups, starts)]
+            parts = [ts_all[max(lo, start) : min(hi, stop), None, None] * p.A.mat + p.B.mat
+                     for p, start, stop in runs if start < hi and lo < stop]
             # t*A + B is exactly Hermitian for real t, as A and B are stored symmetrized
             h = parts[0] if len(parts) == 1 else np.concatenate(parts)
             try:
@@ -355,7 +363,8 @@ def commuting_measure(pair: TracePair) -> AtomicMeasure:
     """
     a, b = pair.A.mat, pair.B.mat
     comm = max_abs(a @ b - b @ a)
-    scale = max(1.0, pair.A.norm_max() * pair.B.norm_max())
+    a_norm = pair.A.norm_max()
+    scale = max(1.0, a_norm * pair.B.norm_max())
     if comm > COMM_TOL * scale:
         raise NotCommuting(
             f"||AB - BA||_max = {comm:.3e} exceeds {COMM_TOL * scale:.3e}"
@@ -365,7 +374,7 @@ def commuting_measure(pair: TracePair) -> AtomicMeasure:
     v = v.copy()
 
     # Within each eigenspace of A, rotate to diagonalize the projection of B.
-    group_tol = ATOM_MERGE_TOL * max(1.0, pair.A.norm_max())
+    group_tol = ATOM_MERGE_TOL * max(1.0, a_norm)
     start = 0
     n = pair.n
     while start < n:

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import GramMatrix, TGrid, _distinct_sums, default_grid, psd_check
+from .convexity import GramMatrix, TGrid, _distinct_sums, _stacked_psd, default_grid
 from .errors import ExpConvexError
 from .hermitian import (
-    HermitianMatrix, _exp_of, _freeze, _raised, _split_step, _stacked_eigh, max_abs,
-    validate_hermitian,
+    HermitianMatrix, _freeze, _lie_reference_errors, _raised, _stacked_eigh, validate_hermitian,
 )
-from .reduction import reduce, reduction_residuals
+from .reduction import _reduce, reduction_residuals
 from .tolerances import (
     GRID_MIN_GAP, GROWTH_TOL, LIE_ERROR_FLOOR, LIE_RATIO_LIMIT, OFFDIAG_TOL, RESIDUAL_TOL,
     ROUNDTRIP_TOL, TRACE_INV_TOL,
@@ -42,8 +41,9 @@ ENSEMBLE_LAW = (
 # Largest case dimension accepted by run_verification and the verify command.
 MAX_N = 12
 
-# the points of the trace-invariance and round-trip checks
+# the points of the trace-invariance and round-trip checks; t = 0 gives the reference mass
 _LINE = _freeze(np.linspace(-2.0, 2.0, 11))
+_LINE_AND_ZERO = _freeze(np.append(_LINE, 0.0))
 # the default grid's 26 distinct sums and (r, s) indices, lazily: a first np.unique costs 0.5 MB
 _uniform_sums = functools.cache(lambda: _distinct_sums(default_grid().points))
 
@@ -130,7 +130,10 @@ def run_case(master_seed: int, index: int, max_n: int) -> list[CaseRecord]:
 
     records: list[CaseRecord] = []
     try:
-        red = reduce(pair.A, pair.B)
+        # every eigendecomposition of A, B and A + B the case needs, in one call; A + B needs
+        # no validate_hermitian, as a sum of two exactly Hermitian matrices
+        eigs = _stacked_eigh([pair.A, pair.B, HermitianMatrix(pair.A.mat + pair.B.mat)])
+        red = _reduce(pair.A, pair.B, eigs[0])
         ra, rb = reduction_residuals(pair.A, pair.B, red)
         records.append(record("reduce_wavw_l", ra <= RESIDUAL_TOL, ra))
         records.append(record("reduce_wbw_m", rb <= RESIDUAL_TOL, rb))
@@ -147,32 +150,33 @@ def run_case(master_seed: int, index: int, max_n: int) -> list[CaseRecord]:
         far = _far_points(pair)
         fa, f_uniform, f_rand, f_far, fl, f_round = _stacked_trace_values([
             (pair, _LINE), (pair, _uniform_sums()[0]), (pair, sums_rand), (pair, far),
-            (TracePair(red.L, red.M), _LINE), (cpair, np.append(_LINE, 0.0)),
+            (TracePair(red.L, red.M), _LINE), (cpair, _LINE_AND_ZERO),
         ])
         fa, fl = _raised(fa), _raised(fl)
         worst = float(np.max(np.abs(fa - fl) / np.maximum(1.0, fa)))
         records.append(record("trace_invariance", worst <= TRACE_INV_TOL, worst))
 
-        for check, inverse, vals in (("ec_gram_uniform", _uniform_sums()[1], f_uniform),
-                                     ("ec_gram_random", inverse_rand, f_rand)):
-            # gram() without its finiteness check: a value is at most n e^700, finite
-            rep = psd_check(GramMatrix(matrix=_raised(vals)[inverse]))
+        # gram() without its finiteness check (a value is at most n e^700, finite), and the
+        # Gram matrices up to the first failed group in one eigh call: its error follows
+        # the records of the checks before it
+        grams = []
+        for inverse, vals in ((_uniform_sums()[1], f_uniform), (inverse_rand, f_rand)):
+            if isinstance(vals, ExpConvexError):
+                break
+            grams.append(GramMatrix(matrix=vals[inverse]))
+        reports = _stacked_psd(grams) if grams else []
+        for check, rep in zip(("ec_gram_uniform", "ec_gram_random"), reports):
             records.append(record(check, rep.passed, rep.min_eigenvalue))
+        _raised(f_uniform)
+        _raised(f_rand)
 
-        # lie_product_approx at p = 64, 128, e^{A+B} and the growth check's eigh(A): one eigh
-        # call; A + B needs no validate_hermitian, as a sum of two exactly Hermitian matrices
-        a, b = pair.A.mat, pair.B.mat
-        eigs = _stacked_eigh([*map(HermitianMatrix, (a / 64, b / 64, a + b, a / 128, b / 128)), pair.A])
-        v64 = _split_step(_exp_of(eigs[0]), _exp_of(eigs[1]), 64)
-        ref = _exp_of(eigs[2])
-        e1 = max_abs(v64 - ref)
-        e2 = max_abs(_split_step(_exp_of(eigs[3]), _exp_of(eigs[4]), 128) - ref)
+        # lie_product_approx at p = 64 and 128 with its reference e^{A+B}
+        e1, e2 = _lie_reference_errors(pair.A, pair.B, eigs, (64, 128))
         ratio = 0.0 if e1 < LIE_ERROR_FLOOR else e2 / e1
         records.append(record("lie_ratio", ratio <= LIE_RATIO_LIMIT, ratio))
 
         # Round trip on the commuting pair (L, diag M) produced by this case.
         measure = commuting_measure(cpair)
-        # the extra last point, t = 0, gives the reference mass
         vals = _raised(f_round)
         ft, ref_mass = vals[:-1], float(vals[-1])
         lt = laplace_values(measure, _LINE)
@@ -183,7 +187,7 @@ def run_case(master_seed: int, index: int, max_n: int) -> list[CaseRecord]:
         mass_err = abs(mass - ref_mass) / max(1.0, ref_mass)
         records.append(record("roundtrip_mass", mass_err <= ROUNDTRIP_TOL, mass_err))
 
-        est = _support_estimate(far, _raised(f_far), eigs[5])
+        est = _support_estimate(far, _raised(f_far), eigs[0])
         worst_g = max(
             abs(est.lambda_min_est - est.lambda_min_true),
             abs(est.lambda_max_est - est.lambda_max_true),

@@ -577,3 +577,18 @@ def test_scipy_loaded_only_by_fit_measure(tmp_path, worked_pair, module, unloade
     for step in ["import"] + unloaded:
         assert doc["loaded"][step] == [], step
     assert loaded_name in doc["loaded"][loader]
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, 2.5, -3.0])
+@pytest.mark.parametrize("resolution", [64, 63, 1])
+def test_fit_measure_scalar_a_puts_an_atom_at_c(tmp_path, capsys, c, resolution):
+    # spec(cI) = {c}: the widened unit-width atom grid has a node at c, so the point mass
+    # e^B's trace sits on one atom, not split over two nodes around c
+    rng = np.random.default_rng(99)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    f = write_pair(tmp_path / "scalar.json", c * np.eye(4), (g + g.conj().T) / 2.0)
+    assert main(["fit-measure", f, "--resolution", str(resolution)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["holdout_error"] <= 1e-5
+    locations = [loc for loc, _ in doc["measure"]["atoms"]]
+    assert min(abs(loc - c) for loc in locations) <= 1e-12 * max(1.0, abs(c))

@@ -10,6 +10,7 @@ import pytest
 
 from expconvex import convexity
 from expconvex import (
+    DEFAULT_PSD_TOL,
     DichotomyViolated,
     EvaluationFailure,
     GramMatrix,
@@ -415,3 +416,27 @@ def test_entrywise_rejects_nondiagonal_l():
     m = hermitian_from_diag([0.0, 0.0])
     with pytest.raises(HypothesisViolated):
         entrywise_ec_check(l, m, three_grid())
+
+
+def _psd_one_eigh(g, tol=DEFAULT_PSD_TOL):
+    # psd_check with an eigh call of its own
+    w, v = np.linalg.eigh(g.matrix)
+    abs_tol = tol * max(1.0, max_abs(g.matrix))
+    return bool(w[0] >= -abs_tol), float(w[0]), v[:, 0].tobytes(), abs_tol
+
+
+def test_stacked_psd_bitwise_equals_one_eigh_per_matrix():
+    rng = np.random.default_rng(31)
+    for size in (1, 2, 5, 8):
+        gs = []
+        for scale in (1e-3, 1.0, 1e3, 1e300):
+            m = scale * rng.standard_normal((size, size))
+            gs.append(GramMatrix(matrix=(m + m.T) / 2.0))
+        for tol in (DEFAULT_PSD_TOL, 1e10):
+            # at 1e10 * 1e300 the tolerance is inf, without a warning
+            for g, rep in zip(gs, convexity._stacked_psd(gs, tol)):
+                got = (rep.passed, rep.min_eigenvalue, rep.witness.tobytes(), rep.tolerance)
+                assert got == _psd_one_eigh(g, tol)
+                single = psd_check(g, tol)
+                assert got == (single.passed, single.min_eigenvalue, single.witness.tobytes(),
+                               single.tolerance)

@@ -27,7 +27,10 @@ from expconvex import (
     validate_unitary,
 )
 from expconvex.errors import ExpConvexError
-from expconvex.hermitian import _exp_of, _fix_column_phases, _stacked_eigh
+from expconvex.hermitian import (
+    _exp_of, _fix_column_phases, _lie_reference_errors, _split_step, _stacked_eigh,
+)
+from expconvex import random_rank_one_pair
 
 COSH1 = math.cosh(1.0)
 SINH1 = math.sinh(1.0)
@@ -357,3 +360,102 @@ def test_stacked_eigh_charges_a_failure_to_its_matrix(monkeypatch):
     out = _stacked_exp([good, hermitian_from_diag([123.0, 0.0]), good])
     assert str(out[1]) == "eigensolver failed: did not converge"
     assert out[0].tobytes() == out[2].tobytes() == matrix_exp_hermitian(good).tobytes()
+
+
+def _ensemble_pairs():
+    # ten pairs of the verify ensemble for each n = 2..12
+    rng = np.random.default_rng(2024)
+    return [random_rank_one_pair(rng, n) for n in range(2, 13) for _ in range(10)]
+
+
+def test_eigh_of_a_power_of_two_scaling_is_the_scaled_eigh():
+    # dividing by 2^k scales every rounding of the eigensolver exactly: eigh(H / 2^k) = (w / 2^k, V)
+    for pair in _ensemble_pairs():
+        for h in (pair.A, pair.B):
+            w, v = eigh(h)
+            for k in (6, 7):
+                ws, vs = eigh(HermitianMatrix(h.mat / 2**k))
+                assert ws.tobytes() == (w / 2**k).tobytes()
+                assert vs.tobytes() == v.tobytes()
+
+
+def test_stacked_exponentials_and_squarings_equal_one_at_a_time():
+    for pair in _ensemble_pairs():
+        eigs = [(w / p, v) for w, v in _stacked_eigh([pair.A, pair.B]) for p in (64, 128)]
+        exps = _exp_of((np.array([w for w, _ in eigs]), np.array([v for _, v in eigs])))
+        for e, eig in zip(exps, eigs):
+            assert e.tobytes() == _exp_of(eig).tobytes()
+        # the (2, n, n) stack squared six times, its second member once more
+        values = _split_step(exps[0::2], exps[1::2], (64, 128))
+        for value, (ex, ey, p) in zip(values, [(exps[0], exps[1], 64), (exps[2], exps[3], 128)]):
+            assert value.tobytes() == _split_step(ex, ey, p).tobytes()
+    for ps in [(1, 2, 4, 8), (1,), (4, 4, 16)]:
+        exps = np.array([_exp_of(eig) for eig in _stacked_eigh([pair.A, pair.B])] * len(ps))
+        values = _split_step(exps[0::2], exps[1::2], ps)
+        for value, p in zip(values, ps):
+            assert value.tobytes() == _split_step(exps[0], exps[1], p).tobytes()
+
+
+def _sequential_lie_errors(x, y):
+    # lie_product_approx's reference errors at p = 64, then 128, or the first error raised
+    try:
+        return [lie_product_approx(x, y, p, with_reference=True).reference_error for p in (64, 128)]
+    except ExpConvexError as exc:
+        return exc
+
+
+def _stacked_lie_errors(x, y):
+    try:
+        eigs = _stacked_eigh([x, y, HermitianMatrix(x.mat + y.mat)])
+        return _lie_reference_errors(x, y, eigs, (64, 128))
+    except ExpConvexError as exc:
+        return exc
+
+
+def test_lie_reference_errors_equal_lie_product_approx():
+    for pair in _ensemble_pairs():
+        assert _stacked_lie_errors(pair.A, pair.B) == _sequential_lie_errors(pair.A, pair.B)
+
+
+@pytest.mark.parametrize("x, y, message", [
+    # e^{x/64} overflows first
+    ([0.0, 701.0 * 64], [0.0, 1.0], "largest eigenvalue 701.000 exceeds exp range"),
+    # then e^{y/64}
+    ([0.0, 1.0], [0.0, 701.0 * 64], "largest eigenvalue 701.000 exceeds exp range"),
+    # every exponential is in range, the split step at p = 64 is not
+    ([0.0, 355.0], [0.0, 355.0], "split-step product overflowed double precision"),
+    # the split step at p = 64 overflows before e^{x+y} would
+    ([0.0, 712.0], [0.0, 1.0], "split-step product overflowed double precision"),
+    # the split steps are finite, e^{x+y} is not
+    ([0.0, 705.0], [0.0, 1.0], "largest eigenvalue 706.000 exceeds exp range"),
+])
+def test_lie_reference_errors_raise_as_lie_product_approx(x, y, message):
+    x, y = hermitian_from_diag(x), hermitian_from_diag(y)
+    # an overflowing split step also makes matmul warn, in both
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked, sequential = _stacked_lie_errors(x, y), _sequential_lie_errors(x, y)
+    assert isinstance(stacked, Overflow) and isinstance(sequential, Overflow)
+    assert str(stacked) == str(sequential) == message
+
+
+@pytest.mark.parametrize("marker, expect", [
+    # eigh fails on y = diag(2, 3), not on y / 64 or y / 128: lie_product_approx's values
+    (2.0, list),
+    # and on x + y = diag(3, 3), whose error follows the first split step
+    (3.0, "eigensolver failed: did not converge"),
+])
+def test_lie_reference_errors_after_a_failed_eigendecomposition(monkeypatch, marker, expect):
+    real = np.linalg.eigh
+
+    def flaky(a):
+        if np.any(a.real == marker):
+            raise np.linalg.LinAlgError("did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", flaky)
+    x, y = hermitian_from_diag([1.0, 0.0]), hermitian_from_diag([2.0, 3.0])
+    stacked, sequential = _stacked_lie_errors(x, y), _sequential_lie_errors(x, y)
+    if expect is list:
+        assert isinstance(stacked, list) and stacked == sequential
+    else:
+        assert str(stacked) == str(sequential) == expect

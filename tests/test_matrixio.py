@@ -578,7 +578,8 @@ def test_dumps_doc_refusals_and_fallbacks_match_json_dumps():
         deep = [deep]
     docs = [float("nan"), {"a": [1.0, float("-inf")]}, cycle, nested, deep,
             {1: "a", "b": 2}, 10 ** 5000, np.float64(1e-5), {"s": "\x7f"}, {"\u00e9": 1.0},
-            None, {"witness": None, "x": 1e-5},
+            None, {"witness": None, "x": 1e-5}, {"witness": None, "x": [1.0, float("nan")]},
+            ({"null": [None, 2.5e-5]},), {"s": "null", "v": [float("inf")]},
             _Backwards([1e-5, 2.0]), _Point(1.0), datetime.date(2016, 1, 1)]
     for doc in docs:
         assert _outcome(dumps_doc, doc) == _outcome(_json_text, doc)
@@ -609,6 +610,21 @@ def test_cli_reports_are_json_dumps(tmp_path, monkeypatch, capsys):
     assert "measure" in docs[2] and "W" in docs[3]
     for doc in docs:
         assert dumps_doc(doc) == _json_text(doc)
+
+
+def test_passing_check_ec_report_is_written_by_orjson_alone(tmp_path, monkeypatch, capsys):
+    # the null of a passing report's witness is None, not a NaN: json.dumps is not called
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps({"A": matrix_to_doc(np.diag([0.0, 1.0])),
+                             "B": matrix_to_doc(np.array([[1.0, 1j], [-1j, 3.0]]))}))
+    calls = []
+    real_dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or real_dumps(*a, **k))
+    assert cli.main(["check-ec", str(f)]) == 0
+    assert calls == []
+    out = capsys.readouterr().out
+    assert json.loads(out)["witness"] is None
+    assert out == real_dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_write_doc_round_trip(tmp_path):

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expconvex import (
+    ConvergenceFailure,
     DimensionMismatch,
+    HermitianMatrix,
     RankNotOne,
     TracePair,
     assert_rank_one,
@@ -22,7 +24,9 @@ from expconvex import (
     trace_values,
     validate_hermitian,
 )
+from expconvex.hermitian import _stacked_eigh
 from expconvex.matrixio import dumps_doc, matrix_from_doc, reduction_to_doc
+from expconvex.reduction import _reduce
 from expconvex.tolerances import RESIDUAL_TOL, TRACE_INV_TOL, UNITARY_TOL
 
 
@@ -341,3 +345,40 @@ def test_property_reduce_tiny_lambda(seed, n, scale, sign, ts):
     # |lambda| of the order of RANK_TOL_FACTOR: the rank test is relative
     beta, w = _gaussian(seed, n)
     _assert_reduction_properties(_pair(seed, np.sort(beta), w, sign * 10.0**scale), ts)
+
+
+def _residuals_one_at_a_time(a, b, red):
+    w = red.W.mat
+    return (max_abs(w @ a.mat @ w.conj().T - red.L.mat),
+            max_abs(w @ b.mat @ w.conj().T - red.M.mat))
+
+
+def test_reduce_from_a_stacked_eigendecomposition_is_reduce():
+    # verify hands reduce the eigh(A) of its stacked (A, B, A + B) call
+    rng = np.random.default_rng(47)
+    for n in range(1, 13):
+        a, _, _ = random_rank_one(rng, n)
+        b = random_hermitian(rng, n)
+        eigs = _stacked_eigh([a, b, HermitianMatrix(a.mat + b.mat)])
+        red, want = _reduce(a, b, eigs[0]), reduce(a, b)
+        residuals = reduction_residuals(a, b, red)
+        assert residuals == _residuals_one_at_a_time(a, b, want)
+        assert dumps_doc(reduction_to_doc(red, residuals)) == dumps_doc(
+            reduction_to_doc(want, reduction_residuals(a, b, want)))
+
+
+def test_reduce_from_a_failed_eigendecomposition_raises_it(monkeypatch):
+    real = np.linalg.eigh
+
+    def flaky(m):
+        if np.any(m.real == 5.0):
+            raise np.linalg.LinAlgError("did not converge")
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", flaky)
+    a, b = hermitian_from_diag([0.0, 5.0]), hermitian_from_diag([1.0, 2.0])
+    with pytest.raises(ConvergenceFailure) as stacked:
+        _reduce(a, b, _stacked_eigh([a, b])[0])
+    with pytest.raises(ConvergenceFailure) as single:
+        reduce(a, b)
+    assert str(stacked.value) == str(single.value) == "eigensolver failed: did not converge"

@@ -426,3 +426,24 @@ def test_stacked_kernel_charges_a_failed_eigensolve_to_its_group(monkeypatch):
     assert isinstance(failed, ConvergenceFailure)
     assert str(failed) == "eigensolver failed: did not converge"
     assert first.tobytes() == last.tobytes() == trace_values(pauli_pair(), ts).tobytes()
+
+
+def test_stacked_kernel_adjacent_groups_of_one_pair():
+    # groups of one pair side by side share a range check and a tA + B product; at n = 12
+    # a chunk holds 455 matrices, so the cut falls inside the first pair's run
+    rng = np.random.default_rng(46)
+    p, q = random_rank_one_pair(rng, 12), random_rank_one_pair(rng, 12)
+    sizes = [(p, 200), (p, 200), (p, 100), (q, 50), (p, 7), (p, 0), (q, 3)]
+    groups = [(pair, rng.uniform(-3.0, 3.0, size=k)) for pair, k in sizes]
+    for (pair, ts), vals in zip(groups, _stacked_trace_values(groups)):
+        assert vals.tobytes() == trace_values(pair, ts).tobytes()
+
+
+def test_stacked_kernel_charges_a_range_error_to_its_group_alone():
+    line = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([0.0, 0.0]))
+    groups = [(line, np.array([0.5, -1.0])), (line, np.array([1.0, 1e308])),
+              (line, np.array([2.0]))]
+    first, failed, last = _stacked_trace_values(groups)
+    assert str(failed) == "t*A + B leaves the double-precision range at t = 1e+308"
+    assert first.tobytes() == trace_values(line, [0.5, -1.0]).tobytes()
+    assert last.tobytes() == trace_values(line, [2.0]).tobytes()

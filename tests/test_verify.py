@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from expconvex import TracePair, hermitian_from_diag, run_case, run_verification, random_rank_one_pair
+from expconvex import (
+    TGrid, TracePair, commuting_measure, default_grid, gram, growth_exponents,
+    hermitian_from_diag, laplace_values, lie_product_approx, psd_check, random_rank_one_pair,
+    reduce, reduction_residuals, run_case, run_verification, trace_function, trace_values,
+)
 from expconvex import verify
 from expconvex.matrixio import dumps_doc
+from expconvex.tolerances import LIE_ERROR_FLOOR
 
 # the checks of one case, in record order
 CHECK_ORDER = [
@@ -126,14 +131,92 @@ def test_run_case_evaluates_every_trace_value_in_one_eigvalsh_call(monkeypatch):
         shapes.clear()
 
 
-def test_run_case_takes_the_lie_exponentials_from_one_stacked_eigh(monkeypatch):
-    shapes = _count_calls(monkeypatch, "eigh")
+def test_run_case_eigendecomposes_each_distinct_matrix_once(monkeypatch):
+    real = np.linalg.eigh
+    mats = []
+
+    def recorded(a, *args, **kwargs):
+        mats.append(np.array(a, copy=True))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
     for index in range(4):
+        rng = np.random.default_rng([0, index])
+        n = int(rng.integers(2, 8))
+        verify.random_grid(rng)
+        pair = random_rank_one_pair(rng, n)
         records = run_case(0, index, max_n=7)
-        n = records[0].n
-        # e^{A/64}, e^{B/64}, e^{A+B}, e^{A/128}, e^{B/128} and the growth
-        # check's A in one call; the others: A and a block of B in reduce, two
-        # Gram matrices, L and its degenerate block in commuting_measure
-        assert shapes.count((6, n, n)) == 1
-        assert len(shapes) <= 7
-        shapes.clear()
+        assert [r.check for r in records] == CHECK_ORDER
+        # A, B and A + B in one call, which reduce, the Lie exponentials and the growth check
+        # read; a block of B in reduce; both Gram matrices in one call; L and its degenerate
+        # block in commuting_measure
+        assert [np.shape(m) for m in mats] == [
+            (3, n, n), (1, n - 1, n - 1), (2, 8, 8), (1, n, n), (n - 1, n - 1)]
+        assert [m.tobytes() for m in mats[0]] == [
+            pair.A.mat.tobytes(), pair.B.mat.tobytes(), (pair.A.mat + pair.B.mat).tobytes()]
+        # no scaled A or B: e^{A/p} and e^{B/p} come from eigh(A) and eigh(B)
+        scaled = {(h / p).tobytes() for h in (pair.A.mat, pair.B.mat) for p in (64, 128)}
+        square = {m.tobytes() for stack in mats if stack.shape[-2:] == (n, n)
+                  for m in stack.reshape(-1, n, n)}
+        assert not scaled & square
+        mats.clear()
+
+
+def _public_metrics(seed, index, max_n):
+    """The metric of every check of a case, from the public one-item functions."""
+    rng = np.random.default_rng([seed, index])
+    n = int(rng.integers(2, max_n + 1))
+    grid = verify.random_grid(rng)
+    pair = random_rank_one_pair(rng, n)
+    line = np.linspace(-2.0, 2.0, 11)
+    red = reduce(pair.A, pair.B)
+    ra, rb = reduction_residuals(pair.A, pair.B, red)
+    m = red.M.mat
+    min_off = float(m.real[~np.eye(n, dtype=bool)].min())
+    fa, fl = trace_values(pair, line), trace_values(TracePair(red.L, red.M), line)
+    worst = float(np.max(np.abs(fa - fl) / np.maximum(1.0, fa)))
+    ec = [psd_check(gram(trace_function(pair), g)).min_eigenvalue for g in (default_grid(), grid)]
+    e1, e2 = (lie_product_approx(pair.A, pair.B, p, with_reference=True).reference_error
+              for p in (64, 128))
+    ratio = 0.0 if e1 < LIE_ERROR_FLOOR else e2 / e1
+    cpair = TracePair(red.L, hermitian_from_diag(np.diag(m).real))
+    measure = commuting_measure(cpair)
+    ft = trace_values(cpair, line)
+    worst_rt = float(np.max(np.abs(ft - laplace_values(measure, line)) / np.maximum(1.0, ft)))
+    ref_mass = float(trace_values(cpair, [0.0])[0])
+    mass_err = abs(measure.total_mass - ref_mass) / max(1.0, ref_mass)
+    est = growth_exponents(pair)
+    worst_g = max(abs(est.lambda_min_est - est.lambda_min_true),
+                  abs(est.lambda_max_est - est.lambda_max_true))
+    return [ra, rb, min_off, worst, *ec, ratio, worst_rt, mass_err, worst_g]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_run_case_metrics_equal_the_public_functions_bit_for_bit(seed):
+    # the bytes of a verify report do not depend on how run_case shares work between checks
+    for index in range(40):
+        records = run_case(seed, index, max_n=12)
+        assert [r.check for r in records] == CHECK_ORDER
+        assert [r.metric.hex() for r in records] == [
+            float(x).hex() for x in _public_metrics(seed, index, 12)]
+
+
+def test_a_failed_random_gram_group_follows_the_uniform_record(monkeypatch):
+    # the random grid's sum 2 * 1.3 is no point of the other groups: eigvalsh fails on it
+    real = np.linalg.eigvalsh
+    marked = []
+
+    def flaky(h):
+        if any(np.array_equal(m, 2.6 * marked[0].A.mat + marked[0].B.mat) for m in h):
+            raise np.linalg.LinAlgError("did not converge")
+        return real(h)
+
+    def pair(rng, n):
+        marked.append(random_rank_one_pair(rng, n))
+        return marked[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+    monkeypatch.setattr(verify, "random_rank_one_pair", pair)
+    monkeypatch.setattr(verify, "random_grid", lambda rng: TGrid(np.array([-1.9, 0.1, 1.3])))
+    names = [r.check for r in run_case(0, 0, max_n=7)]
+    assert names == CHECK_ORDER[:5] + ["case_error(ConvergenceFailure)"]
