@@ -3,14 +3,13 @@
 A function f on the reals is exponentially convex when every kernel matrix
 [f(t_r + t_s)] over a finite grid is positive semidefinite.  This module
 builds those Gram matrices, tests them with an eigenvalue-based PSD check
-that returns a witness vector on failure, checks the midpoint inequality
-f(t1+t2) <= sqrt(f(2 t1) f(2 t2)) and the zero-or-positive dichotomy, and
-provides the closure combinators (nonnegative scaling, sum, product).
+that returns a witness vector on failure, checks the zero-or-positive
+dichotomy, and provides the closure combinators (nonnegative scaling, sum,
+product).
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -31,7 +30,7 @@ from .hermitian import (
     _stacked_eigh,
     max_abs,
 )
-from .tolerances import DEFAULT_PSD_TOL, IMAG_TOL, MIDPOINT_SLACK, OFFDIAG_TOL, ZERO_FUNCTION_TOL
+from .tolerances import DEFAULT_PSD_TOL, IMAG_TOL, OFFDIAG_TOL, ZERO_FUNCTION_TOL
 
 
 @dataclass(frozen=True)
@@ -120,13 +119,6 @@ class ECReport:
 
 
 @dataclass(frozen=True)
-class MidpointReport:
-    holds: bool
-    lhs: float
-    rhs: float
-
-
-@dataclass(frozen=True)
 class DichotomyReport:
     all_zero: bool
     all_positive: bool
@@ -201,18 +193,6 @@ def check_exponential_convexity(
     return psd_check(gram(f, grid), tol)
 
 
-def midpoint_inequality_check(f: ScalarFunction, t1: float, t2: float) -> MidpointReport:
-    """Check f(t1+t2) <= sqrt(f(2 t1) f(2 t2)), the 2x2 minor inequality."""
-    lhs, p1, p2 = _evaluate(f, np.array([t1 + t2, 2.0 * t1, 2.0 * t2])).tolist()
-    prod = p1 * p2
-    if prod < 0.0:
-        raise EvaluationFailure(
-            f"{f.label} takes opposite signs at 2*t1, 2*t2; sqrt undefined"
-        )
-    rhs = math.sqrt(prod)
-    return MidpointReport(holds=bool(lhs <= rhs * (1.0 + MIDPOINT_SLACK)), lhs=lhs, rhs=rhs)
-
-
 def dichotomy_check(f: ScalarFunction, grid: TGrid) -> DichotomyReport:
     """On the grid, f must be identically ~0 or everywhere positive.
 
@@ -250,11 +230,6 @@ def ec_product(f1: ScalarFunction, f2: ScalarFunction) -> ScalarFunction:
     return ScalarFunction(
         fn=lambda ts: f1.fn(ts) * f2.fn(ts), label=f"product({f1.label},{f2.label})"
     )
-
-
-def exp_function(mu: float) -> ScalarFunction:
-    """The elementary exponentially convex function t -> e^{t mu}."""
-    return ScalarFunction(fn=lambda ts: np.exp(ts * mu), label=f"exp({mu:g}t)")
 
 
 @dataclass(frozen=True)

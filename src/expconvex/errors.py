@@ -17,10 +17,6 @@ class NonFinite(ExpConvexError):
     """Matrix or function value contains NaN or Inf."""
 
 
-class NotUnitary(ExpConvexError):
-    """Matrix deviates from unitarity beyond tolerance."""
-
-
 class ConvergenceFailure(ExpConvexError):
     """Iterative eigensolver failed to converge or missed its residual bound."""
 

@@ -1,4 +1,4 @@
-"""Validated Hermitian/unitary matrix types and the core dense operations.
+"""The validated Hermitian matrix type and the core dense operations.
 
 Everything here works on small dense complex matrices.  Matrix exponentials
 are computed through the Hermitian eigendecomposition, which preserves
@@ -20,12 +20,10 @@ from .errors import (
     NonFinite,
     NotHermitian,
     NotSquare,
-    NotUnitary,
     Overflow,
 )
 from .tolerances import (
     EIGH_RESIDUAL_TOL, EXP_OVERFLOW_LIMIT, HERMITIAN_TOL, OFFDIAG_TOL, PHASE_ANCHOR_TOL,
-    UNITARY_TOL,
 )
 
 
@@ -70,22 +68,6 @@ class HermitianMatrix:
 
 
 @dataclass(frozen=True)
-class UnitaryMatrix:
-    """An n x n complex matrix meant to be unitary.
-
-    Only validate_unitary checks ||U U* - I||_max <= UNITARY_TOL; the
-    reduction wraps the unitaries it builds (corner reflection, block
-    diagonalizer, W) without a check.
-    """
-
-    mat: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
-
-
-@dataclass(frozen=True)
 class PerronShift:
     """A shift rho with shifted = M + rho*I having all entries nonnegative."""
 
@@ -127,15 +109,6 @@ def validate_hermitian(m) -> HermitianMatrix:
         )
     sym = (a + a_star) / 2.0
     return HermitianMatrix(_freeze(sym))
-
-
-def validate_unitary(m) -> UnitaryMatrix:
-    """Validate ||m m* - I||_max <= UNITARY_TOL and wrap."""
-    a = _as_complex_square(m)
-    dev = max_abs(a @ a.conj().T - np.eye(a.shape[0]))
-    if dev > UNITARY_TOL:
-        raise NotUnitary(f"||U U* - I||_max = {dev:.3e} > {UNITARY_TOL:.3e}")
-    return UnitaryMatrix(_freeze(a.copy()))
 
 
 def _raised(result):
@@ -224,11 +197,11 @@ def matrix_exp_hermitian(h: HermitianMatrix) -> np.ndarray:
     return _exp_of(_stacked_eigh([h])[0])
 
 
-def conjugate(u: UnitaryMatrix, h: HermitianMatrix) -> HermitianMatrix:
-    """Unitary conjugation U h U*; preserves the trace and the spectrum."""
-    if u.n != h.n:
-        raise DimensionMismatch(f"unitary is {u.n}x{u.n}, matrix is {h.n}x{h.n}")
-    out = u.mat @ h.mat @ u.mat.conj().T
+def conjugate(u: np.ndarray, h: HermitianMatrix) -> HermitianMatrix:
+    """Conjugation U h U* by a unitary array u; preserves the trace and the spectrum."""
+    if u.shape != h.mat.shape:
+        raise DimensionMismatch(f"unitary has shape {u.shape}, matrix is {h.n}x{h.n}")
+    out = u @ h.mat @ u.conj().T
     return HermitianMatrix(_freeze((out + out.conj().T) / 2.0))
 
 
@@ -262,15 +235,17 @@ def _split_step(ex: np.ndarray, ey: np.ndarray, p) -> np.ndarray:
     ex and ey may also stack k factors, with p then k ascending powers of two: all
     members are squared together, the products matrix_power forms, and member j
     stops after log2(p[j]) squarings.  The result is the (k, n, n) stack of powers.
+    A product that leaves the double range raises Overflow, with no numpy warning.
     """
-    if np.ndim(p) == 0:
-        value = np.linalg.matrix_power(ex @ ey, p)
-    else:
-        z, power, value = ex @ ey, 1, np.empty_like(ex)
-        for j, pj in enumerate(p):
-            while power < pj:
-                z, power = z @ z, 2 * power
-            value[j], z = z[0], z[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.ndim(p) == 0:
+            value = np.linalg.matrix_power(ex @ ey, p)
+        else:
+            z, power, value = ex @ ey, 1, np.empty_like(ex)
+            for j, pj in enumerate(p):
+                while power < pj:
+                    z, power = z @ z, 2 * power
+                value[j], z = z[0], z[1:]
     if not np.isfinite(value).all():
         raise Overflow("split-step product overflowed double precision")
     return value

@@ -253,7 +253,7 @@ def reduction_to_doc(result, residuals: tuple[float, float]) -> dict:
     tr = result.trace
     omega = np.diag(tr.omegas)
     return {
-        "W": matrix_to_doc(result.W.mat),
+        "W": matrix_to_doc(result.W),
         "L": matrix_to_doc(result.L.mat),
         "M": matrix_to_doc(result.M.mat),
         "residuals": {
@@ -261,16 +261,16 @@ def reduction_to_doc(result, residuals: tuple[float, float]) -> dict:
             "wbw_minus_m": float(residuals[1]),
         },
         "trace": {
-            "U": matrix_to_doc(tr.U.mat),
+            "U": matrix_to_doc(tr.U),
             "B_block": matrix_to_doc(tr.B_block.mat),
             "b_col": complex_vector_to_doc(tr.b_col),
             "mu_n": float(tr.mu_n),
-            "V_block": matrix_to_doc(tr.V_block.mat),
+            "V_block": matrix_to_doc(tr.V_block),
             "M_block": real_vector_to_doc(tr.M_block),
             "g": complex_vector_to_doc(tr.g),
             "omegas": complex_vector_to_doc(tr.omegas),
             "Omega": matrix_to_doc(omega),
-            "W_block": matrix_to_doc(omega @ tr.V_block.mat),
+            "W_block": matrix_to_doc(omega @ tr.V_block),
             "g_abs": real_vector_to_doc(np.abs(tr.g)),
         },
     }

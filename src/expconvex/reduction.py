@@ -18,23 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, RankNotOne
-from .hermitian import (
-    HermitianMatrix,
-    UnitaryMatrix,
-    _freeze,
-    _raised,
-    conjugate,
-    eigh,
-)
+from .hermitian import HermitianMatrix, _freeze, _raised, conjugate, eigh
 from .tolerances import PHASE_ZERO_TOL, RANK_TOL_FACTOR
-
-
-@dataclass(frozen=True)
-class RankOneCertificate:
-    """The single nonzero eigenvalue of a rank-one Hermitian matrix and its unit eigenvector."""
-
-    lambda_n: float
-    direction: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -47,11 +32,11 @@ class ReductionTrace:
     W's leading block is diag(omegas) V_block and M's coupling column is |g|.
     """
 
-    U: UnitaryMatrix
+    U: np.ndarray
     B_block: HermitianMatrix
     b_col: np.ndarray
     mu_n: float
-    V_block: UnitaryMatrix
+    V_block: np.ndarray
     M_block: np.ndarray
     g: np.ndarray
     omegas: np.ndarray
@@ -61,26 +46,19 @@ class ReductionTrace:
 class ReductionResult:
     """The unitary W with W A W* = L, W B W* = M, plus the construction trace."""
 
-    W: UnitaryMatrix
+    W: np.ndarray
     L: HermitianMatrix
     M: HermitianMatrix
     trace: ReductionTrace
 
 
-def assert_rank_one(a: HermitianMatrix, rank_tol: float | None = None) -> RankOneCertificate:
-    """Certify that a has exactly one eigenvalue of magnitude above rank_tol.
+def _rank_one_certificate(eig_a, rank_tol: float) -> tuple[float, np.ndarray]:
+    """(lambda, v): the one eigenvalue of magnitude above rank_tol and its unit eigenvector,
+    from eig_a = eigh(a) or the error _stacked_eigh kept for it.
 
-    rank_tol defaults to RANK_TOL_FACTOR * ||a||_max.  Raises RankNotOne
-    (carrying the spectrum) when zero or several eigenvalues exceed the
-    threshold.
+    Raises RankNotOne (carrying the spectrum) when zero or several
+    eigenvalues exceed the threshold.
     """
-    if rank_tol is None:
-        rank_tol = RANK_TOL_FACTOR * a.norm_max()
-    return _rank_one_certificate(eigh(a), rank_tol)
-
-
-def _rank_one_certificate(eig_a, rank_tol: float) -> RankOneCertificate:
-    """assert_rank_one from eig_a = eigh(a), or the error _stacked_eigh kept for it."""
     w, v = _raised(eig_a)
     big = np.flatnonzero(np.abs(w) > rank_tol)
     if big.size != 1:
@@ -90,20 +68,16 @@ def _rank_one_certificate(eig_a, rank_tol: float) -> RankOneCertificate:
             spectrum=w.copy(),
         )
     k = int(big[0])
-    return RankOneCertificate(
-        lambda_n=float(w[k]),
-        direction=_freeze(v[:, k].copy()),
-    )
+    return float(w[k]), v[:, k]
 
 
-def corner_diagonalizer(cert: RankOneCertificate) -> UnitaryMatrix:
-    """Householder reflection U mapping the certified direction to the last axis.
+def corner_diagonalizer(v: np.ndarray) -> np.ndarray:
+    """Householder reflection U mapping the unit vector v to the last axis, as a frozen array.
 
     U is Hermitian and unitary, and U A U* = diag(0, ..., 0, lambda_n) for
     A = lambda_n * v v*.  The reflection sends v to alpha*e_n with the unit
     phase alpha chosen to avoid cancellation.
     """
-    v = cert.direction
     n = v.shape[0]
     e_last = np.zeros(n, dtype=complex)
     e_last[-1] = 1.0
@@ -111,7 +85,7 @@ def corner_diagonalizer(cert: RankOneCertificate) -> UnitaryMatrix:
     alpha = -vn / abs(vn) if abs(vn) > 0.0 else 1.0 + 0.0j
     w = v - alpha * e_last
     u = np.eye(n, dtype=complex) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real
-    return UnitaryMatrix(_freeze(u))
+    return _freeze(u)
 
 
 def phase_matrix(g) -> np.ndarray:
@@ -144,8 +118,8 @@ def _reduce(a: HermitianMatrix, b: HermitianMatrix, eig_a) -> ReductionResult:
     """reduce(a, b) for a and b of one size, from eig_a = eigh(a) or the error _stacked_eigh
     kept for it."""
     n = a.n
-    cert = _rank_one_certificate(eig_a, RANK_TOL_FACTOR * a.norm_max())
-    u = corner_diagonalizer(cert)
+    lambda_n, v = _rank_one_certificate(eig_a, RANK_TOL_FACTOR * a.norm_max())
+    u = corner_diagonalizer(v)
     b1 = conjugate(u, b).mat
 
     b_block = HermitianMatrix(_freeze(b1[: n - 1, : n - 1].copy()))
@@ -164,10 +138,10 @@ def _reduce(a: HermitianMatrix, b: HermitianMatrix, eig_a) -> ReductionResult:
     w_full = np.zeros((n, n), dtype=complex)
     w_full[: n - 1, : n - 1] = w_block
     w_full[n - 1, n - 1] = 1.0
-    w_full = w_full @ u.mat
+    w_full = w_full @ u
 
     l_mat = np.zeros((n, n), dtype=complex)
-    l_mat[n - 1, n - 1] = cert.lambda_n
+    l_mat[n - 1, n - 1] = lambda_n
 
     m_mat = np.zeros((n, n), dtype=complex)
     m_mat[: n - 1, : n - 1] = np.diag(mus)
@@ -180,13 +154,13 @@ def _reduce(a: HermitianMatrix, b: HermitianMatrix, eig_a) -> ReductionResult:
         B_block=b_block,
         b_col=_freeze(b_col),
         mu_n=mu_n,
-        V_block=UnitaryMatrix(_freeze(v_block)),
+        V_block=_freeze(v_block),
         M_block=mus,
         g=_freeze(g),
         omegas=omegas,
     )
     return ReductionResult(
-        W=UnitaryMatrix(_freeze(w_full)),
+        W=_freeze(w_full),
         L=HermitianMatrix(_freeze(l_mat)),
         M=HermitianMatrix(_freeze(m_mat)),
         trace=trace,
@@ -195,7 +169,7 @@ def _reduce(a: HermitianMatrix, b: HermitianMatrix, eig_a) -> ReductionResult:
 
 def reduction_residuals(a: HermitianMatrix, b: HermitianMatrix, result: ReductionResult) -> tuple[float, float]:
     """Max-norm residuals (||W A W* - L||, ||W B W* - M||) of a reduction."""
-    w = result.W.mat
+    w = result.W
     diffs = w @ np.array([a.mat, b.mat]) @ w.conj().T - np.array([result.L.mat, result.M.mat])
     ra, rb = np.abs(diffs).max(axis=(-2, -1), initial=0.0).tolist()
     return ra, rb

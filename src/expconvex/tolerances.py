@@ -5,7 +5,6 @@
 
 # matrix validation and eigendecomposition
 HERMITIAN_TOL = 1e-12  # relative ||m - m*||_max for a matrix to count as Hermitian
-UNITARY_TOL = 1e-10  # ||U U* - I||_max for a matrix to count as unitary
 EIGH_RESIDUAL_TOL = 1e-10  # relative ||H V - V diag(w)||_max for eigh to be trusted
 EXP_OVERFLOW_LIMIT = 700.0  # exp(x) overflows double precision near x = 709.78
 PHASE_ANCHOR_TOL = 1e-12  # |v_jk| above this anchors the phase of eigenvector column k
@@ -22,7 +21,6 @@ CONTOUR_NODES = 32  # Talbot nodes: |log f error| 3e-7 at 16, 8e-11 at 24, 1e-13
 # exponential convexity
 DEFAULT_PSD_TOL = 1e-8  # Gram check: min eigenvalue >= -tol * max(1, ||G||_max)
 ZERO_FUNCTION_TOL = 1e-14  # |f(t)| at or below this is zero in the dichotomy
-MIDPOINT_SLACK = 1e-12  # relative slack of f(t1+t2) <= sqrt(f(2 t1) f(2 t2))
 IMAG_TOL = 1e-10  # largest Im e^{Lt+M} for its real part to stand for the entry
 
 # measures

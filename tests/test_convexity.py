@@ -1,5 +1,5 @@
-"""Tests for Gram-kernel PSD checks, the midpoint inequality, the positivity
-dichotomy, closure combinators, and the entrywise matrix-function checks."""
+"""Tests for Gram-kernel PSD checks, the positivity dichotomy, closure
+combinators, and the entrywise matrix-function checks."""
 
 import math
 import sys
@@ -28,13 +28,11 @@ from expconvex import (
     ec_scale,
     ec_sum,
     entrywise_ec_check,
-    exp_function,
     gram,
     hermitian_from_diag,
     lie_trace_function,
     matrix_exp_hermitian,
     max_abs,
-    midpoint_inequality_check,
     psd_check,
     trace_f,
     trace_function,
@@ -44,6 +42,10 @@ from expconvex import (
 # min eigenvalue of the Gram matrix of e^{-t^2} on {-1, 0, 1}; frozen from a
 # direct eigvalsh evaluation of [[e^-4, e^-1, 1], [e^-1, 1, e^-1], [1, e^-1, e^-4]]
 GAUSS_GRAM_MIN_EIG = -0.9816843611112656
+
+
+def exp_function(mu):
+    return ScalarFunction(fn=lambda t: np.exp(t * mu), label=f"exp({mu:g}t)")
 
 
 def gauss():
@@ -203,40 +205,6 @@ def test_rank_one_gram_identity():
         assert max_abs(g.matrix - np.outer(v, v)) <= 1e-12 * scale
         eigs = np.linalg.eigvalsh(g.matrix)
         assert abs(eigs[-2]) <= 1e-10 * scale
-
-
-def test_midpoint_exponential_equality():
-    rep = midpoint_inequality_check(exp_function(1.0), 0.7, -0.3)
-    assert rep.holds
-    assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
-
-
-def test_midpoint_cosh():
-    f = ec_sum(ec_scale(exp_function(1.0), 0.5), ec_scale(exp_function(-1.0), 0.5))
-    rep = midpoint_inequality_check(f, 0.0, 1.0)
-    assert rep.holds
-    assert rep.lhs == pytest.approx(math.cosh(1.0))
-    assert rep.rhs == pytest.approx(math.sqrt(math.cosh(2.0)))
-
-
-def test_midpoint_gauss_fails():
-    rep = midpoint_inequality_check(gauss(), -1.0, 1.0)
-    assert not rep.holds
-    assert rep.lhs == pytest.approx(1.0)
-    assert rep.rhs == pytest.approx(math.exp(-4.0))
-
-
-def test_midpoint_follows_from_psd():
-    # 2x2 minor argument: PSD on {t1, t2} implies the midpoint inequality
-    rng = np.random.default_rng(33)
-    for _ in range(20):
-        f = random_mixture(rng)
-        t1, t2 = sorted(rng.uniform(-1.5, 1.5, size=2))
-        if t2 - t1 < 1e-6:
-            continue
-        rep = check_exponential_convexity(f, TGrid(np.array([t1, t2])))
-        if rep.passed:
-            assert midpoint_inequality_check(f, t1, t2).holds
 
 
 def test_dichotomy_trace_function_positive():

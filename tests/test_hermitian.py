@@ -2,19 +2,19 @@
 and the entrywise-nonnegativity machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from expconvex import (
+    DimensionMismatch,
     HermitianMatrix,
     HypothesisViolated,
     NonFinite,
     NotHermitian,
     NotSquare,
-    NotUnitary,
     Overflow,
-    UnitaryMatrix,
     conjugate,
     eigh,
     exp_entrywise_nonneg_check,
@@ -24,7 +24,6 @@ from expconvex import (
     max_abs,
     perron_shift,
     validate_hermitian,
-    validate_unitary,
 )
 from expconvex.errors import ExpConvexError
 from expconvex.hermitian import (
@@ -72,13 +71,6 @@ def test_validate_hermitian_frozen():
     h = validate_hermitian(np.eye(2))
     with pytest.raises(ValueError):
         h.mat[0, 0] = 5.0
-
-
-def test_validate_unitary():
-    u = validate_unitary(np.diag([1j, -1.0]))
-    assert u.n == 2
-    with pytest.raises(NotUnitary):
-        validate_unitary(np.diag([2.0, 1.0]))
 
 
 def test_eigh_diagonal():
@@ -181,15 +173,17 @@ def test_matrix_exp_overflow():
 
 def test_conjugate_identity_and_swap():
     h = validate_hermitian(np.array([[1.0, 1j], [-1j, 3.0]]))
-    assert max_abs(conjugate(UnitaryMatrix(np.eye(2, dtype=complex)), h).mat - h.mat) == 0.0
+    assert max_abs(conjugate(np.eye(2, dtype=complex), h).mat - h.mat) == 0.0
+    with pytest.raises(DimensionMismatch):
+        conjugate(np.eye(3, dtype=complex), h)
 
-    swap = validate_unitary(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     out = conjugate(swap, hermitian_from_diag([2.0, 0.0]))
     assert np.allclose(out.mat, np.diag([0.0, 2.0]))
 
 
 def test_conjugate_phase_example():
-    u = validate_unitary(np.diag([-1j, 1.0]))
+    u = np.diag([-1j, 1.0])
     h = validate_hermitian(np.array([[1.0, 1j], [-1j, 3.0]]))
     out = conjugate(u, h)
     assert max_abs(out.mat - np.array([[1.0, 1.0], [1.0, 3.0]])) <= 1e-15
@@ -202,9 +196,8 @@ def test_conjugate_trace_invariance():
         h = random_hermitian(rng, n)
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         q, _ = np.linalg.qr(g)
-        u = validate_unitary(q)
         t0 = np.trace(h.mat).real
-        t1 = np.trace(conjugate(u, h).mat).real
+        t1 = np.trace(conjugate(q, h).mat).real
         assert abs(t1 - t0) <= 1e-11 * max(1.0, abs(t0))
 
 
@@ -245,6 +238,16 @@ def test_lie_convergence_halving_random():
                 for p in (8, 16, 32, 64, 128, 256, 512, 1024)}
         for p in (8, 16, 32, 64, 128, 256, 512):
             assert errs[2 * p] <= 0.75 * errs[p]
+
+
+def test_lie_split_step_overflow_raises_without_a_warning():
+    # every exponential is in range, but (e^{x/64} e^{y/64})^64 leaves the double range;
+    # the repo's filterwarnings turns a matmul RuntimeWarning into a test error
+    h = hermitian_from_diag([0.0, 355.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match="^split-step product overflowed double precision$"):
+            lie_product_approx(h, h, 64)
 
 
 def test_lie_rejects_bad_p():
@@ -431,9 +434,7 @@ def test_lie_reference_errors_equal_lie_product_approx():
 ])
 def test_lie_reference_errors_raise_as_lie_product_approx(x, y, message):
     x, y = hermitian_from_diag(x), hermitian_from_diag(y)
-    # an overflowing split step also makes matmul warn, in both
-    with np.errstate(over="ignore", invalid="ignore"):
-        stacked, sequential = _stacked_lie_errors(x, y), _sequential_lie_errors(x, y)
+    stacked, sequential = _stacked_lie_errors(x, y), _sequential_lie_errors(x, y)
     assert isinstance(stacked, Overflow) and isinstance(sequential, Overflow)
     assert str(stacked) == str(sequential) == message
 

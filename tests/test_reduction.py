@@ -13,7 +13,6 @@ from expconvex import (
     HermitianMatrix,
     RankNotOne,
     TracePair,
-    assert_rank_one,
     corner_diagonalizer,
     hermitian_from_diag,
     max_abs,
@@ -27,7 +26,7 @@ from expconvex import (
 from expconvex.hermitian import _stacked_eigh
 from expconvex.matrixio import dumps_doc, matrix_from_doc, reduction_to_doc
 from expconvex.reduction import _reduce
-from expconvex.tolerances import RESIDUAL_TOL, TRACE_INV_TOL, UNITARY_TOL
+from expconvex.tolerances import RESIDUAL_TOL, TRACE_INV_TOL
 
 
 def random_rank_one(rng, n, lam=None):
@@ -43,52 +42,56 @@ def random_hermitian(rng, n):
     return validate_hermitian((g + g.conj().T) / 2.0)
 
 
+def _zero_b(n):
+    return hermitian_from_diag(np.zeros(n))
+
+
+# the test_assert_rank_one_* tests check the rank-one certification that reduce runs first
+
 def test_assert_rank_one_corner_diagonal():
-    cert = assert_rank_one(hermitian_from_diag([0.0, 0.0, 2.0]))
-    assert cert.lambda_n == pytest.approx(2.0)
-    assert np.allclose(np.abs(cert.direction), [0.0, 0.0, 1.0])
+    red = reduce(hermitian_from_diag([0.0, 0.0, 2.0]), _zero_b(3))
+    assert max_abs(red.L.mat - np.diag([0.0, 0.0, 2.0])) == 0.0
+    assert np.allclose(np.abs(red.trace.U[-1]), [0.0, 0.0, 1.0])
 
 
 def test_assert_rank_one_recovers_outer_product():
     rng = np.random.default_rng(21)
     a, lam, v = random_rank_one(rng, 5, lam=3.0)
-    cert = assert_rank_one(a)
-    assert cert.lambda_n == pytest.approx(3.0, abs=1e-12)
-    # direction matches v up to a unit phase
-    overlap = abs(np.vdot(cert.direction, v))
+    red = reduce(a, _zero_b(5))
+    assert red.L.mat[-1, -1].real == pytest.approx(3.0, abs=1e-12)
+    # the last row of U is the direction conjugated, up to a unit phase
+    overlap = abs(np.vdot(red.trace.U[-1].conj(), v))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_assert_rank_one_rejects_rank_two():
     with pytest.raises(RankNotOne) as exc:
-        assert_rank_one(hermitian_from_diag([1.0, 1.0]))
+        reduce(hermitian_from_diag([1.0, 1.0]), _zero_b(2))
     assert exc.value.spectrum.shape == (2,)
 
 
 def test_assert_rank_one_rejects_zero():
-    with pytest.raises(RankNotOne):
-        assert_rank_one(validate_hermitian(np.zeros((3, 3))))
+    with pytest.raises(RankNotOne) as exc:
+        reduce(validate_hermitian(np.zeros((3, 3))), _zero_b(3))
+    assert exc.value.spectrum.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_assert_rank_one_tol_sensitivity():
-    a = hermitian_from_diag([1e-12, 1.0])
-    cert = assert_rank_one(a)  # default tol 1e-9 * ||a||
-    assert cert.lambda_n == pytest.approx(1.0)
-    with pytest.raises(RankNotOne):
-        assert_rank_one(a, rank_tol=1e-13)
+    # the default rank tolerance is RANK_TOL_FACTOR * ||a||_max = 1e-9
+    red = reduce(hermitian_from_diag([1e-12, 1.0]), _zero_b(2))
+    assert red.L.mat[-1, -1].real == pytest.approx(1.0)
 
 
 def test_corner_diagonalizer_swap_case():
-    cert = assert_rank_one(hermitian_from_diag([2.0, 0.0]))
-    u = corner_diagonalizer(cert)
-    out = u.mat @ np.diag([2.0, 0.0]).astype(complex) @ u.mat.conj().T
+    u = corner_diagonalizer(np.array([1.0, 0.0], dtype=complex))
+    out = u @ np.diag([2.0, 0.0]).astype(complex) @ u.conj().T
     assert max_abs(out - np.diag([0.0, 2.0])) <= 1e-12
+    assert not u.flags.writeable
 
 
 def test_corner_diagonalizer_already_in_corner():
-    cert = assert_rank_one(hermitian_from_diag([0.0, 0.0, 5.0]))
-    u = corner_diagonalizer(cert)
-    out = u.mat @ np.diag([0.0, 0.0, 5.0]).astype(complex) @ u.mat.conj().T
+    u = corner_diagonalizer(np.array([0.0, 0.0, 1.0], dtype=complex))
+    out = u @ np.diag([0.0, 0.0, 5.0]).astype(complex) @ u.conj().T
     assert max_abs(out - np.diag([0.0, 0.0, 5.0])) <= 1e-12
 
 
@@ -96,16 +99,14 @@ def test_corner_diagonalizer_random():
     rng = np.random.default_rng(22)
     for _ in range(20):
         n = int(rng.integers(2, 7))
-        a, lam, _ = random_rank_one(rng, n)
-        cert = assert_rank_one(a)
-        u = corner_diagonalizer(cert)
+        a, lam, v = random_rank_one(rng, n)
+        u = corner_diagonalizer(v)
         target = np.zeros((n, n), dtype=complex)
         target[-1, -1] = lam
-        assert max_abs(u.mat @ a.mat @ u.mat.conj().T - target) <= 1e-10
-        assert max_abs(u.mat @ u.mat.conj().T - np.eye(n)) <= 1e-12
+        assert max_abs(u @ a.mat @ u.conj().T - target) <= 1e-10
+        assert max_abs(u @ u.conj().T - np.eye(n)) <= 1e-12
         # last row of U is the direction conjugated, up to a unit phase
-        row = u.mat[-1, :]
-        assert abs(np.vdot(row.conj(), cert.direction)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(u[-1].conj(), v)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phase_matrix_examples():
@@ -148,8 +149,8 @@ def test_reduce_already_reduced_real_pair():
     assert max_abs(red.M.mat - b.mat) <= 1e-12
     assert max_abs(red.L.mat - a.mat) <= 1e-12
     off = ~np.eye(2, dtype=bool)
-    assert max_abs(red.W.mat[off]) <= 1e-12
-    assert np.allclose(np.abs(np.diag(red.W.mat)), 1.0)
+    assert max_abs(red.W[off]) <= 1e-12
+    assert np.allclose(np.abs(np.diag(red.W)), 1.0)
 
 
 def test_reduce_single_dimension():
@@ -190,7 +191,7 @@ def test_reduce_invariants_random():
         assert max_abs(col.imag) <= 1e-12
         assert col.real.min() >= -1e-12
 
-        w = red.W.mat
+        w = red.W
         assert max_abs(w @ w.conj().T - np.eye(n)) <= 1e-10
 
 
@@ -220,7 +221,7 @@ def test_reduce_idempotent():
         assert max_abs(red2.L.mat - red.L.mat) <= 1e-10
         assert max_abs(red2.M.mat - red.M.mat) <= 1e-10
         # fixed point up to diagonal phases
-        w = red2.W.mat
+        w = red2.W
         off = ~np.eye(n, dtype=bool)
         assert max_abs(w[off]) <= 1e-10
         assert np.allclose(np.abs(np.diag(w)), 1.0, atol=1e-10)
@@ -257,7 +258,7 @@ def test_reduction_trace_fields_consistent():
     w_full = np.zeros((n, n), dtype=complex)
     w_full[: n - 1, : n - 1] = w_block
     w_full[n - 1, n - 1] = 1.0
-    assert max_abs(red.W.mat - w_full @ tr.U.mat) == 0.0
+    assert max_abs(red.W - w_full @ tr.U) == 0.0
 
 
 # Property tests on the spectra the contour tests draw.  A case is built in
@@ -290,7 +291,7 @@ def _gaussian(seed, n):
 def _assert_reduction_properties(pair, ts):
     n = pair.n
     red = reduce(pair.A, pair.B)
-    w, m = red.W.mat, red.M.mat
+    w, m = red.W, red.M.mat
 
     # the trace function is invariant
     ts = np.asarray(ts, dtype=float)
@@ -298,8 +299,9 @@ def _assert_reduction_properties(pair, ts):
     fl = trace_values(TracePair(red.L, red.M), ts)
     assert np.max(np.abs(fa - fl) / np.maximum(1.0, fa)) <= TRACE_INV_TOL
 
-    # W is unitary
-    assert max_abs(w @ w.conj().T - np.eye(n)) <= UNITARY_TOL
+    # W and the unitaries it is built from are unitary
+    for u in (w, red.trace.U, red.trace.V_block):
+        assert max_abs(u @ u.conj().T - np.eye(u.shape[0])) <= 1e-10
 
     # M = W B W* has a nonnegative coupling column and a diagonal leading block
     assert np.all(m[: n - 1, n - 1].real >= 0.0) and np.all(m[: n - 1, n - 1].imag == 0.0)
@@ -348,7 +350,7 @@ def test_property_reduce_tiny_lambda(seed, n, scale, sign, ts):
 
 
 def _residuals_one_at_a_time(a, b, red):
-    w = red.W.mat
+    w = red.W
     return (max_abs(w @ a.mat @ w.conj().T - red.L.mat),
             max_abs(w @ b.mat @ w.conj().T - red.M.mat))
 
