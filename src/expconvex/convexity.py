@@ -10,19 +10,20 @@ product).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import (
+    ConvergenceFailure,
     DichotomyViolated,
     EvaluationFailure,
     HypothesisViolated,
     NegativeScale,
 )
 from .hermitian import (
+    _HALF_MAX,
     HermitianMatrix,
     _check_offdiag_nonneg,
     _exp_of,
@@ -76,16 +77,13 @@ class TGrid:
         return TGrid(np.linspace(lo, hi, n))
 
 
-# the largest |t| whose double, and so every sum t_r + t_s of grid points, is finite
-_MAX_ABS_POINT = sys.float_info.max / 2
-
-
 def _check_points(pts: np.ndarray) -> None:
     if not np.all(np.isfinite(pts)):
         raise ValueError("grid contains non-finite points")
-    if not np.all(np.abs(pts) <= _MAX_ABS_POINT):
+    # within +-_HALF_MAX every sum t_r + t_s of grid points is finite
+    if not np.all(np.abs(pts) <= _HALF_MAX):
         raise ValueError(
-            f"grid points must lie within +-{_MAX_ABS_POINT:.17g}, "
+            f"grid points must lie within +-{_HALF_MAX:.17g}, "
             "so that the sums t_r + t_s are finite"
         )
 
@@ -170,7 +168,10 @@ def _stacked_psd(gs, tol: float = DEFAULT_PSD_TOL) -> list:
     """psd_check of every Gram matrix of gs, all of one size, by one stacked eigh call, bit for
     bit."""
     mats = gs[0].matrix[None] if len(gs) == 1 else np.array([g.matrix for g in gs])
-    w, v = np.linalg.eigh(mats)
+    try:
+        w, v = np.linalg.eigh(mats)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
     # max(1, ||G||_max) as Python's max takes it (a NaN entry gives 1), times tol in Python
     # floats, which overflow to inf without a warning
     scales = np.fmax(np.abs(mats).max(axis=(-2, -1), initial=0.0), 1.0).tolist()

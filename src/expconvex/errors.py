@@ -14,7 +14,7 @@ class NotHermitian(ExpConvexError):
 
 
 class NonFinite(ExpConvexError):
-    """Matrix or function value contains NaN or Inf."""
+    """Matrix or function value contains NaN or Inf, or an entry whose sums would."""
 
 
 class ConvergenceFailure(ExpConvexError):

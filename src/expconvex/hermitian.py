@@ -8,6 +8,7 @@ product approximation is measured.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,10 @@ from .errors import (
 from .tolerances import (
     EIGH_RESIDUAL_TOL, EXP_OVERFLOW_LIMIT, HERMITIAN_TOL, OFFDIAG_TOL, PHASE_ANCHOR_TOL,
 )
+
+
+# the largest |x| at which every sum of two such doubles, as in (m + m*)/2, is finite
+_HALF_MAX = sys.float_info.max / 2
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -97,10 +102,15 @@ def validate_hermitian(m) -> HermitianMatrix:
 
     The tolerance is HERMITIAN_TOL * max(1, ||m||_max).  The stored matrix is
     (m + m*)/2, which has an exactly real diagonal and exact conjugate
-    symmetry.
+    symmetry.  An entry of modulus above max/2, whose sums may overflow, raises NonFinite.
     """
     a = _as_complex_square(m)
-    tol = HERMITIAN_TOL * max(1.0, max_abs(a))
+    if (size := max_abs(a)) > _HALF_MAX:
+        raise NonFinite(
+            f"matrix entries must not exceed {_HALF_MAX:.17g} in modulus, "
+            "so that (m + m*)/2 is finite"
+        )
+    tol = HERMITIAN_TOL * max(1.0, size)
     a_star = a.conj().T
     dev = max_abs(a - a_star)
     if dev > tol:
@@ -220,56 +230,35 @@ def lie_product_approx(
         raise DimensionMismatch(f"operands are {x.n}x{x.n} and {y.n}x{y.n}")
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p}")
-    exps = map(_exp_of, _stacked_eigh([HermitianMatrix(x.mat / p), HermitianMatrix(y.mat / p)]))
-    value = _split_step(*exps, p)
-    err = None
-    if with_reference:
-        ref = matrix_exp_hermitian(HermitianMatrix(x.mat + y.mat))
-        err = max_abs(value - ref)
-    return LieApproximation(value=_freeze(value), reference_error=err)
+    hs = [x, y, HermitianMatrix(x.mat + y.mat)] if with_reference else [x, y]
+    values, ref = _split_steps(_stacked_eigh(hs), (p,))
+    value = _freeze(values[0])
+    return LieApproximation(value, None if ref is None else max_abs(value - ref))
 
 
-def _split_step(ex: np.ndarray, ey: np.ndarray, p) -> np.ndarray:
-    """(ex ey)^p by np.linalg.matrix_power.
+def _split_steps(eigs, ps) -> tuple:
+    """The split steps (e^{x/p} e^{y/p})^p for every p of ps, and e^{x+y} (None without x + y).
 
-    ex and ey may also stack k factors, with p then k ascending powers of two: all
-    members are squared together, the products matrix_power forms, and member j
-    stops after log2(p[j]) squarings.  The result is the (k, n, n) stack of powers.
-    A product that leaves the double range raises Overflow, with no numpy warning.
+    eigs = _stacked_eigh([x, y]) or _stacked_eigh([x, y, x + y]), and each p of ps is a multiple
+    of the one before.  e^{x/p} is taken from eigh(x) = (w, V) as V diag(e^{w/p}) V*, which for
+    p a power of two is eigh(x / p) bit for bit.  All exponentials are one broadcast, and all
+    products are raised to ps[0] together, the later ones then by each further factor.
+    Raises the eigensolver error of x, then of y, an Overflow of an e^{x/p} or e^{y/p}, of a
+    split step (with no numpy warning), then the error of e^{x+y}.
     """
+    (wx, vx), (wy, vy) = _raised(eigs[0]), _raised(eigs[1])
+    k, xy = len(ps), (eigs[2] if len(eigs) > 2 else None)
+    # e^{x+y} joins the broadcast when it is in range; else its error follows the split steps
+    joined = isinstance(xy, tuple) and xy[0].max(initial=-np.inf) <= EXP_OVERFLOW_LIMIT
+    eig = [(wx / p, vx) for p in ps] + [(wy / p, vy) for p in ps] + ([xy] if joined else [])
+    exps = _exp_of(tuple(map(np.array, zip(*eig))))
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.ndim(p) == 0:
-            value = np.linalg.matrix_power(ex @ ey, p)
-        else:
-            z, power, value = ex @ ey, 1, np.empty_like(ex)
-            for j, pj in enumerate(p):
-                while power < pj:
-                    z, power = z @ z, 2 * power
-                value[j], z = z[0], z[1:]
-    if not np.isfinite(value).all():
+        values = np.linalg.matrix_power(exps[:k] @ exps[k : 2 * k], ps[0])
+        for j in range(1, k):
+            values[j:] = np.linalg.matrix_power(values[j:], ps[j] // ps[j - 1])
+    if not np.isfinite(values).all():
         raise Overflow("split-step product overflowed double precision")
-    return value
-
-
-def _lie_reference_errors(x: HermitianMatrix, y: HermitianMatrix, eigs, ps) -> list:
-    """lie_product_approx(x, y, p, with_reference=True).reference_error for each p of ps.
-
-    ps holds ascending powers of two and eigs = _stacked_eigh([x, y, x + y]).  eigh(x / p)
-    is (w / p, v) of eigh(x) bit for bit, as dividing by a power of two scales every
-    rounding of the eigensolver exactly and keeps its residual within the limit, so the
-    2 len(ps) + 1 exponentials are one broadcast and the split steps one stack.  When an
-    eigendecomposition failed or an exponential would overflow, lie_product_approx itself
-    evaluates every p, and raises its errors in its order.
-    """
-    if not any(isinstance(e, ExpConvexError) for e in eigs):
-        (wx, vx), (wy, vy), (wxy, vxy) = eigs
-        k = len(ps)
-        w = np.array([wx / p for p in ps] + [wy / p for p in ps] + [wxy])
-        if w.max() <= EXP_OVERFLOW_LIMIT:
-            exps = _exp_of((w, np.array([vx] * k + [vy] * k + [vxy])))
-            values = _split_step(exps[:k], exps[k : 2 * k], ps)
-            return np.abs(values - exps[-1]).max(axis=(-2, -1), initial=0.0).tolist()
-    return [lie_product_approx(x, y, p, with_reference=True).reference_error for p in ps]
+    return values, exps[-1] if joined else None if xy is None else _exp_of(xy)
 
 
 def _check_offdiag_nonneg(m: HermitianMatrix, what: str = "") -> None:

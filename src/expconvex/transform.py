@@ -242,28 +242,21 @@ def _stacked_trace_values(groups) -> list:
     """The dense kernel: tr e^{tA + B} for every (pair, ts) of groups, all pairs of one size n.
 
     The matrices tA + B of all groups go to one eigvalsh call per chunk of about 1 MiB, and a
-    value has the bits of its point alone.  Adjacent groups of one pair form a run, whose
-    points share one double-range check and one tA + B product per chunk.  Per group: its
-    values or the error trace_values raises for it, so a stack that fails is evaluated
-    again group by group.
+    value has the bits of its point alone.  Per group: its values or the error trace_values
+    raises for it, so a stack that fails is evaluated again group by group.
     """
     per_chunk = max(1, _CHUNK_BYTES // (16 * groups[0][0].n ** 2))
     starts = list(accumulate((ts.size for _, ts in groups), initial=0))
     ts_all = np.concatenate([ts for _, ts in groups])
-    runs = []  # [pair, start, stop] over ts_all
-    for (p, _), start, stop in zip(groups, starts, starts[1:]):
-        if runs and runs[-1][0] is p:
-            runs[-1][2] = stop
-        else:
-            runs.append([p, start, stop])
     vals = np.empty(ts_all.size)
     try:
-        for p, start, stop in runs:
-            _raise_out_of_range(ts_all[start:stop], p.A.norm_max(), p.B.norm_max())
+        for p, ts in groups:
+            _raise_out_of_range(ts, p.A.norm_max(), p.B.norm_max())
         for lo in range(0, ts_all.size, per_chunk):
             chunk, hi = ts_all[lo : lo + per_chunk], lo + per_chunk
             parts = [ts_all[max(lo, start) : min(hi, stop), None, None] * p.A.mat + p.B.mat
-                     for p, start, stop in runs if start < hi and lo < stop]
+                     for (p, _), start, stop in zip(groups, starts, starts[1:])
+                     if start < hi and lo < stop]
             # t*A + B is exactly Hermitian for real t, as A and B are stored symmetrized
             h = parts[0] if len(parts) == 1 else np.concatenate(parts)
             try:
@@ -384,7 +377,10 @@ def commuting_measure(pair: TracePair) -> AtomicMeasure:
         if stop - start > 1:
             vg = v[:, start:stop]
             sub = vg.conj().T @ b @ vg
-            _, q = np.linalg.eigh((sub + sub.conj().T) / 2.0)
+            try:
+                _, q = np.linalg.eigh((sub + sub.conj().T) / 2.0)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
             v[:, start:stop] = vg @ q
         start = stop
 
@@ -471,11 +467,8 @@ def fit_measure(
     if not np.all(np.isfinite(design)):
         raise IllConditioned("design matrix overflows double precision")
 
-    if reg > 0.0:
-        a_aug = np.vstack([design, math.sqrt(reg) * np.eye(grid_resolution)])
-        b_aug = np.concatenate([f_train, np.zeros(grid_resolution)])
-    else:
-        a_aug, b_aug = design, f_train
+    a_aug = np.vstack([design, math.sqrt(reg) * np.eye(grid_resolution)])
+    b_aug = np.concatenate([f_train, np.zeros(grid_resolution)])
     # scipy.optimize is imported here, on the first fit, so that the paths
     # that never fit a measure (reduce, check-ec, verify) start without it
     from scipy.optimize import nnls
@@ -487,7 +480,13 @@ def fit_measure(
     if not np.all(np.isfinite(weights)):
         raise IllConditioned("NNLS produced non-finite weights")
 
-    training_residual = float(np.linalg.norm(design @ weights - f_train))
+    residual = design @ weights - f_train
+    # norm squares each residual: past about 1e154 it is taken of residual / max|residual|
+    with np.errstate(over="ignore"):
+        training_residual = float(np.linalg.norm(residual))
+    if math.isinf(training_residual):
+        scale = float(np.abs(residual).max())
+        training_residual = scale * float(np.linalg.norm(residual / scale))
     pred = np.exp(np.outer(t_hold, locs)) @ weights
     denom = np.where(np.abs(f_hold) > 0.0, np.abs(f_hold), 1.0)
     holdout_error = float(np.max(np.abs(pred - f_hold) / denom))

@@ -305,6 +305,29 @@ def test_fit_measure_large_rank_one_pair_exits_0(tmp_path, capsys):
     assert all(w[0] - slack <= loc <= w[-1] + slack for loc, _ in doc["measure"]["atoms"])
 
 
+def test_fit_measure_residual_above_the_square_root_of_the_double_range(tmp_path, capsys):
+    # f(t) = e^380 (1 + e^t): the residuals near 1e154 would overflow when squared
+    f = write_pair(tmp_path / "big.json", np.diag([0.0, 1.0]), 380.0 * np.eye(2))
+    assert main(["fit-measure", f]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert 0.0 < doc["training_residual"] < np.finfo(float).max
+    assert doc["holdout_error"] <= HOLDOUT_LIMIT
+
+
+@pytest.mark.parametrize("command", ["reduce", "check-ec", "fit-measure"])
+def test_entry_above_half_the_double_range_exits_1(tmp_path, capsys, command):
+    # (A + A*)/2 would overflow to NaN: an input error, not a verdict on garbage
+    f = write_pair(tmp_path / "huge.json", np.diag([1.7e308, 0.0]), np.eye(2))
+    argv = [command, f] + ([str(tmp_path / "o.json")] if command == "reduce" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: matrix entries must not exceed 8.9884656743115785e+307 in modulus, "
+        "so that (m + m*)/2 is finite\n"
+    )
+
+
 def test_check_ec_trace_underflow_exits_4(tmp_path, capsys):
     # f(t) = e^-800 (1 + e^t) is 0.0 in double precision on the whole default grid
     f = write_pair(tmp_path / "small.json", np.diag([0.0, 1.0]), np.diag([-800.0, -800.0]))
@@ -334,6 +357,13 @@ def test_eigensolver_failure_exits_4(worked_pair, capsys, monkeypatch, command):
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     assert main([command, worked_pair]) == 4
     assert "eigensolver failed: did not converge" in capsys.readouterr().err
+    # eigh alone: the Gram matrix's PSD check in check-ec, eigh(A) in fit-measure
+    monkeypatch.undo()
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main([command, worked_pair]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: numerical failure: eigensolver failed: did not converge\n"
 
 
 def test_verify_deterministic_and_green(tmp_path, capsys):

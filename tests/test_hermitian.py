@@ -25,9 +25,9 @@ from expconvex import (
     perron_shift,
     validate_hermitian,
 )
-from expconvex.errors import ExpConvexError
+from expconvex.errors import ConvergenceFailure, ExpConvexError
 from expconvex.hermitian import (
-    _exp_of, _fix_column_phases, _lie_reference_errors, _split_step, _stacked_eigh,
+    _exp_of, _fix_column_phases, _split_steps, _stacked_eigh,
 )
 from expconvex import random_rank_one_pair
 
@@ -65,6 +65,16 @@ def test_validate_hermitian_rejects_nonsquare_and_nonfinite():
         validate_hermitian(np.ones((2, 3)))
     with pytest.raises(NonFinite):
         validate_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    # finite entries whose sums in (m + m*)/2 would overflow, refused with no numpy warning
+    for entry in (1.7e308, -1.7e308j, 1e308 + 1e308j):
+        with pytest.raises(NonFinite, match=r"^matrix entries must not exceed 8\.98846567"):
+            validate_hermitian(np.array([[0.0, entry], [np.conj(entry), 0.0]]))
+
+
+def test_validate_hermitian_keeps_entries_up_to_half_the_double_range():
+    half = np.finfo(float).max / 2
+    m = np.array([[half, 1j * half], [-1j * half, -half]])
+    assert validate_hermitian(m).mat.tobytes() == m.tobytes()
 
 
 def test_validate_hermitian_frozen():
@@ -388,15 +398,30 @@ def test_stacked_exponentials_and_squarings_equal_one_at_a_time():
         exps = _exp_of((np.array([w for w, _ in eigs]), np.array([v for _, v in eigs])))
         for e, eig in zip(exps, eigs):
             assert e.tobytes() == _exp_of(eig).tobytes()
-        # the (2, n, n) stack squared six times, its second member once more
-        values = _split_step(exps[0::2], exps[1::2], (64, 128))
-        for value, (ex, ey, p) in zip(values, [(exps[0], exps[1], 64), (exps[2], exps[3], 128)]):
-            assert value.tobytes() == _split_step(ex, ey, p).tobytes()
-    for ps in [(1, 2, 4, 8), (1,), (4, 4, 16)]:
-        exps = np.array([_exp_of(eig) for eig in _stacked_eigh([pair.A, pair.B])] * len(ps))
-        values = _split_step(exps[0::2], exps[1::2], ps)
-        for value, p in zip(values, ps):
-            assert value.tobytes() == _split_step(exps[0], exps[1], p).tobytes()
+    # the (k, n, n) stack raised to ps[0], its later members squared on: each member has the
+    # bits of its own call, and e^{x+y} in the broadcast those of matrix_exp_hermitian
+    for pair in _ensemble_pairs()[::10]:
+        xy = HermitianMatrix(pair.A.mat + pair.B.mat)
+        eigs = _stacked_eigh([pair.A, pair.B, xy])
+        for ps in [(64, 128), (1, 2, 4, 8), (1,), (4, 4, 16)]:
+            values, ref = _split_steps(eigs, ps)
+            assert ref.tobytes() == matrix_exp_hermitian(xy).tobytes()
+            for value, p in zip(values, ps):
+                assert value.tobytes() == _split_steps(eigs, (p,))[0][0].tobytes()
+            assert _split_steps(eigs[:2], ps)[1] is None
+
+
+def test_lie_product_approx_at_a_power_of_two_has_the_bits_of_the_scaled_exponentials():
+    # e^{x/p} from eigh(x) is the exponential of x / p bit for bit when p is a power of two
+    for pair in _ensemble_pairs()[::5]:
+        x, y = pair.A, pair.B
+        ref = matrix_exp_hermitian(HermitianMatrix(x.mat + y.mat))
+        for p in (2**k for k in range(11)):
+            ex, ey = (matrix_exp_hermitian(HermitianMatrix(h.mat / p)) for h in (x, y))
+            value = np.linalg.matrix_power(ex @ ey, p)
+            approx = lie_product_approx(x, y, p, with_reference=True)
+            assert approx.value.tobytes() == value.tobytes()
+            assert approx.reference_error == max_abs(value - ref)
 
 
 def _sequential_lie_errors(x, y):
@@ -408,9 +433,10 @@ def _sequential_lie_errors(x, y):
 
 
 def _stacked_lie_errors(x, y):
+    # verify's Lie check: p = 64 and 128 in one stack, from one eigh call of x, y and x + y
     try:
-        eigs = _stacked_eigh([x, y, HermitianMatrix(x.mat + y.mat)])
-        return _lie_reference_errors(x, y, eigs, (64, 128))
+        values, ref = _split_steps(_stacked_eigh([x, y, HermitianMatrix(x.mat + y.mat)]), (64, 128))
+        return [max_abs(value - ref) for value in values]
     except ExpConvexError as exc:
         return exc
 
@@ -440,9 +466,9 @@ def test_lie_reference_errors_raise_as_lie_product_approx(x, y, message):
 
 
 @pytest.mark.parametrize("marker, expect", [
-    # eigh fails on y = diag(2, 3), not on y / 64 or y / 128: lie_product_approx's values
-    (2.0, list),
-    # and on x + y = diag(3, 3), whose error follows the first split step
+    # eigh fails on y = diag(2, 4); it would not on y / 64, but e^{y/p} comes from eigh(y)
+    (2.0, "eigensolver failed: did not converge"),
+    # and on x + y = diag(3, 4), whose error follows the split steps
     (3.0, "eigensolver failed: did not converge"),
 ])
 def test_lie_reference_errors_after_a_failed_eigendecomposition(monkeypatch, marker, expect):
@@ -454,9 +480,7 @@ def test_lie_reference_errors_after_a_failed_eigendecomposition(monkeypatch, mar
         return real(a)
 
     monkeypatch.setattr(np.linalg, "eigh", flaky)
-    x, y = hermitian_from_diag([1.0, 0.0]), hermitian_from_diag([2.0, 3.0])
+    x, y = hermitian_from_diag([1.0, 0.0]), hermitian_from_diag([2.0, 4.0])
     stacked, sequential = _stacked_lie_errors(x, y), _sequential_lie_errors(x, y)
-    if expect is list:
-        assert isinstance(stacked, list) and stacked == sequential
-    else:
-        assert str(stacked) == str(sequential) == expect
+    assert isinstance(stacked, ConvergenceFailure) and isinstance(sequential, ConvergenceFailure)
+    assert str(stacked) == str(sequential) == expect

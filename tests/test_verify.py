@@ -109,6 +109,31 @@ def test_case_error_is_recorded_by_the_check_that_raises_it(monkeypatch, b_scale
         assert names == CHECK_ORDER[:recorded] + ["case_error(Overflow)"]
 
 
+# eigh fails on the real Gram matrices, after the trace-invariance record, or on the 2-d
+# eigenspace block of L in commuting_measure, after the Lie record (n >= 3: for n = 2 the
+# eigenvalues of L are distinct)
+@pytest.mark.parametrize("fails, recorded", [
+    (lambda a: a.dtype == np.float64, 4), (lambda a: a.ndim == 2, 7),
+], ids=["gram", "commuting-block"])
+def test_a_failed_eigensolve_is_recorded_and_the_run_completes(monkeypatch, fails, recorded):
+    real = np.linalg.eigh
+
+    def flaky(a, *args, **kwargs):
+        if fails(np.asarray(a)):
+            raise np.linalg.LinAlgError("did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", flaky)
+    report = run_verification(6, 7, 0)
+    for index in range(6):
+        names = [r.check for r in report.records if r.seed == (0, index)]
+        n = next(r.n for r in report.records if r.seed == (0, index))
+        if recorded == 7 and n == 2:
+            assert names == CHECK_ORDER
+        else:
+            assert names == CHECK_ORDER[:recorded] + ["case_error(ConvergenceFailure)"]
+
+
 def _count_calls(monkeypatch, name):
     shapes = []
     real = getattr(np.linalg, name)
