@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     DichotomyViolated,
     EvaluationFailure,
     HypothesisViolated,
@@ -28,6 +27,7 @@ from .hermitian import (
     _check_offdiag_nonneg,
     _exp_of,
     _freeze,
+    _lapack,
     _stacked_eigh,
     max_abs,
 )
@@ -168,10 +168,7 @@ def _stacked_psd(gs, tol: float = DEFAULT_PSD_TOL) -> list:
     """psd_check of every Gram matrix of gs, all of one size, by one stacked eigh call, bit for
     bit."""
     mats = gs[0].matrix[None] if len(gs) == 1 else np.array([g.matrix for g in gs])
-    try:
-        w, v = np.linalg.eigh(mats)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    w, v = _lapack(np.linalg.eigh, mats)
     # max(1, ||G||_max) as Python's max takes it (a NaN entry gives 1), times tol in Python
     # floats, which overflow to inf without a warning
     scales = np.fmax(np.abs(mats).max(axis=(-2, -1), initial=0.0), 1.0).tolist()

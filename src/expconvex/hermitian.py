@@ -148,17 +148,27 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     return (s * (lead.conjugate() / np.hypot(lead.real, lead.imag))).reshape(v.shape)
 
 
+def _lapack(solver, a):
+    """solver(a) for solver np.linalg.eigh or np.linalg.eigvalsh: the package's one LAPACK call.
+    A failure raises ConvergenceFailure, never numpy's LinAlgError, a ValueError that the CLI
+    would read as a usage error."""
+    try:
+        return solver(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+
+
 def _stacked_eigh(hs) -> list:
     """eigh of every matrix of hs, all of one size, by one stacked LAPACK call, bit for bit.
     Per matrix: (w, v) or the ConvergenceFailure eigh raises for it; a failed call is redone singly.
     """
     mats = hs[0].mat[None] if len(hs) == 1 else np.array([h.mat for h in hs])
     try:
-        w, v = np.linalg.eigh(mats)
-    except np.linalg.LinAlgError as exc:
+        w, v = _lapack(np.linalg.eigh, mats)
+    except ConvergenceFailure as exc:
         if len(hs) > 1:
             return [_stacked_eigh([h])[0] for h in hs]
-        return [ConvergenceFailure(f"eigensolver failed: {exc}")]
+        return [exc]
     v = _fix_column_phases(v)
     residuals = np.abs(mats @ v - v * w[:, None, :]).max(axis=(-2, -1), initial=0.0).tolist()
     limits = (EIGH_RESIDUAL_TOL * np.abs(mats).max(axis=(-2, -1), initial=1.0)).tolist()

@@ -22,6 +22,7 @@ import re
 import numpy as np
 
 from .errors import MatrixFileError
+from .reduction import phase_matrix
 from .transform import AtomicMeasure, MeasureFit
 
 
@@ -247,11 +248,14 @@ def load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
 def reduction_to_doc(result, residuals: tuple[float, float]) -> dict:
     """Encode a reduction result together with its intermediate quantities.
 
+    mu_n and M_block are read off M's diagonal; omegas = phase_matrix(g),
     Omega = diag(omegas), W_block = Omega V_block and g_abs = |g| are
     rebuilt from the trace exactly as reduce computes them.
     """
     tr = result.trace
-    omega = np.diag(tr.omegas)
+    m_diag = result.M.mat.diagonal().real
+    omegas = phase_matrix(tr.g)
+    omega = np.diag(omegas)
     return {
         "W": matrix_to_doc(result.W),
         "L": matrix_to_doc(result.L.mat),
@@ -264,11 +268,11 @@ def reduction_to_doc(result, residuals: tuple[float, float]) -> dict:
             "U": matrix_to_doc(tr.U),
             "B_block": matrix_to_doc(tr.B_block.mat),
             "b_col": complex_vector_to_doc(tr.b_col),
-            "mu_n": float(tr.mu_n),
+            "mu_n": float(m_diag[-1]),
             "V_block": matrix_to_doc(tr.V_block),
-            "M_block": real_vector_to_doc(tr.M_block),
+            "M_block": real_vector_to_doc(m_diag[:-1]),
             "g": complex_vector_to_doc(tr.g),
-            "omegas": complex_vector_to_doc(tr.omegas),
+            "omegas": complex_vector_to_doc(omegas),
             "Omega": matrix_to_doc(omega),
             "W_block": matrix_to_doc(omega @ tr.V_block),
             "g_abs": real_vector_to_doc(np.abs(tr.g)),

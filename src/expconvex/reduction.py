@@ -24,22 +24,21 @@ from .tolerances import PHASE_ZERO_TOL, RANK_TOL_FACTOR
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """All intermediates of the reduction, kept for diagnostics and reports.
+    """The intermediates of the reduction that L, M and W do not hold.
 
-    U is the Householder corner diagonalizer; B_block, b_col, mu_n are the
-    blocks of U B U*; V_block diagonalizes B_block to the diagonal M_block;
-    g = V_block b_col; omegas are the unit phases with omega_j * g_j = |g_j|.
-    W's leading block is diag(omegas) V_block and M's coupling column is |g|.
+    U is the Householder corner diagonalizer; B_block and b_col are the
+    leading block and the coupling column of U B U*; V_block diagonalizes
+    B_block; g = V_block b_col.  The rest is read off the result: M's
+    diagonal holds the eigenvalues of B_block and the corner entry mu_n of
+    U B U*, and with omegas = phase_matrix(g) W's leading block is
+    diag(omegas) V_block and M's coupling column is |g|.
     """
 
     U: np.ndarray
     B_block: HermitianMatrix
     b_col: np.ndarray
-    mu_n: float
     V_block: np.ndarray
-    M_block: np.ndarray
     g: np.ndarray
-    omegas: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -124,16 +123,14 @@ def _reduce(a: HermitianMatrix, b: HermitianMatrix, eig_a) -> ReductionResult:
 
     b_block = HermitianMatrix(_freeze(b1[: n - 1, : n - 1].copy()))
     b_col = b1[: n - 1, n - 1].copy()
-    mu_n = float(b1[n - 1, n - 1].real)
 
     mus, vecs = eigh(b_block)
     # eigh returns columns; the diagonalizing map is its conjugate transpose.
     v_block = vecs.conj().T
 
     g = v_block @ b_col
-    omegas = phase_matrix(g)
     g_abs = np.abs(g)
-    w_block = np.diag(omegas) @ v_block
+    w_block = np.diag(phase_matrix(g)) @ v_block
 
     w_full = np.zeros((n, n), dtype=complex)
     w_full[: n - 1, : n - 1] = w_block
@@ -147,17 +144,14 @@ def _reduce(a: HermitianMatrix, b: HermitianMatrix, eig_a) -> ReductionResult:
     m_mat[: n - 1, : n - 1] = np.diag(mus)
     m_mat[: n - 1, n - 1] = g_abs
     m_mat[n - 1, : n - 1] = g_abs
-    m_mat[n - 1, n - 1] = mu_n
+    m_mat[n - 1, n - 1] = b1[n - 1, n - 1].real
 
     trace = ReductionTrace(
         U=u,
         B_block=b_block,
         b_col=_freeze(b_col),
-        mu_n=mu_n,
         V_block=_freeze(v_block),
-        M_block=mus,
         g=_freeze(g),
-        omegas=omegas,
     )
     return ReductionResult(
         W=_freeze(w_full),

@@ -18,7 +18,6 @@ import numpy as np
 
 from .convexity import ScalarFunction, TGrid
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     ExpConvexError,
     IllConditioned,
@@ -29,6 +28,7 @@ from .hermitian import (
     HermitianMatrix,
     _eigenvalue_text,
     _freeze,
+    _lapack,
     _raised,
     eigh,
     lie_product_approx,
@@ -191,10 +191,7 @@ def _contour_values(ts: np.ndarray, b: np.ndarray, lam: float, v: np.ndarray) ->
     sum_j g_j + c sum_j p_j g_j^2 / (1 - c sum_j p_j g_j), g_j = 1/(z + s - beta_j).
     Same errors as the dense kernel, with the whole batch as one chunk.
     """
-    try:
-        beta, q = np.linalg.eigh(b)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    beta, q = _lapack(np.linalg.eigh, b)
     p = np.abs(q.conj().T @ v) ** 2
     c = ts * lam
     s = _top_eigenvalue(beta, p, c)
@@ -259,10 +256,7 @@ def _stacked_trace_values(groups) -> list:
                      if start < hi and lo < stop]
             # t*A + B is exactly Hermitian for real t, as A and B are stored symmetrized
             h = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            try:
-                w = np.linalg.eigvalsh(h)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+            w = _lapack(np.linalg.eigvalsh, h)
             _raise_overflow(chunk, w[:, -1])
             vals[lo : lo + chunk.size] = np.sum(np.exp(w), axis=-1)
             _raise_underflow(chunk, vals[lo : lo + chunk.size])
@@ -319,6 +313,8 @@ def laplace_values(measure: AtomicMeasure, ts) -> np.ndarray:
     exceeds the exp range.
     """
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"ts must be a 1-d array of points, got shape {ts.shape}")
     if measure.locations.size == 0:
         return np.zeros(ts.shape)
     exponents = ts[:, None] * measure.locations
@@ -377,10 +373,7 @@ def commuting_measure(pair: TracePair) -> AtomicMeasure:
         if stop - start > 1:
             vg = v[:, start:stop]
             sub = vg.conj().T @ b @ vg
-            try:
-                _, q = np.linalg.eigh((sub + sub.conj().T) / 2.0)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+            _, q = _lapack(np.linalg.eigh, (sub + sub.conj().T) / 2.0)
             v[:, start:stop] = vg @ q
         start = stop
 

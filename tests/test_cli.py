@@ -9,10 +9,10 @@ import numpy as np
 import orjson
 import pytest
 
-from expconvex import cli
+from expconvex import cli, transform, validate_hermitian
 from expconvex.cli import MAX_GRID_N, MAX_RESOLUTION, MAX_T_POINTS, main
 from expconvex.matrixio import matrix_from_doc
-from expconvex.tolerances import HOLDOUT_LIMIT
+from expconvex.tolerances import CONTOUR_MIN_N, HOLDOUT_LIMIT
 from expconvex.verify import random_rank_one_pair
 
 
@@ -83,6 +83,17 @@ def test_check_ec_zero_pair(tmp_path, capsys):
     assert main(["check-ec", f]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
+
+
+def test_check_ec_zero_a_at_contour_size_takes_the_dense_kernel(tmp_path, capsys):
+    n = 32
+    assert n >= CONTOUR_MIN_N
+    b = np.diag(np.linspace(-1.0, 1.0, n))
+    f = write_pair(tmp_path / "zero-a.json", np.zeros((n, n)), b)
+    # no column of A = 0 gives a rank-one factor, so trace_values takes the dense kernel
+    assert transform._rank_one_factor(validate_hermitian(np.zeros((n, n)))) is None
+    assert main(["check-ec", f]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_check_ec_flag_validation(worked_pair, capsys):

@@ -77,6 +77,19 @@ def test_tgrid_validation():
         TGrid(np.array([0.0, np.inf]))
 
 
+def test_tgrid_rejects_an_empty_grid():
+    message = r"^grid must be a nonempty 1-d sequence, got shape \(0,\)$"
+    with pytest.raises(ValueError, match=message):
+        TGrid([])
+
+
+def test_evaluate_rejects_values_of_another_shape():
+    f = ScalarFunction(fn=lambda ts: np.zeros(ts.size + 1), label="long")
+    message = r"^long returned shape \(4,\) for points of shape \(3,\)$"
+    with pytest.raises(EvaluationFailure, match=message):
+        convexity._evaluate(f, three_grid().points)
+
+
 def test_tgrid_rejects_points_whose_sums_overflow():
     big = sys.float_info.max / 2  # its double is the largest finite float
     g = TGrid(np.array([-big, 0.0, big]))
@@ -384,6 +397,12 @@ def test_entrywise_rejects_nondiagonal_l():
     m = hermitian_from_diag([0.0, 0.0])
     with pytest.raises(HypothesisViolated):
         entrywise_ec_check(l, m, three_grid())
+
+
+def test_entrywise_rejects_operands_of_two_sizes():
+    with pytest.raises(HypothesisViolated, match="^operands are 2x2 and 3x3$"):
+        entrywise_ec_check(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([0.0] * 3),
+                           three_grid())
 
 
 def _psd_one_eigh(g, tol=DEFAULT_PSD_TOL):

@@ -1,8 +1,10 @@
 """Tests for validated matrix types, eigh, matrix exponential, Lie products,
 and the entrywise-nonnegativity machinery."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from expconvex.errors import ConvergenceFailure, ExpConvexError
 from expconvex.hermitian import (
     _exp_of, _fix_column_phases, _split_steps, _stacked_eigh,
 )
+from expconvex import hermitian as hermitian_module
 from expconvex import random_rank_one_pair
 
 COSH1 = math.cosh(1.0)
@@ -266,6 +269,16 @@ def test_lie_rejects_bad_p():
         lie_product_approx(x, x, 0)
 
 
+def test_lie_rejects_operands_of_two_sizes():
+    with pytest.raises(DimensionMismatch, match="^operands are 2x2 and 3x3$"):
+        lie_product_approx(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([0.0] * 3), 4)
+
+
+def test_hermitian_from_diag_rejects_nonfinite():
+    with pytest.raises(NonFinite, match="^diagonal contains NaN or Inf$"):
+        hermitian_from_diag([math.nan])
+
+
 def test_perron_shift_examples():
     ps = perron_shift(validate_hermitian(np.array([[-5.0, 1.0], [1.0, 2.0]])))
     assert ps.rho == 5.0
@@ -484,3 +497,35 @@ def test_lie_reference_errors_after_a_failed_eigendecomposition(monkeypatch, mar
     stacked, sequential = _stacked_lie_errors(x, y), _sequential_lie_errors(x, y)
     assert isinstance(stacked, ConvergenceFailure) and isinstance(sequential, ConvergenceFailure)
     assert str(stacked) == str(sequential) == expect
+
+
+def _by_function(tree):
+    """(node, name of the innermost function around it, or None) for every node of tree."""
+    stack = [(tree, None)]
+    while stack:
+        node, func = stack.pop()
+        yield node, func
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+
+
+def test_hermitian_lapack_is_the_one_eigensolver_boundary():
+    """No module calls np.linalg.eigh or eigvalsh but through hermitian._lapack, which alone
+    turns a LinAlgError into ConvergenceFailure; fit_measure's NNLS handler is the other catch."""
+    loose, catches = [], set()
+    for path in sorted(Path(hermitian_module.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        passed = {id(node.args[0]) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func) == "_lapack"}
+        for node, func in _by_function(tree):
+            if isinstance(node, ast.Attribute) and id(node) not in passed and (
+                ast.unparse(node) in ("np.linalg.eigh", "np.linalg.eigvalsh")
+            ):
+                loose.append(f"{path.name}:{node.lineno} in {func}")
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and (
+                "LinAlgError" in ast.unparse(node.type)
+            ):
+                catches.add((path.stem, func))
+    assert loose == []
+    assert catches == {("hermitian", "_lapack"), ("transform", "fit_measure")}

@@ -470,6 +470,27 @@ def test_load_pair_shape_mismatch(tmp_path):
         load_pair(str(f))
 
 
+def test_load_pair_entries_not_an_array(tmp_path):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"A": {"n": 2, "entries": 5},
+                             "B": {"n": 2, "entries": [[0, 0]] * 4}}))
+    # no bracket in A's object: the flat route returns None and the json route names the defect
+    data = f.read_bytes()
+    lo = data.find(b"{", 1)
+    assert matrixio._flat_matrix(data, lo, data.find(b"}", lo) + 1, orjson.loads) is None
+    message = f"{f}: A: 'entries' must be an array"
+    with pytest.raises(MatrixFileError, match=f"^{re.escape(message)}$"):
+        load_pair(str(f))
+
+
+def test_load_pair_top_level_not_an_object(tmp_path):
+    f = tmp_path / "p.json"
+    f.write_text("[]")
+    message = f"{f}: expected an object at top level"
+    with pytest.raises(MatrixFileError, match=f"^{re.escape(message)}$"):
+        load_pair(str(f))
+
+
 def test_load_reports_json_position(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text('{"A": {"n": 2, ')

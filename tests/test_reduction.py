@@ -234,24 +234,28 @@ def test_reduction_trace_fields_consistent():
     b = random_hermitian(rng, n)
     red = reduce(a, b)
     tr = red.trace
-    # Omega, W_block and g_abs are rebuilt when serializing; read them back
-    # from the decoded document
+    # mu_n, M_block, omegas, Omega, W_block and g_abs are rebuilt when
+    # serializing; read them back from the decoded document
     doc = json.loads(dumps_doc(reduction_to_doc(red, reduction_residuals(a, b, red))))
+    omegas = np.array([complex(*z) for z in doc["trace"]["omegas"]])
     omega = matrix_from_doc(doc["trace"]["Omega"])
     w_block = matrix_from_doc(doc["trace"]["W_block"])
     g_abs = np.array(doc["trace"]["g_abs"])
 
-    assert np.allclose(np.abs(tr.omegas), 1.0)
-    assert max_abs(tr.omegas * tr.g - g_abs) <= 1e-12
+    assert np.allclose(np.abs(omegas), 1.0)
+    assert max_abs(omegas * tr.g - g_abs) <= 1e-12
     assert np.all(g_abs >= 0.0)
-    assert np.array_equal(omega, np.diag(tr.omegas))
+    assert np.array_equal(omega, np.diag(omegas))
+    # M_block is the spectrum of B_block, mu_n the corner of U B U*
+    assert np.allclose(doc["trace"]["M_block"], np.linalg.eigvalsh(tr.B_block.mat))
+    assert doc["trace"]["mu_n"] == (tr.U @ b.mat @ tr.U.conj().T)[-1, -1].real
 
     # M is assembled exactly from the trace pieces
     m = np.zeros((n, n), dtype=complex)
-    m[: n - 1, : n - 1] = np.diag(tr.M_block)
+    m[: n - 1, : n - 1] = np.diag(doc["trace"]["M_block"])
     m[: n - 1, n - 1] = g_abs
     m[n - 1, : n - 1] = g_abs
-    m[n - 1, n - 1] = tr.mu_n
+    m[n - 1, n - 1] = doc["trace"]["mu_n"]
     assert max_abs(red.M.mat - m) == 0.0
 
     # W factors as blockdiag(W_block, 1) @ U

@@ -2,6 +2,7 @@
 commuting-case recovery, growth exponents, and the NNLS measure fit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from expconvex import (
     growth_exponents,
     hermitian_from_diag,
     laplace_transform,
+    laplace_values,
     random_rank_one_pair,
     sample_trace_f,
     trace_f,
@@ -196,6 +198,20 @@ def test_laplace_transform_overflow():
         laplace_transform(m, 2.0)
 
 
+@pytest.mark.parametrize("ts", [0.5, [[0.0, 1.0]]])
+def test_laplace_values_rejects_points_that_are_not_1d(ts):
+    m = AtomicMeasure.from_atoms([(0.0, 1.0), (1.0, 1.0)])
+    message = f"ts must be a 1-d array of points, got shape {np.shape(ts)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        laplace_values(m, ts)
+
+
+def test_commuting_measure_diagonal_value_of_b_past_exp_range_overflows():
+    pair = TracePair(hermitian_from_diag([0.0, 0.0]), hermitian_from_diag([701.0, 701.0]))
+    with pytest.raises(Overflow, match="^diagonal value of B exceeds exp range$"):
+        commuting_measure(pair)
+
+
 def test_commuting_measure_diagonal():
     pair = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([0.0, 0.0]))
     m = commuting_measure(pair)
@@ -360,6 +376,35 @@ def test_fit_measure_overflowing_design_is_ill_conditioned():
     samples = [(float(t), 1.0) for t in np.linspace(-2.0, 2.0, 12)]
     with pytest.raises(IllConditioned):
         fit_measure(samples, (0.0, 500.0), 8)
+
+
+@pytest.mark.parametrize("failure", ["raises", "nan"])
+def test_fit_measure_nnls_failure_is_ill_conditioned(monkeypatch, failure):
+    import scipy.optimize
+
+    def nnls(a, b):
+        if failure == "raises":
+            raise RuntimeError("too many iterations")
+        return np.full(a.shape[1], np.nan), 0.0
+
+    monkeypatch.setattr(scipy.optimize, "nnls", nnls)
+    samples = [(float(t), math.cosh(t)) for t in np.linspace(-1.0, 1.0, 9)]
+    message = ("^NNLS solver failed: too many iterations$" if failure == "raises"
+               else "^NNLS produced non-finite weights$")
+    with pytest.raises(IllConditioned, match=message):
+        fit_measure(samples, (-1.0, 1.0), 8)
+
+
+def test_trace_values_rejects_2d_points():
+    message = "ts must be a 1-d array of points, got shape (1, 2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        trace_values(pauli_pair(), [[0.0, 1.0]])
+
+
+def test_trace_values_of_an_empty_pair_are_zero():
+    empty = validate_hermitian(np.zeros((0, 0)))
+    vals = trace_values(TracePair(empty, empty), [-1.0, 0.0, 2.0])
+    assert np.array_equal(vals, np.zeros(3))
 
 
 def test_trace_function_label():
