@@ -2,13 +2,13 @@
 
 A matrix document is {"n": dim, "entries": [[re, im], ...]} with entries in
 row-major order; a pair file holds two such documents under keys "A" and
-"B".  A pair file takes one of two routes.  When both matrix objects are
-canonical, with just the keys "n" and "entries" and n a plain integer, the
-entries of each are parsed by orjson as one flat array of numbers.  Any
-other file is parsed by json and decoded entry by entry, and that route
-reports every error.  All writers serialize with sorted keys and fixed
-indentation so that output bytes are deterministic: orjson writes the
-text, and the few number tokens it writes differently from json are
+"B".  A pair file takes one of two routes.  When its two entries arrays
+can be cut out and parsed by orjson as flat arrays of numbers, and the
+rest of the file passes the json route's checks, it takes the flat route.
+Any other file is parsed by json and decoded entry by entry, and that
+route reports every error.  All writers serialize with sorted keys and
+fixed indentation so that output bytes are deterministic: orjson writes
+the text, and the few number tokens it writes differently from json are
 rewritten, so the bytes are json.dumps's.
 """
 
@@ -64,8 +64,8 @@ def _entry_to_complex(entry, index: int, n: int, where: str) -> complex:
     return complex(re, im)
 
 
-def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
-    """Decode a {n, entries} document, naming the first defect by index, row and column."""
+def _size_and_entries(doc, where: str) -> tuple[int, object]:
+    """n and the entries of a matrix object, after the checks both load routes make."""
     if not isinstance(doc, dict):
         raise MatrixFileError(f"{where}: expected an object, got {type(doc).__name__}")
     if "n" not in doc:
@@ -78,6 +78,12 @@ def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
     entries = doc["entries"]
     if not isinstance(entries, list):
         raise MatrixFileError(f"{where}: 'entries' must be an array")
+    return n, entries
+
+
+def matrix_from_doc(doc, where: str = "matrix") -> np.ndarray:
+    """Decode a {n, entries} document, naming the first defect by index, row and column."""
+    n, entries = _size_and_entries(doc, where)
     if len(entries) != n * n:
         raise MatrixFileError(
             f"{where}: expected {n * n} entries for n = {n}, got {len(entries)}"
@@ -117,15 +123,7 @@ def _parse_text(path: str, data: bytes):
         raise MatrixFileError(f"{path}: {exc}") from exc
 
 
-_SPACE = rb"[ \t\n\r]*"
 _SPACE_BYTES = (b" ", b"\t", b"\n", b"\r")
-# the bytes before and after the entries array of a canonical matrix object:
-# the keys "n" and "entries" and no other, in either order, with n a plain
-# positive integer of at most nine digits; compiled on first use, by re's cache
-_N_KEY = rb'"n"' + _SPACE + b":" + _SPACE + rb"([1-9][0-9]{0,8})" + _SPACE
-_FLAT_HEAD = (_SPACE + rb"\{" + _SPACE + rb"(?:" + _N_KEY + b"," + _SPACE + rb')?"entries"'
-              + _SPACE + b":" + _SPACE)
-_FLAT_TAIL = _SPACE + rb"(?:," + _SPACE + _N_KEY + rb")?\}" + _SPACE
 # every byte that can be part of a JSON number
 _NUMBER_BYTES = b"0123456789+-.eE"
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
@@ -151,8 +149,8 @@ def _pairs_of_numbers(data: bytes, first: int, last: int, n: int) -> bool:
             and packed.count(b"],[") == n * n - 1)
 
 
-def _flat_matrix(data: bytes, lo: int, hi: int, loads) -> np.ndarray | None:
-    """The canonical matrix object at data[lo:hi], or None for any other.
+def _flat_matrix(data: bytes, first: int, last: int, n: int, loads) -> np.ndarray | None:
+    """The n x n matrix whose entries array is data[first:last + 1], or None when it is not one.
 
     The entries are parsed by one loads call as a flat array of numbers, so
     no [re, im] list is built.  The numbers loads parses are the file's own
@@ -160,14 +158,6 @@ def _flat_matrix(data: bytes, lo: int, hi: int, loads) -> np.ndarray | None:
     gets has no bracket inside it, so its nesting is one level whatever the
     file holds.
     """
-    first, last = data.find(b"[", lo, hi), data.rfind(b"]", lo, hi)
-    if not 0 <= first < last:
-        return None
-    head = re.compile(_FLAT_HEAD).fullmatch(data, lo, first)
-    tail = re.compile(_FLAT_TAIL).fullmatch(data, last + 1, hi)
-    if not (head and tail) or (head[1] is None) == (tail[1] is None):
-        return None
-    n = int(head[1] or tail[1])
     if not _pairs_of_numbers(data, first, last, n):
         return None
     # the brackets become spaces, a plain byte map and faster than deleting
@@ -181,14 +171,14 @@ def _flat_matrix(data: bytes, lo: int, hi: int, loads) -> np.ndarray | None:
     return flat.view(complex).reshape(n, n) if np.isfinite(flat).all() else None
 
 
-def _pair_from_doc(doc, path: str) -> tuple[np.ndarray, np.ndarray]:
+def _pair_from_doc(doc, path: str, decode=matrix_from_doc) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(doc, dict):
         raise MatrixFileError(f"{path}: expected an object at top level")
     for key in ("A", "B"):
         if key not in doc:
             raise MatrixFileError(f"{path}: missing key '{key}'")
-    a = matrix_from_doc(doc["A"], where=f"{path}: A")
-    b = matrix_from_doc(doc["B"], where=f"{path}: B")
+    a = decode(doc["A"], where=f"{path}: A")
+    b = decode(doc["B"], where=f"{path}: B")
     if a.shape != b.shape:
         raise MatrixFileError(
             f"{path}: A is {a.shape[0]}x{a.shape[0]} but B is {b.shape[0]}x{b.shape[0]}"
@@ -196,45 +186,49 @@ def _pair_from_doc(doc, path: str) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-# the bytes before, between and after the two matrix objects of a pair file
-# whose top level holds the keys "A" and "B" and no other; compiled on first
-# use, by re's cache
-_PAIR_HEAD = _SPACE + rb'\{' + _SPACE + rb'"([AB])"' + _SPACE + b":" + _SPACE
-_PAIR_MID = _SPACE + b"," + _SPACE + rb'"([AB])"' + _SPACE + b":" + _SPACE
-_PAIR_TAIL = _SPACE + rb"\}" + _SPACE
-
-
 def _pair_by_parts(data: bytes, loads) -> tuple[np.ndarray, np.ndarray] | None:
-    """(A, B) from _flat_matrix on each matrix object, or None for any other file.
+    """(A, B) with both entries arrays parsed by _flat_matrix, or None for the json route.
 
-    Each matrix is decoded before the next one is parsed, so the parses of
-    the two never exist at once.  A key or byte between the parts that does
-    not match, an object that is not canonical, or matrices of two sizes
-    send the file to the json route.
+    Each entries array runs from the first "[" after the previous matrix object
+    to the last "]" before the next "}".  With "[0]" and "[1]" in their place,
+    the only arrays left, the short text goes through json.loads and the json
+    route's checks; a file that passes them, with arrays that parse as numbers,
+    parses as the short text with the arrays put back.  Each matrix is decoded
+    before the next one is parsed, so the parses of the two never exist at once.
     """
-    first = data.find(b"{", data.find(b"{") + 1)
-    first_end = data.find(b"}", first) + 1
-    second = data.find(b"{", first_end)
-    second_end = data.find(b"}", second) + 1
-    if min(first, first_end, second, second_end) <= 0:  # a brace is missing
+    spans, end = [], 0
+    for _ in range(2):
+        first = data.find(b"[", end)
+        end = data.find(b"}", first)
+        last = data.rfind(b"]", first, end)
+        if min(first, end, last) < 0:
+            return None
+        spans.append((first, last))
+    (first_a, last_a), (first_b, last_b) = spans
+    short = b"".join((data[:first_a], b"[0]", data[last_a + 1:first_b], b"[1]", data[last_b + 1:]))
+    if short.count(b"[") != 2:
         return None
-    head = re.fullmatch(_PAIR_HEAD, data[:first])
-    mid = re.fullmatch(_PAIR_MID, data[first_end:second])
-    if not (head and mid and head[1] != mid[1] and re.fullmatch(_PAIR_TAIL, data[second_end:])):
+
+    def decode(doc, where):
+        n, entries = _size_and_entries(doc, where)  # entries is a placeholder
+        if (mat := _flat_matrix(data, *spans[entries[0]], n, loads)) is None:
+            raise MatrixFileError(f"{where}: not a flat array of {n * n} pairs")
+        return mat
+
+    # decoded here: json.loads of bytes would skip a byte-order mark, which the json route refuses
+    try:
+        return _pair_from_doc(json.loads(short.decode("utf-8")), "", decode)
+    except (MatrixFileError, ValueError, RecursionError):
         return None
-    parts = {head[1]: (first, first_end), mid[1]: (second, second_end)}
-    a = _flat_matrix(data, *parts[b"A"], loads)
-    b = None if a is None else _flat_matrix(data, *parts[b"B"], loads)
-    return None if b is None or a.shape != b.shape else (a, b)
 
 
 def load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load a two-matrix file with keys "A" and "B".
 
-    A file whose two matrix objects are canonical takes _pair_by_parts.
-    Any other file is parsed by _parse_text and decoded by matrix_from_doc,
-    which write every error message; a valid file that is not canonical
-    loads there too, only more slowly.
+    A file whose two entries arrays orjson can parse as flat arrays of
+    numbers takes _pair_by_parts.  Any other file is parsed by _parse_text
+    and decoded by matrix_from_doc, which write every error message; a
+    valid file that _pair_by_parts refuses loads there too, only more slowly.
     """
     data = _read_bytes(path)
     # imported on the first file read, so that import expconvex.cli and

@@ -235,6 +235,18 @@ def _raise_underflow(ts: np.ndarray, vals: np.ndarray) -> None:
         raise Overflow(f"trace value {float(vals[k])} underflows at t = {float(ts[k])}")
 
 
+def _points(values, name: str = "ts", ndim: int = 1) -> np.ndarray:
+    """values as a float array of ndim axes, the first indexing points; ValueError names a
+    shape of other axes, or the first point (entry or row) with a NaN or an infinity."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-d array of points, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        k = np.flatnonzero(~np.isfinite(values).all(axis=tuple(range(1, ndim))))[0]
+        raise ValueError(f"{name}[{k}] = {values[k].tolist()} is not finite")
+    return values
+
+
 def _stacked_trace_values(groups) -> list:
     """The dense kernel: tr e^{tA + B} for every (pair, ts) of groups, all pairs of one size n.
 
@@ -272,14 +284,12 @@ def trace_values(pair: TracePair, ts) -> np.ndarray:
     dense one is _stacked_trace_values with this pair alone.  When n >= CONTOUR_MIN_N
     and A = lambda v v* up to RANK_TOL_FACTOR * ||A||_max, the contour kernel instead
     diagonalizes B once and sums Sherman-Morrison resolvent traces on a Talbot
-    contour.  Raises ConvergenceFailure when the eigensolver fails, and Overflow,
-    naming the first such t, when t*A + B would leave the double-precision range
-    (checked before any evaluation), when a largest eigenvalue exceeds the exp range
-    or when a value underflows to zero (within a chunk, overflow is reported first).
+    contour.  Raises ValueError naming the first non-finite t, ConvergenceFailure when the
+    eigensolver fails, and Overflow, naming the first such t, when t*A + B would leave the
+    double-precision range (checked before any evaluation), when a largest eigenvalue
+    exceeds the exp range or when a value underflows to zero (overflow first in a chunk).
     """
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1:
-        raise ValueError(f"ts must be a 1-d array of points, got shape {ts.shape}")
+    ts = _points(ts)
     n = pair.n
     if n == 0:
         return np.zeros(ts.size)
@@ -309,12 +319,10 @@ def sample_trace_f(pair: TracePair, grid: TGrid) -> list[tuple[float, float]]:
 def laplace_values(measure: AtomicMeasure, ts) -> np.ndarray:
     """Two-sided Laplace transform sum_j w_j e^{t lambda_j} at every t of the 1-d ts.
 
-    Raises Overflow, naming the first such t, when a live atom's exponent
-    exceeds the exp range.
+    Raises ValueError naming the first non-finite t, and Overflow, naming the
+    first such t, when a live atom's exponent exceeds the exp range.
     """
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1:
-        raise ValueError(f"ts must be a 1-d array of points, got shape {ts.shape}")
+    ts = _points(ts)
     if measure.locations.size == 0:
         return np.zeros(ts.shape)
     exponents = ts[:, None] * measure.locations
@@ -360,9 +368,9 @@ def commuting_measure(pair: TracePair) -> AtomicMeasure:
         )
 
     w, v = eigh(pair.A)
-    v = v.copy()
+    mus = np.real(np.einsum("ij,jk,ki->i", v.conj().T, b, v))
 
-    # Within each eigenspace of A, rotate to diagonalize the projection of B.
+    # Within each eigenspace of A, the B-values are the eigenvalues of the projection of B.
     group_tol = ATOM_MERGE_TOL * max(1.0, a_norm)
     start = 0
     n = pair.n
@@ -373,11 +381,9 @@ def commuting_measure(pair: TracePair) -> AtomicMeasure:
         if stop - start > 1:
             vg = v[:, start:stop]
             sub = vg.conj().T @ b @ vg
-            _, q = _lapack(np.linalg.eigh, (sub + sub.conj().T) / 2.0)
-            v[:, start:stop] = vg @ q
+            mus[start:stop], _ = _lapack(np.linalg.eigh, (sub + sub.conj().T) / 2.0)
         start = stop
 
-    mus = np.real(np.einsum("ij,jk,ki->i", v.conj().T, b, v))
     if np.any(mus > EXP_OVERFLOW_LIMIT):
         raise Overflow("diagonal value of B exceeds exp range")
     return AtomicMeasure.from_atoms(zip(w.tolist(), np.exp(mus).tolist()))
@@ -427,7 +433,7 @@ def fit_measure(
     solve min ||E w - f||^2 + reg ||w||^2 subject to w >= 0 with
     E[k][j] = e^{t_k lambda_j}, via deterministic active-set NNLS on the
     ridge-augmented system.  Every third sample is withheld and scored as
-    the relative holdout error, so at least three samples are required.
+    the relative holdout error, so at least three finite samples are required.
     """
     samples = [(float(t), float(f)) for t, f in samples]
     lo, hi = float(support[0]), float(support[1])
@@ -447,8 +453,7 @@ def fit_measure(
     if len(samples) < 3:
         raise ValueError(f"need at least 3 samples, so that one is held out; got {len(samples)}")
 
-    ts = np.array([t for t, _ in samples])
-    fs = np.array([f for _, f in samples])
+    ts, fs = _points(samples, "samples", ndim=2).T
     hold = np.arange(len(samples)) % 3 == 2
     t_train, f_train = ts[~hold], fs[~hold]
     t_hold, f_hold = ts[hold], fs[hold]

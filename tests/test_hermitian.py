@@ -3,6 +3,7 @@ and the entrywise-nonnegativity machinery."""
 
 import ast
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -386,6 +387,26 @@ def test_stacked_eigh_charges_a_failure_to_its_matrix(monkeypatch):
     out = _stacked_exp([good, hermitian_from_diag([123.0, 0.0]), good])
     assert str(out[1]) == "eigensolver failed: did not converge"
     assert out[0].tobytes() == out[2].tobytes() == matrix_exp_hermitian(good).tobytes()
+
+
+def test_stacked_eigh_charges_a_failed_reconstruction_to_its_matrix(monkeypatch):
+    real = np.linalg.eigh
+
+    def perturbed(a):
+        # each eigenvalue of a marked matrix moves by 1: the residual is 1
+        w, v = real(a)
+        return w + (a.real[..., :1, 0] == 123.0), v
+
+    good, bad = hermitian_from_diag([1.0, 2.0]), hermitian_from_diag([123.0, 0.0])
+    expected = eigh(good)
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    message = "reconstruction residual 1.000e+00 exceeds 1.230e-08"
+    with pytest.raises(ConvergenceFailure, match=f"^{re.escape(message)}$"):
+        eigh(bad)
+    out = _stacked_eigh([good, bad, good])
+    assert isinstance(out[1], ConvergenceFailure) and str(out[1]) == message
+    for w, v in (out[0], out[2]):
+        assert (w.tobytes(), v.tobytes()) == (expected[0].tobytes(), expected[1].tobytes())
 
 
 def _ensemble_pairs():

@@ -373,10 +373,8 @@ _NEAR_CANONICAL = {
     "n-leading-zero": '{"n": 01, "entries": [[1, 0]]}',
     "n-float": '{"n": 2.0, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
     "n-10-digits": '{"n": 1000000000, "entries": [[1, 0]]}',
-    "n-twice": '{"n": 1, "entries": [[1, 0]], "n": 1}',
     "n-negative": '{"n": -1, "entries": [[1, 0]]}',
     "n-string": '{"n": "1", "entries": [[1, 0]]}',
-    "extra-key": '{"n": 1, "entries": [[1, 0]], "x": 0}',
     "1e400": '{"n": 2, "entries": [[1, 0], [0, 1e400], [0, 0], [1, 0]]}',
     "int-400-digits": '{"n": 1, "entries": [[1' + "0" * 400 + ', 0]]}',
     "nested-entry": '{"n": 1, "entries": [[[1], 0]]}',
@@ -391,6 +389,8 @@ _NEAR_CANONICAL = {
     "number-after-last-pair": '{"n": 1, "entries": [[1, ] 5]}',
     "number-joined-across-bracket": '{"n": 1, "entries": [[1, 2]3]}',
 }
+# n is refused by the checks the two routes share, before any entries array is parsed
+_N_REFUSED = {"n-zero", "n-leading-zero", "n-float", "n-negative", "n-string"}
 
 
 @pytest.mark.parametrize("kind", list(_NEAR_CANONICAL))
@@ -402,7 +402,57 @@ def test_near_canonical_object_leaves_flat_tier(tmp_path, kind):
         _spy(mp, "_flat_matrix", calls)
         _spy_orjson(mp, loaded)
         got = _load_outcome(path)
-    assert calls and calls[0][1] is None  # A did not take the flat route
+    if kind in _N_REFUSED:
+        assert not calls, calls
+    else:
+        assert calls and calls[0][1] is None  # A's entries are not a flat array
+    assert _same_outcome(got, _json_route_outcome(path))
+    assert all(map(_one_flat_array, loaded))
+
+
+# files with repeated keys, extra keys, or brackets and braces outside the two
+# entries arrays: whether the flat route takes each (True) or the json route
+# does, and either way the file loads, or fails, as on the json route
+_A = '{"n": 1, "entries": [[1, 0]]}'
+
+
+def _with_a(members):
+    """A pair file whose A object holds the given members."""
+    return f'{{"A": {{{members}}}, "B": {_B}}}'
+
+
+_CUT = {
+    # json keeps the last value of a key
+    "n-twice": (True, _with_a('"n": 1, "entries": [[1, 0]], "n": 1')),
+    "extra-key": (True, _with_a('"n": 1, "entries": [[1, 0]], "x": 0')),
+    "entries-then-literal": (False, _with_a('"n": 1, "entries": [[1, 0]], "entries": 5')),
+    "literal-then-entries": (True, _with_a('"n": 1, "entries": 5, "entries": [[1, 0]]')),
+    "A-again-with-array": (
+        False, f'{{"A": {_A}, "B": {_B}, "A": {{"n": 1, "entries": [[2, 0]]}}}}'),
+    "A-again-without-array": (False, f'{{"A": {_A}, "B": {_B}, "A": {{"n": 1}}}}'),
+    "B-number-then-matrix": (True, f'{{"A": {_A}, "B": 5, "B": {_B}}}'),
+    # brackets and braces inside strings, outside the arrays
+    "open-bracket-in-string": (False, _with_a('"x": "[", "n": 1, "entries": [[1, 0]]')),
+    "close-bracket-in-string-before": (True, _with_a('"x": "]", "n": 1, "entries": [[1, 0]]')),
+    "close-bracket-in-string-after": (False, _with_a('"n": 1, "entries": [[1, 0]], "x": "]"')),
+    "brackets-in-top-level-string": (False, f'{{"x": "[0]", "A": {_A}, "B": {_B}}}'),
+    "brace-in-string-after": (True, _with_a('"n": 1, "entries": [[1, 0]], "x": "}"')),
+    "object-holding-array": (False, _with_a('"n": 1, "x": {"y": [2]}, "entries": [[1, 0]]')),
+    "byte-order-mark": (False, f'\ufeff{{"A": {_A}, "B": {_B}}}'),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CUT))
+def test_cut_pair_file_loads_as_on_json_route(tmp_path, kind):
+    flat, text = _CUT[kind]
+    path = tmp_path / "pair.json"
+    path.write_text(text, encoding="utf-8")
+    calls, loaded = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrixio, "_parse_text", lambda *args: calls.append(args) or _parse_text(*args))
+        _spy_orjson(mp, loaded)
+        got = _load_outcome(path)
+    assert (not calls) == flat
     assert _same_outcome(got, _json_route_outcome(path))
     assert all(map(_one_flat_array, loaded))
 
@@ -474,13 +524,14 @@ def test_load_pair_entries_not_an_array(tmp_path):
     f = tmp_path / "p.json"
     f.write_text(json.dumps({"A": {"n": 2, "entries": 5},
                              "B": {"n": 2, "entries": [[0, 0]] * 4}}))
-    # no bracket in A's object: the flat route returns None and the json route names the defect
-    data = f.read_bytes()
-    lo = data.find(b"{", 1)
-    assert matrixio._flat_matrix(data, lo, data.find(b"}", lo) + 1, orjson.loads) is None
+    # one entries array in the file: the flat route parses none, and the json route names the defect
+    calls = []
     message = f"{f}: A: 'entries' must be an array"
-    with pytest.raises(MatrixFileError, match=f"^{re.escape(message)}$"):
-        load_pair(str(f))
+    with pytest.MonkeyPatch.context() as mp:
+        _spy(mp, "_flat_matrix", calls)
+        with pytest.raises(MatrixFileError, match=f"^{re.escape(message)}$"):
+            load_pair(str(f))
+    assert not calls, calls
 
 
 def test_load_pair_top_level_not_an_object(tmp_path):

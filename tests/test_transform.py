@@ -206,6 +206,17 @@ def test_laplace_values_rejects_points_that_are_not_1d(ts):
         laplace_values(m, ts)
 
 
+_NON_FINITE_POINTS = [([math.nan], 0), ([0.0, math.inf], 1), ([1.0, 2.0, -math.inf, math.nan], 2)]
+
+
+@pytest.mark.parametrize("ts, k", _NON_FINITE_POINTS)
+def test_laplace_values_refuses_a_point_that_is_not_finite(ts, k):
+    m = AtomicMeasure.from_atoms([(0.0, 1.0), (1.0, 1.0)])
+    message = f"ts[{k}] = {ts[k]} is not finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        laplace_values(m, ts)
+
+
 def test_commuting_measure_diagonal_value_of_b_past_exp_range_overflows():
     pair = TracePair(hermitian_from_diag([0.0, 0.0]), hermitian_from_diag([701.0, 701.0]))
     with pytest.raises(Overflow, match="^diagonal value of B exceeds exp range$"):
@@ -372,6 +383,18 @@ def test_fit_measure_needs_a_holdout_sample():
         fit_measure(samples, (0.0, 1.0), 1)
 
 
+# every third sample, from index 2 on, is held out
+@pytest.mark.parametrize("k, sample", [
+    (1, (0.0, math.nan)), (3, (math.nan, 1.0)), (2, (0.5, math.nan)), (5, (0.5, math.inf)),
+], ids=["training-nan-f", "training-nan-t", "holdout-nan-f", "holdout-inf-f"])
+def test_fit_measure_refuses_a_sample_that_is_not_finite(k, sample):
+    samples = [(float(t), math.cosh(t)) for t in np.linspace(-1.0, 1.0, 9)]
+    samples[k] = sample
+    message = f"samples[{k}] = {list(sample)} is not finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit_measure(samples, (-1.0, 1.0), 8)
+
+
 def test_fit_measure_overflowing_design_is_ill_conditioned():
     samples = [(float(t), 1.0) for t in np.linspace(-2.0, 2.0, 12)]
     with pytest.raises(IllConditioned):
@@ -399,6 +422,15 @@ def test_trace_values_rejects_2d_points():
     message = "ts must be a 1-d array of points, got shape (1, 2)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         trace_values(pauli_pair(), [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("ts, k", _NON_FINITE_POINTS)
+@pytest.mark.parametrize("a", [[0.0, 1.0], [0.0, 0.0]], ids=["A=diag(0,1)", "A=0"])
+def test_trace_values_refuses_a_point_that_is_not_finite(ts, k, a):
+    pair = TracePair(hermitian_from_diag(a), hermitian_from_diag([0.0, 0.0]))
+    message = f"ts[{k}] = {ts[k]} is not finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        trace_values(pair, ts)
 
 
 def test_trace_values_of_an_empty_pair_are_zero():

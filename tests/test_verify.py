@@ -134,6 +134,34 @@ def test_a_failed_eigensolve_is_recorded_and_the_run_completes(monkeypatch, fail
             assert names == CHECK_ORDER[:recorded] + ["case_error(ConvergenceFailure)"]
 
 
+# a matrix of the A, B, A + B stack, or L in commuting_measure, whose eigh either fails in LAPACK
+# or returns a result that misses the reconstruction bound: the case records the same
+@pytest.mark.parametrize("member", ["A", "B", "A+B", "L"])
+def test_a_failed_reconstruction_is_recorded_as_a_failed_eigensolve(monkeypatch, member):
+    rng = np.random.default_rng([0, 1])
+    n = int(rng.integers(2, 8))
+    verify.random_grid(rng)
+    pair = random_rank_one_pair(rng, n)
+    target = {"A": pair.A.mat, "B": pair.B.mat, "A+B": pair.A.mat + pair.B.mat,
+              "L": reduce(pair.A, pair.B).L.mat}[member]
+    real = np.linalg.eigh
+
+    def names(failure):
+        def patched(a, *args, **kwargs):
+            hit = np.array([m.tobytes() == target.tobytes() for m in a]) if a.ndim == 3 else False
+            if np.any(hit) and failure == "lapack":
+                raise np.linalg.LinAlgError("did not converge")
+            w, v = real(a, *args, **kwargs)
+            return (w + hit[:, None] if np.any(hit) else w), v
+
+        monkeypatch.setattr(np.linalg, "eigh", patched)
+        return [r.check for r in run_case(0, 1, max_n=7)]
+
+    lapack = names("lapack")
+    assert lapack[-1] == "case_error(ConvergenceFailure)"
+    assert names("reconstruction") == lapack
+
+
 def _count_calls(monkeypatch, name):
     shapes = []
     real = getattr(np.linalg, name)
