@@ -20,7 +20,6 @@ from . import matrixio
 from .convexity import TGrid, check_exponential_convexity
 from .errors import (
     ConvergenceFailure,
-    DichotomyViolated,
     ExpConvexError,
     IllConditioned,
     Overflow,
@@ -68,7 +67,6 @@ _ERROR_EXITS = (
     (RankNotOne, EXIT_RANK, "rank check failed: "),
     (IllConditioned, EXIT_ILL, "ill-conditioned: "),
     ((Overflow, ConvergenceFailure), EXIT_ILL, "numerical failure: "),
-    (DichotomyViolated, EXIT_CHECK, "check failed: "),
     ((_UsageError, ValueError, OSError, ExpConvexError), EXIT_USAGE, ""),
 )
 _ERROR_TYPES = _ERROR_EXITS[-1][0]
@@ -77,9 +75,10 @@ _ERROR_TYPES = _ERROR_EXITS[-1][0]
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse before 3.13 reads "-1e5" as an option, not as a negative number,
-        # and then reports "expected one argument"; accept the exponent form too
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse before 3.13 reads "-1e5" or "-inf" as an option, not as a negative number,
+        # and then reports "expected one argument"; accept every negative number float reads
+        self._negative_number_matcher = re.compile(
+            r"(?i)^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$")
 
     # argparse exits with code 2 on bad flags; route through main instead.
     def error(self, message):
@@ -113,22 +112,23 @@ def cmd_check_ec(args) -> int:
         raise _UsageError(f"--grid-n must be at least 2, got {args.grid_n}")
     if args.grid_n > MAX_GRID_N:
         raise _UsageError(f"--grid-n must be at most {MAX_GRID_N}, got {args.grid_n}")
+    _require_finite("--grid-lo", args.grid_lo)
+    _require_finite("--grid-hi", args.grid_hi)
     if not args.grid_lo < args.grid_hi:
         raise _UsageError(
             f"--grid-lo must be below --grid-hi, got [{args.grid_lo}, {args.grid_hi}]"
         )
-    _require_finite("--grid-lo", args.grid_lo)
-    _require_finite("--grid-hi", args.grid_hi)
     if args.tol <= 0.0:
         raise _UsageError(f"--tol must be positive, got {args.tol}")
     _require_finite("--tol", args.tol)
     # the grid is checked before the file is read
     grid = TGrid.equispaced(args.grid_lo, args.grid_hi, args.grid_n)
     pair = _load_pair(args.input)
-    report = check_exponential_convexity(trace_function(pair), grid, tol=args.tol)
+    f = trace_function(pair)
+    report = check_exponential_convexity(f, grid, tol=args.tol)
     if not math.isfinite(report.tolerance):
         raise _UsageError(f"--tol {args.tol:g} times max(1, max|G|) overflows; use a smaller --tol")
-    doc = matrixio.ec_report_to_doc(report, f"trace(n={pair.n})", grid.points)
+    doc = matrixio.ec_report_to_doc(report, f.label, grid.points)
     sys.stdout.write(matrixio.dumps_doc(doc))
     return EXIT_OK if report.passed else EXIT_CHECK
 

@@ -28,6 +28,7 @@ from .hermitian import (
     _exp_of,
     _freeze,
     _lapack,
+    _raised,
     _stacked_eigh,
     max_abs,
 )
@@ -62,7 +63,7 @@ class TGrid:
         if pts.ndim != 1 or pts.size < 1:
             raise ValueError(f"grid must be a nonempty 1-d sequence, got shape {pts.shape}")
         _check_points(pts)
-        if pts.size > 1 and not np.all(np.diff(pts) > 0):
+        if not np.all(np.diff(pts) > 0):
             raise ValueError("grid points must be strictly increasing")
         object.__setattr__(self, "points", _freeze(pts))
 
@@ -167,7 +168,7 @@ def psd_check(g: GramMatrix, tol: float = DEFAULT_PSD_TOL) -> ECReport:
 def _stacked_psd(gs, tol: float = DEFAULT_PSD_TOL) -> list:
     """psd_check of every Gram matrix of gs, all of one size, by one stacked eigh call, bit for
     bit."""
-    mats = gs[0].matrix[None] if len(gs) == 1 else np.array([g.matrix for g in gs])
+    mats = np.array([g.matrix for g in gs])
     w, v = _lapack(np.linalg.eigh, mats)
     # max(1, ||G||_max) as Python's max takes it (a NaN entry gives 1), times tol in Python
     # floats, which overflow to inf without a warning
@@ -275,7 +276,7 @@ def entrywise_ec_check(
     # t*L + M is exactly Hermitian for real t, as L and M are stored symmetrized
     eigs = _stacked_eigh([HermitianMatrix(t * l.mat + m.mat) for t in ts])
     # in the order of ts, so the first sum that fails raises, as one call per sum would
-    exps = np.array([_exp_of(eig) for eig in eigs])
+    exps = np.array([_exp_of(_raised(eig)) for eig in eigs])
     max_imag = max_abs(exps.imag)
     entries = exps.real[inverse]
 

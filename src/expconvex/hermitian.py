@@ -34,9 +34,7 @@ _HALF_MAX = sys.float_info.max / 2
 
 def max_abs(a: np.ndarray) -> float:
     """Entrywise max-norm; 0.0 for empty arrays."""
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a).max())
+    return float(np.abs(a).max(initial=0.0))
 
 
 def _as_complex_square(m) -> np.ndarray:
@@ -162,7 +160,7 @@ def _stacked_eigh(hs) -> list:
     """eigh of every matrix of hs, all of one size, by one stacked LAPACK call, bit for bit.
     Per matrix: (w, v) or the ConvergenceFailure eigh raises for it; a failed call is redone singly.
     """
-    mats = hs[0].mat[None] if len(hs) == 1 else np.array([h.mat for h in hs])
+    mats = np.array([h.mat for h in hs])
     try:
         w, v = _lapack(np.linalg.eigh, mats)
     except ConvergenceFailure as exc:
@@ -183,15 +181,15 @@ def _stacked_eigh(hs) -> list:
 
 
 def _exp_of(eig) -> np.ndarray:
-    """e^H = V diag(e^w) V*, symmetrized, from eig = (w, v), one result of _stacked_eigh.
+    """e^H = V diag(e^w) V*, symmetrized, from eig = (w, v) = eigh(H).
 
     w and v may also stack k results, (k, n) and (k, n, n): one broadcast then gives every
     member's exponential with the bits of its own call, and the largest eigenvalue of the
     stack is the one an Overflow names.
     """
-    w, v = _raised(eig)
+    w, v = eig
     # eigenvalues ascend, so w.max() is the stack's largest top eigenvalue
-    if w.size and (top := w.max()) > EXP_OVERFLOW_LIMIT:
+    if (top := w.max(initial=-np.inf)) > EXP_OVERFLOW_LIMIT:
         raise Overflow(f"largest eigenvalue {_eigenvalue_text(top, 3)} exceeds exp range")
     out = (v * np.exp(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return (out + out.conj().swapaxes(-1, -2)) / 2.0
@@ -214,7 +212,7 @@ def matrix_exp_hermitian(h: HermitianMatrix) -> np.ndarray:
     Overflow when the largest eigenvalue exceeds the double-precision
     exponent range.
     """
-    return _exp_of(_stacked_eigh([h])[0])
+    return _exp_of(eigh(h))
 
 
 def conjugate(u: np.ndarray, h: HermitianMatrix) -> HermitianMatrix:
@@ -233,42 +231,39 @@ def lie_product_approx(
 ) -> LieApproximation:
     """Split-step approximation (e^{x/p} e^{y/p})^p of e^{x+y}.
 
-    With with_reference=True the eigendecomposition exponential of x+y is
-    computed as well and reference_error = ||value - e^{x+y}||_max.
+    With with_reference=True the eigendecomposition exponential of x+y is computed
+    after the split step, whose errors come first, and reference_error = ||value - e^{x+y}||_max.
     """
     if x.n != y.n:
         raise DimensionMismatch(f"operands are {x.n}x{x.n} and {y.n}x{y.n}")
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p}")
-    hs = [x, y, HermitianMatrix(x.mat + y.mat)] if with_reference else [x, y]
-    values, ref = _split_steps(_stacked_eigh(hs), (p,))
-    value = _freeze(values[0])
-    return LieApproximation(value, None if ref is None else max_abs(value - ref))
+    eigs = _stacked_eigh([x, y, HermitianMatrix(x.mat + y.mat)] if with_reference else [x, y])
+    value = _freeze(_split_steps(_raised(eigs[0]), _raised(eigs[1]), (p,))[0])
+    if not with_reference:
+        return LieApproximation(value)
+    return LieApproximation(value, max_abs(value - _exp_of(_raised(eigs[2]))))
 
 
-def _split_steps(eigs, ps) -> tuple:
-    """The split steps (e^{x/p} e^{y/p})^p for every p of ps, and e^{x+y} (None without x + y).
+def _split_steps(eig_x, eig_y, ps) -> np.ndarray:
+    """The split steps (e^{x/p} e^{y/p})^p for every p of ps, stacked, from eigh(x) and eigh(y).
 
-    eigs = _stacked_eigh([x, y]) or _stacked_eigh([x, y, x + y]), and each p of ps is a multiple
-    of the one before.  e^{x/p} is taken from eigh(x) = (w, V) as V diag(e^{w/p}) V*, which for
-    p a power of two is eigh(x / p) bit for bit.  All exponentials are one broadcast, and all
-    products are raised to ps[0] together, the later ones then by each further factor.
-    Raises the eigensolver error of x, then of y, an Overflow of an e^{x/p} or e^{y/p}, of a
-    split step (with no numpy warning), then the error of e^{x+y}.
+    Each p of ps is a multiple of the one before.  e^{x/p} is taken from eigh(x) = (w, V) as
+    V diag(e^{w/p}) V*, which for p a power of two is eigh(x / p) bit for bit.  All
+    exponentials are one broadcast, and all products are raised to ps[0] together, the later
+    ones then by each further factor.  Raises an Overflow of an e^{x/p} or e^{y/p}, then of a
+    split step (with no numpy warning).
     """
-    (wx, vx), (wy, vy) = _raised(eigs[0]), _raised(eigs[1])
-    k, xy = len(ps), (eigs[2] if len(eigs) > 2 else None)
-    # e^{x+y} joins the broadcast when it is in range; else its error follows the split steps
-    joined = isinstance(xy, tuple) and xy[0].max(initial=-np.inf) <= EXP_OVERFLOW_LIMIT
-    eig = [(wx / p, vx) for p in ps] + [(wy / p, vy) for p in ps] + ([xy] if joined else [])
+    (wx, vx), (wy, vy), k = eig_x, eig_y, len(ps)
+    eig = [(wx / p, vx) for p in ps] + [(wy / p, vy) for p in ps]
     exps = _exp_of(tuple(map(np.array, zip(*eig))))
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.linalg.matrix_power(exps[:k] @ exps[k : 2 * k], ps[0])
+        values = np.linalg.matrix_power(exps[:k] @ exps[k:], ps[0])
         for j in range(1, k):
             values[j:] = np.linalg.matrix_power(values[j:], ps[j] // ps[j - 1])
     if not np.isfinite(values).all():
         raise Overflow("split-step product overflowed double precision")
-    return values, exps[-1] if joined else None if xy is None else _exp_of(xy)
+    return values
 
 
 def _check_offdiag_nonneg(m: HermitianMatrix, what: str = "") -> None:

@@ -242,13 +242,14 @@ def load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
 def reduction_to_doc(result, residuals: tuple[float, float]) -> dict:
     """Encode a reduction result together with its intermediate quantities.
 
-    mu_n and M_block are read off M's diagonal; omegas = phase_matrix(g),
-    Omega = diag(omegas), W_block = Omega V_block and g_abs = |g| are
-    rebuilt from the trace exactly as reduce computes them.
+    mu_n and M_block are read off M's diagonal; g = V_block b_col,
+    omegas = phase_matrix(g), Omega = diag(omegas), W_block = Omega V_block
+    and g_abs = |g| are rebuilt from the trace exactly as reduce computes them.
     """
     tr = result.trace
     m_diag = result.M.mat.diagonal().real
-    omegas = phase_matrix(tr.g)
+    g = tr.V_block @ tr.b_col
+    omegas = phase_matrix(g)
     omega = np.diag(omegas)
     return {
         "W": matrix_to_doc(result.W),
@@ -265,11 +266,11 @@ def reduction_to_doc(result, residuals: tuple[float, float]) -> dict:
             "mu_n": float(m_diag[-1]),
             "V_block": matrix_to_doc(tr.V_block),
             "M_block": real_vector_to_doc(m_diag[:-1]),
-            "g": complex_vector_to_doc(tr.g),
+            "g": complex_vector_to_doc(g),
             "omegas": complex_vector_to_doc(omegas),
             "Omega": matrix_to_doc(omega),
             "W_block": matrix_to_doc(omega @ tr.V_block),
-            "g_abs": real_vector_to_doc(np.abs(tr.g)),
+            "g_abs": real_vector_to_doc(np.abs(g)),
         },
     }
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, RankNotOne
-from .hermitian import HermitianMatrix, _freeze, _raised, conjugate, eigh
+from .hermitian import HermitianMatrix, _freeze, conjugate, eigh
 from .tolerances import PHASE_ZERO_TOL, RANK_TOL_FACTOR
 
 
@@ -28,9 +28,9 @@ class ReductionTrace:
 
     U is the Householder corner diagonalizer; B_block and b_col are the
     leading block and the coupling column of U B U*; V_block diagonalizes
-    B_block; g = V_block b_col.  The rest is read off the result: M's
-    diagonal holds the eigenvalues of B_block and the corner entry mu_n of
-    U B U*, and with omegas = phase_matrix(g) W's leading block is
+    B_block.  The rest is read off the result: M's diagonal holds the
+    eigenvalues of B_block and the corner entry mu_n of U B U*, and with
+    g = V_block b_col and omegas = phase_matrix(g) W's leading block is
     diag(omegas) V_block and M's coupling column is |g|.
     """
 
@@ -38,7 +38,6 @@ class ReductionTrace:
     B_block: HermitianMatrix
     b_col: np.ndarray
     V_block: np.ndarray
-    g: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -53,12 +52,12 @@ class ReductionResult:
 
 def _rank_one_certificate(eig_a, rank_tol: float) -> tuple[float, np.ndarray]:
     """(lambda, v): the one eigenvalue of magnitude above rank_tol and its unit eigenvector,
-    from eig_a = eigh(a) or the error _stacked_eigh kept for it.
+    from eig_a = (w, v) = eigh(a).
 
     Raises RankNotOne (carrying the spectrum) when zero or several
     eigenvalues exceed the threshold.
     """
-    w, v = _raised(eig_a)
+    w, v = eig_a
     big = np.flatnonzero(np.abs(w) > rank_tol)
     if big.size != 1:
         raise RankNotOne(
@@ -114,8 +113,7 @@ def reduce(a: HermitianMatrix, b: HermitianMatrix) -> ReductionResult:
 
 
 def _reduce(a: HermitianMatrix, b: HermitianMatrix, eig_a) -> ReductionResult:
-    """reduce(a, b) for a and b of one size, from eig_a = eigh(a) or the error _stacked_eigh
-    kept for it."""
+    """reduce(a, b) for a and b of one size, from eig_a = (w, v) = eigh(a)."""
     n = a.n
     lambda_n, v = _rank_one_certificate(eig_a, RANK_TOL_FACTOR * a.norm_max())
     u = corner_diagonalizer(v)
@@ -151,7 +149,6 @@ def _reduce(a: HermitianMatrix, b: HermitianMatrix, eig_a) -> ReductionResult:
         B_block=b_block,
         b_col=_freeze(b_col),
         V_block=_freeze(v_block),
-        g=_freeze(g),
     )
     return ReductionResult(
         W=_freeze(w_full),

@@ -71,7 +71,7 @@ class AtomicMeasure:
 
     @property
     def total_mass(self) -> float:
-        return float(self.weights.sum()) if self.weights.size else 0.0
+        return float(self.weights.sum())
 
     @staticmethod
     def from_atoms(pairs) -> "AtomicMeasure":
@@ -323,8 +323,6 @@ def laplace_values(measure: AtomicMeasure, ts) -> np.ndarray:
     first such t, when a live atom's exponent exceeds the exp range.
     """
     ts = _points(ts)
-    if measure.locations.size == 0:
-        return np.zeros(ts.shape)
     exponents = ts[:, None] * measure.locations
     live = measure.weights > 0.0
     over = np.any(exponents[:, live] > EXP_OVERFLOW_LIMIT, axis=1)
@@ -399,7 +397,7 @@ def growth_exponents(pair: TracePair) -> SupportEstimate:
     overflows or underflows to zero.
     """
     far = _far_points(pair)
-    return _support_estimate(far, trace_values(pair, far), eigh(pair.A))
+    return _support_estimate(far, trace_values(pair, far), eigh(pair.A)[0])
 
 
 def _far_points(pair: TracePair) -> np.ndarray:
@@ -407,12 +405,11 @@ def _far_points(pair: TracePair) -> np.ndarray:
     return np.array([2.0, 1.0, -1.0, -2.0]) * (40.0 / norm if norm > 0.0 else 1.0)
 
 
-def _support_estimate(far: np.ndarray, f_far: np.ndarray, eig_a) -> SupportEstimate:
-    """growth_exponents from the values f_far at _far_points and eig_a = eigh(A) or its error."""
+def _support_estimate(far: np.ndarray, f_far: np.ndarray, w: np.ndarray) -> SupportEstimate:
+    """growth_exponents from the values f_far at _far_points and A's ascending eigenvalues w."""
     log_2, log_1, log_m1, log_m2 = (math.log(v) for v in f_far)
     est_max = (log_2 - log_1) / far[1]  # far[1] = t_far
     est_min = (log_m1 - log_m2) / far[1]
-    w, _ = _raised(eig_a)
     return SupportEstimate(
         lambda_min_est=float(est_min),
         lambda_max_est=float(est_max),

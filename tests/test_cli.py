@@ -223,21 +223,32 @@ def test_fit_measure_flag_validation(worked_pair, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, flag, value",
-    [(["check-ec", "--tol", "nan"], "--tol", "nan"),
-     (["check-ec", "--tol", "inf"], "--tol", "inf"),
-     (["check-ec", "--grid-hi", "inf"], "--grid-hi", "inf"),
-     (["check-ec", "--grid-lo=-inf"], "--grid-lo", "-inf"),
-     (["fit-measure", "--reg", "nan"], "--reg", "nan"),
-     (["fit-measure", "--reg", "inf"], "--reg", "inf")],
-    ids=["tol-nan", "tol-inf", "grid-hi-inf", "grid-lo-inf", "reg-nan", "reg-inf"],
+    "argv, message",
+    [(["check-ec", "--tol", "nan"], "--tol must be finite, got nan"),
+     (["check-ec", "--tol", "inf"], "--tol must be finite, got inf"),
+     (["check-ec", "--grid-hi", "inf"], "--grid-hi must be finite, got inf"),
+     (["check-ec", "--grid-lo=-inf"], "--grid-lo must be finite, got -inf"),
+     (["fit-measure", "--reg", "nan"], "--reg must be finite, got nan"),
+     (["fit-measure", "--reg", "inf"], "--reg must be finite, got inf"),
+     # a non-finite grid end is named as such, not as a misordered grid
+     (["check-ec", "--grid-hi", "nan"], "--grid-hi must be finite, got nan"),
+     (["check-ec", "--grid-lo", "inf"], "--grid-lo must be finite, got inf"),
+     # a negative non-finite value after a space is a number, in any case float reads
+     (["check-ec", "--grid-lo", "-inf"], "--grid-lo must be finite, got -inf"),
+     (["check-ec", "--grid-hi", "-inf"], "--grid-hi must be finite, got -inf"),
+     (["check-ec", "--grid-hi", "-Infinity"], "--grid-hi must be finite, got -inf"),
+     (["check-ec", "--grid-lo", "-NaN"], "--grid-lo must be finite, got nan"),
+     (["check-ec", "--tol", "-inf"], "--tol must be positive, got -inf")],
+    ids=["tol-nan", "tol-inf", "grid-hi-inf", "grid-lo-inf", "reg-nan", "reg-inf",
+         "grid-hi-nan", "grid-lo-pos-inf", "grid-lo-neg-inf", "grid-hi-neg-inf",
+         "grid-hi-neg-infinity", "grid-lo-neg-nan", "tol-neg-inf"],
 )
-def test_nonfinite_flag_is_usage_error_before_reading(tmp_path, capsys, argv, flag, value):
+def test_nonfinite_flag_is_usage_error_before_reading(tmp_path, capsys, argv, message):
     # the input does not exist: the flag is refused before the file is opened
     assert main(argv[:1] + [str(tmp_path / "absent.json")] + argv[1:]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: {flag} must be finite, got {value}\n"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from expconvex import (
 )
 from expconvex.errors import ConvergenceFailure, ExpConvexError
 from expconvex.hermitian import (
-    _exp_of, _fix_column_phases, _split_steps, _stacked_eigh,
+    _exp_of, _fix_column_phases, _raised, _split_steps, _stacked_eigh,
 )
 from expconvex import hermitian as hermitian_module
 from expconvex import random_rank_one_pair
@@ -352,7 +352,7 @@ def _stacked_exp(hs):
     out = []
     for eig in _stacked_eigh(hs):
         try:
-            out.append(_exp_of(eig))
+            out.append(_exp_of(_raised(eig)))
         except ExpConvexError as exc:
             out.append(exc)
     return out
@@ -409,6 +409,15 @@ def test_stacked_eigh_charges_a_failed_reconstruction_to_its_matrix(monkeypatch)
         assert (w.tobytes(), v.tobytes()) == (expected[0].tobytes(), expected[1].tobytes())
 
 
+def test_empty_matrices_take_the_general_path():
+    # max_abs, _exp_of and the split step have no branch of their own for n = 0
+    empty = validate_hermitian(np.zeros((0, 0)))
+    assert max_abs(np.zeros(0)) == 0.0 and empty.norm_max() == 0.0
+    assert matrix_exp_hermitian(empty).shape == (0, 0)
+    approx = lie_product_approx(empty, empty, 4, with_reference=True)
+    assert approx.value.shape == (0, 0) and approx.reference_error == 0.0
+
+
 def _ensemble_pairs():
     # ten pairs of the verify ensemble for each n = 2..12
     rng = np.random.default_rng(2024)
@@ -433,16 +442,15 @@ def test_stacked_exponentials_and_squarings_equal_one_at_a_time():
         for e, eig in zip(exps, eigs):
             assert e.tobytes() == _exp_of(eig).tobytes()
     # the (k, n, n) stack raised to ps[0], its later members squared on: each member has the
-    # bits of its own call, and e^{x+y} in the broadcast those of matrix_exp_hermitian
+    # bits of its own call, and e^{x+y} from the (x, y, x + y) stack those of matrix_exp_hermitian
     for pair in _ensemble_pairs()[::10]:
         xy = HermitianMatrix(pair.A.mat + pair.B.mat)
-        eigs = _stacked_eigh([pair.A, pair.B, xy])
+        eig_x, eig_y, eig_xy = _stacked_eigh([pair.A, pair.B, xy])
+        assert _exp_of(eig_xy).tobytes() == matrix_exp_hermitian(xy).tobytes()
         for ps in [(64, 128), (1, 2, 4, 8), (1,), (4, 4, 16)]:
-            values, ref = _split_steps(eigs, ps)
-            assert ref.tobytes() == matrix_exp_hermitian(xy).tobytes()
+            values = _split_steps(eig_x, eig_y, ps)
             for value, p in zip(values, ps):
-                assert value.tobytes() == _split_steps(eigs, (p,))[0][0].tobytes()
-            assert _split_steps(eigs[:2], ps)[1] is None
+                assert value.tobytes() == _split_steps(eig_x, eig_y, (p,))[0].tobytes()
 
 
 def test_lie_product_approx_at_a_power_of_two_has_the_bits_of_the_scaled_exponentials():
@@ -469,13 +477,15 @@ def _sequential_lie_errors(x, y):
 def _stacked_lie_errors(x, y):
     # verify's Lie check: p = 64 and 128 in one stack, from one eigh call of x, y and x + y
     try:
-        values, ref = _split_steps(_stacked_eigh([x, y, HermitianMatrix(x.mat + y.mat)]), (64, 128))
+        eigs = _stacked_eigh([x, y, HermitianMatrix(x.mat + y.mat)])
+        values = _split_steps(_raised(eigs[0]), _raised(eigs[1]), (64, 128))
+        ref = _exp_of(_raised(eigs[2]))
         return [max_abs(value - ref) for value in values]
     except ExpConvexError as exc:
         return exc
 
 
-def test_lie_reference_errors_equal_lie_product_approx():
+def test_stacked_lie_check_equals_lie_product_approx():
     for pair in _ensemble_pairs():
         assert _stacked_lie_errors(pair.A, pair.B) == _sequential_lie_errors(pair.A, pair.B)
 
@@ -492,7 +502,7 @@ def test_lie_reference_errors_equal_lie_product_approx():
     # the split steps are finite, e^{x+y} is not
     ([0.0, 705.0], [0.0, 1.0], "largest eigenvalue 706.000 exceeds exp range"),
 ])
-def test_lie_reference_errors_raise_as_lie_product_approx(x, y, message):
+def test_stacked_lie_check_raises_as_lie_product_approx(x, y, message):
     x, y = hermitian_from_diag(x), hermitian_from_diag(y)
     stacked, sequential = _stacked_lie_errors(x, y), _sequential_lie_errors(x, y)
     assert isinstance(stacked, Overflow) and isinstance(sequential, Overflow)
@@ -505,7 +515,7 @@ def test_lie_reference_errors_raise_as_lie_product_approx(x, y, message):
     # and on x + y = diag(3, 4), whose error follows the split steps
     (3.0, "eigensolver failed: did not converge"),
 ])
-def test_lie_reference_errors_after_a_failed_eigendecomposition(monkeypatch, marker, expect):
+def test_stacked_lie_check_after_a_failed_eigendecomposition(monkeypatch, marker, expect):
     real = np.linalg.eigh
 
     def flaky(a):
@@ -550,3 +560,19 @@ def test_hermitian_lapack_is_the_one_eigensolver_boundary():
                 catches.add((path.stem, func))
     assert loose == []
     assert catches == {("hermitian", "_lapack"), ("transform", "fit_measure")}
+
+
+def test_only_the_readers_of_a_stacked_result_raise_its_kept_error():
+    """A private kernel takes plain values: the functions that read a stacked result
+    (eigh, trace_values, lie_product_approx, entrywise_ec_check, run_case) are the only
+    callers of hermitian._raised."""
+    callers = set()
+    for path in sorted(Path(hermitian_module.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node, func in _by_function(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_raised":
+                callers.add((path.stem, func))
+    assert callers == {
+        ("hermitian", "eigh"), ("hermitian", "lie_product_approx"),
+        ("transform", "trace_values"), ("convexity", "entrywise_ec_check"), ("verify", "run_case"),
+    }

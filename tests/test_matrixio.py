@@ -208,9 +208,13 @@ NUMBERS = st.one_of(
     st.from_regex(r"-?(0|[1-9][0-9]{0,25})(\.[0-9]{1,30})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
 )
 SPACES = st.sampled_from(["", " ", "\n", "\r\n", "\r", "\t", " \r\n\t "])
-# an extra key of a matrix object, which the decoder ignores; brackets
-# inside a string do not nest
-EXTRAS = st.sampled_from(["", ', "note": "[[[[[["', ', "note": "]]]"', ', "note": [1, [2e5]]'])
+# an extra key of a matrix object, possibly repeated, which both routes ignore:
+# a value with no bracket leaves the file to the flat route, and a bracket,
+# even inside a string, where it does not nest, sends it to the json route
+BRACKET_EXTRAS = [', "note": "[[[[[["', ', "note": "]]]"', ', "note": [1, [2e5]]']
+EXTRAS = st.sampled_from(
+    ["", ', "note": "x"', ', "note": 3.5', ', "note": null', ', "note": "}"',
+     ', "note": 1, "note": "x"', *BRACKET_EXTRAS])
 
 
 @st.composite
@@ -285,7 +289,7 @@ def test_orjson_route_decodes_like_json_route(pair_path, text):
     else:
         assert not isinstance(fast, str), fast
         assert all(np.array_equal(f, s) for f, s in zip(fast, slow))
-    if '"note"' in text:  # an extra key: the file is not canonical
+    if any(extra in text for extra in BRACKET_EXTRAS):  # a bracket outside the entries arrays
         assert reparsed
     assert all(map(_one_flat_array, loaded))
 

@@ -187,6 +187,10 @@ def test_laplace_transform_values():
     empty = AtomicMeasure.from_atoms([])
     for t in (-2.0, 0.0, 7.0):
         assert laplace_transform(empty, t) == 0.0
+    # the general path on a measure without atoms: float zeros, and no mass
+    vals = laplace_values(empty, [-2.0, 0.0, 7.0])
+    assert vals.dtype == float and vals.tobytes() == np.zeros(3).tobytes()
+    assert empty.total_mass == 0.0
 
     single = AtomicMeasure.from_atoms([(-1.0, 2.0)])
     assert laplace_transform(single, 0.0) == pytest.approx(2.0)
