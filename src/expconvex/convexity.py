@@ -168,6 +168,8 @@ def psd_check(g: GramMatrix, tol: float = DEFAULT_PSD_TOL) -> ECReport:
 def _stacked_psd(gs, tol: float = DEFAULT_PSD_TOL) -> list:
     """psd_check of every Gram matrix of gs, all of one size, by one stacked eigh call, bit for
     bit."""
+    if not gs:
+        return []
     mats = np.array([g.matrix for g in gs])
     w, v = _lapack(np.linalg.eigh, mats)
     # max(1, ||G||_max) as Python's max takes it (a NaN entry gives 1), times tol in Python
@@ -211,9 +213,9 @@ def dichotomy_check(f: ScalarFunction, grid: TGrid) -> DichotomyReport:
 
 
 def ec_scale(f: ScalarFunction, c: float) -> ScalarFunction:
-    """c * f for c >= 0; preserves exponential convexity."""
-    if c < 0.0:
-        raise NegativeScale(f"scale constant must be nonnegative, got {c}")
+    """c * f for a finite c >= 0; preserves exponential convexity."""
+    if not 0.0 <= c < np.inf:
+        raise NegativeScale(f"scale constant must be a finite number >= 0, got {c}")
     return ScalarFunction(fn=lambda ts: c * f.fn(ts), label=f"scale({c:g},{f.label})")
 
 

@@ -234,15 +234,20 @@ def lie_product_approx(
     With with_reference=True the eigendecomposition exponential of x+y is computed
     after the split step, whose errors come first, and reference_error = ||value - e^{x+y}||_max.
     """
-    if x.n != y.n:
-        raise DimensionMismatch(f"operands are {x.n}x{x.n} and {y.n}x{y.n}")
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
+    _check_lie_operands(x, y, p)
     eigs = _stacked_eigh([x, y, HermitianMatrix(x.mat + y.mat)] if with_reference else [x, y])
     value = _freeze(_split_steps(_raised(eigs[0]), _raised(eigs[1]), (p,))[0])
     if not with_reference:
         return LieApproximation(value)
     return LieApproximation(value, max_abs(value - _exp_of(_raised(eigs[2]))))
+
+
+def _check_lie_operands(x: HermitianMatrix, y: HermitianMatrix, p: int) -> None:
+    """Raise DimensionMismatch for operands of two sizes, or ValueError for a p below 1."""
+    if x.n != y.n:
+        raise DimensionMismatch(f"operands are {x.n}x{x.n} and {y.n}x{y.n}")
+    if p < 1:
+        raise ValueError(f"p must be a positive integer, got {p}")
 
 
 def _split_steps(eig_x, eig_y, ps) -> np.ndarray:

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .hermitian import (
     HermitianMatrix,
+    _check_lie_operands,
     _eigenvalue_text,
     _freeze,
     _lapack,
@@ -340,6 +341,7 @@ def laplace_transform(measure: AtomicMeasure, t: float) -> float:
 
 def lie_trace_function(l: HermitianMatrix, m: HermitianMatrix, p: int) -> ScalarFunction:
     """The split-step trace t -> tr (e^{Lt/p} e^{M/p})^p, converging to trace(L, M)."""
+    _check_lie_operands(l, m, p)
 
     def f(t: float) -> float:
         approx = lie_product_approx(HermitianMatrix(t * l.mat), m, p)
@@ -436,6 +438,9 @@ def fit_measure(
     lo, hi = float(support[0]), float(support[1])
     if not lo < hi:
         raise ValueError(f"support must satisfy lo < hi, got [{lo}, {hi}]")
+    # hi - lo in Python floats, which overflow to inf without the warning np.linspace gives
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"support must have finite ends and width, got [{lo}, {hi}]")
     if grid_resolution < 1:
         raise ValueError(f"grid_resolution must be positive, got {grid_resolution}")
     if len(samples) < grid_resolution / 4:

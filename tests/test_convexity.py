@@ -12,6 +12,7 @@ from expconvex import convexity
 from expconvex import (
     DEFAULT_PSD_TOL,
     DichotomyViolated,
+    DimensionMismatch,
     EvaluationFailure,
     GramMatrix,
     HermitianMatrix,
@@ -249,6 +250,14 @@ def test_ec_scale_rejects_negative():
         ec_scale(exp_function(1.0), -1.0)
 
 
+# refused when the function is built, not when a check first evaluates it
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_ec_scale_rejects_a_constant_that_is_not_finite(c):
+    message = f"scale constant must be a finite number >= 0, got {c}"
+    with pytest.raises(NegativeScale, match=f"^{message}$"):
+        ec_scale(exp_function(1.0), c)
+
+
 def test_ec_sum_cosh_passes():
     f = ec_sum(exp_function(1.0), exp_function(-1.0))
     assert f(0.0) == pytest.approx(2.0)
@@ -299,6 +308,15 @@ def test_p4_lie_trace_sequence_converges():
         errs.append(max(abs(fp(float(t)) - r) for t, r in zip(grid.points, ref)))
     assert errs[-1] <= 0.05 * errs[0]
     assert errs[-1] == pytest.approx(0.0, abs=1e-2)
+
+
+# lie_product_approx's errors, raised when the function is built, not at each evaluation
+def test_lie_trace_function_refuses_its_arguments_when_built():
+    l, m = hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([0.5, 0.25])
+    with pytest.raises(ValueError, match="^p must be a positive integer, got 0$"):
+        lie_trace_function(l, m, 0)
+    with pytest.raises(DimensionMismatch, match="^operands are 2x2 and 3x3$"):
+        lie_trace_function(l, hermitian_from_diag([0.5, 0.25, 0.0]), 4)
 
 
 def test_entrywise_ec_worked_instance():
@@ -382,6 +400,14 @@ def test_entrywise_diagonal_m_trivial():
     l = hermitian_from_diag([-1.0, 2.0])
     m = hermitian_from_diag([0.5, 0.25])
     res = entrywise_ec_check(l, m, TGrid.equispaced(-1.0, 1.0, 4))
+    assert res.all_passed
+
+
+def test_entrywise_on_empty_operands_has_no_reports():
+    # no entry, so no Gram matrix: the empty stack reaches no eigensolver
+    empty = hermitian_from_diag([])
+    res = entrywise_ec_check(empty, empty, three_grid())
+    assert res.reports == ()
     assert res.all_passed
 
 

@@ -380,6 +380,15 @@ def test_fit_measure_rejects_nonfinite_reg(reg):
         fit_measure(samples, (0.0, 1.0), 4, reg=reg)
 
 
+@pytest.mark.parametrize("support", [(0.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308)],
+                         ids=["inf-hi", "inf-lo", "width-overflows"])
+def test_fit_measure_refuses_a_support_that_is_not_finite(support):
+    samples = [(float(t), math.exp(t)) for t in np.linspace(-2.0, 2.0, 12)]
+    message = f"support must have finite ends and width, got [{support[0]}, {support[1]}]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit_measure(samples, support, 4)
+
+
 def test_fit_measure_needs_a_holdout_sample():
     # every third sample is held out: two samples leave none to score
     samples = [(0.0, 1.0), (1.0, 2.0)]

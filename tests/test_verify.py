@@ -1,10 +1,12 @@
 """Tests for the seeded ensemble runner and its deterministic reports."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from expconvex import (
-    TGrid, TracePair, commuting_measure, default_grid, gram, growth_exponents,
+    AtomicMeasure, TGrid, TracePair, commuting_measure, default_grid, gram, growth_exponents,
     hermitian_from_diag, laplace_values, lie_product_approx, psd_check, random_rank_one_pair,
     reduce, reduction_residuals, run_case, run_verification, trace_function, trace_values,
 )
@@ -109,12 +111,8 @@ def test_case_error_is_recorded_by_the_check_that_raises_it(monkeypatch, b_scale
         assert names == CHECK_ORDER[:recorded] + ["case_error(Overflow)"]
 
 
-# eigh fails on the real Gram matrices, after the trace-invariance record, or on the 2-d
-# eigenspace block of L in commuting_measure, after the Lie record (n >= 3: for n = 2 the
-# eigenvalues of L are distinct)
-@pytest.mark.parametrize("fails, recorded", [
-    (lambda a: a.dtype == np.float64, 4), (lambda a: a.ndim == 2, 7),
-], ids=["gram", "commuting-block"])
+# eigh fails on the real Gram matrices, after the trace-invariance record
+@pytest.mark.parametrize("fails, recorded", [(lambda a: a.dtype == np.float64, 4)], ids=["gram"])
 def test_a_failed_eigensolve_is_recorded_and_the_run_completes(monkeypatch, fails, recorded):
     real = np.linalg.eigh
 
@@ -127,23 +125,18 @@ def test_a_failed_eigensolve_is_recorded_and_the_run_completes(monkeypatch, fail
     report = run_verification(6, 7, 0)
     for index in range(6):
         names = [r.check for r in report.records if r.seed == (0, index)]
-        n = next(r.n for r in report.records if r.seed == (0, index))
-        if recorded == 7 and n == 2:
-            assert names == CHECK_ORDER
-        else:
-            assert names == CHECK_ORDER[:recorded] + ["case_error(ConvergenceFailure)"]
+        assert names == CHECK_ORDER[:recorded] + ["case_error(ConvergenceFailure)"]
 
 
-# a matrix of the A, B, A + B stack, or L in commuting_measure, whose eigh either fails in LAPACK
-# or returns a result that misses the reconstruction bound: the case records the same
-@pytest.mark.parametrize("member", ["A", "B", "A+B", "L"])
+# a matrix of the A, B, A + B stack whose eigh either fails in LAPACK or returns a result that
+# misses the reconstruction bound: the case records the same
+@pytest.mark.parametrize("member", ["A", "B", "A+B"])
 def test_a_failed_reconstruction_is_recorded_as_a_failed_eigensolve(monkeypatch, member):
     rng = np.random.default_rng([0, 1])
     n = int(rng.integers(2, 8))
     verify.random_grid(rng)
     pair = random_rank_one_pair(rng, n)
-    target = {"A": pair.A.mat, "B": pair.B.mat, "A+B": pair.A.mat + pair.B.mat,
-              "L": reduce(pair.A, pair.B).L.mat}[member]
+    target = {"A": pair.A.mat, "B": pair.B.mat, "A+B": pair.A.mat + pair.B.mat}[member]
     real = np.linalg.eigh
 
     def names(failure):
@@ -201,10 +194,9 @@ def test_run_case_eigendecomposes_each_distinct_matrix_once(monkeypatch):
         records = run_case(0, index, max_n=7)
         assert [r.check for r in records] == CHECK_ORDER
         # A, B and A + B in one call, which reduce, the Lie exponentials and the growth check
-        # read; a block of B in reduce; both Gram matrices in one call; L and its degenerate
-        # block in commuting_measure
-        assert [np.shape(m) for m in mats] == [
-            (3, n, n), (1, n - 1, n - 1), (2, 8, 8), (1, n, n), (n - 1, n - 1)]
+        # read; a block of B in reduce; both Gram matrices in one call; the round trip reads
+        # the measure of (L, diag M) off the diagonals
+        assert [np.shape(m) for m in mats] == [(3, n, n), (1, n - 1, n - 1), (2, 8, 8)]
         assert [m.tobytes() for m in mats[0]] == [
             pair.A.mat.tobytes(), pair.B.mat.tobytes(), (pair.A.mat + pair.B.mat).tobytes()]
         # no scaled A or B: e^{A/p} and e^{B/p} come from eigh(A) and eigh(B)
@@ -213,6 +205,35 @@ def test_run_case_eigendecomposes_each_distinct_matrix_once(monkeypatch):
                   for m in stack.reshape(-1, n, n)}
         assert not scaled & square
         mats.clear()
+
+
+def test_run_case_measure_is_commuting_measure_bit_for_bit(monkeypatch):
+    # the atoms (L_jj, e^{M_jj}) that run_case reads off the diagonals are those that
+    # commuting_measure finds by its eigensolves: from_atoms sorts them, so their order
+    # and the phases of the eigenvectors do not matter
+    built = []
+
+    def recorded(pairs):
+        built.append(AtomicMeasure.from_atoms(pairs))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "AtomicMeasure", SimpleNamespace(from_atoms=recorded))
+    sizes = set()
+    for index in range(60):
+        rng = np.random.default_rng([0, index])
+        n = int(rng.integers(2, 13))
+        verify.random_grid(rng)
+        pair = random_rank_one_pair(rng, n)
+        assert [r.check for r in run_case(0, index, max_n=12)] == CHECK_ORDER
+        red = reduce(pair.A, pair.B)
+        cpair = TracePair(red.L, hermitian_from_diag(np.diag(red.M.mat).real))
+        expected = commuting_measure(cpair)
+        measure = built.pop()
+        assert not built
+        assert measure.locations.tobytes() == expected.locations.tobytes()
+        assert measure.weights.tobytes() == expected.weights.tobytes()
+        sizes.add(n)
+    assert sizes == set(range(2, 13))
 
 
 def _public_metrics(seed, index, max_n):
