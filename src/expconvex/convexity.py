@@ -162,15 +162,15 @@ def psd_check(g: GramMatrix, tol: float = DEFAULT_PSD_TOL) -> ECReport:
     witness is the corresponding unit eigenvector.  Full eigendecomposition
     rather than Cholesky so a failure always carries its certificate.
     """
-    return _stacked_psd([g], tol)[0]
+    return _stacked_psd([g.matrix], tol)[0]
 
 
 def _stacked_psd(gs, tol: float = DEFAULT_PSD_TOL) -> list:
-    """psd_check of every Gram matrix of gs, all of one size, by one stacked eigh call, bit for
-    bit."""
+    """psd_check of every symmetric array of gs, all of one size, by one stacked eigh call, bit
+    for bit."""
     if not gs:
         return []
-    mats = np.array([g.matrix for g in gs])
+    mats = np.array(gs)
     w, v = _lapack(np.linalg.eigh, mats)
     # max(1, ||G||_max) as Python's max takes it (a NaN entry gives 1), times tol in Python
     # floats, which overflow to inf without a warning
@@ -276,14 +276,13 @@ def entrywise_ec_check(
     n = l.n
     ts, inverse = _distinct_sums(grid.points)
     # t*L + M is exactly Hermitian for real t, as L and M are stored symmetrized
-    eigs = _stacked_eigh([HermitianMatrix(t * l.mat + m.mat) for t in ts])
+    eigs = _stacked_eigh([t * l.mat + m.mat for t in ts])
     # in the order of ts, so the first sum that fails raises, as one call per sum would
     exps = np.array([_exp_of(_raised(eig)) for eig in eigs])
     max_imag = max_abs(exps.imag)
     entries = exps.real[inverse]
 
     # the n^2 entry Gram matrices, row by row, in one eigh call
-    grams = [GramMatrix(matrix=entries[:, :, j, k]) for j in range(n) for k in range(n)]
-    flat = _stacked_psd(grams, tol)
+    flat = _stacked_psd([entries[:, :, j, k] for j in range(n) for k in range(n)], tol)
     reports = tuple(tuple(flat[j * n : (j + 1) * n]) for j in range(n))
     return EntrywiseECResult(reports=reports, max_imag=float(max_imag), imag_tol=imag_tol)

@@ -157,10 +157,11 @@ def _lapack(solver, a):
 
 
 def _stacked_eigh(hs) -> list:
-    """eigh of every matrix of hs, all of one size, by one stacked LAPACK call, bit for bit.
-    Per matrix: (w, v) or the ConvergenceFailure eigh raises for it; a failed call is redone singly.
+    """eigh of every exactly Hermitian array of hs, all of one size, by one stacked LAPACK call,
+    bit for bit. Per matrix: (w, v) or the ConvergenceFailure eigh raises for it; a failed call
+    is redone singly.
     """
-    mats = np.array([h.mat for h in hs])
+    mats = np.array(hs)
     try:
         w, v = _lapack(np.linalg.eigh, mats)
     except ConvergenceFailure as exc:
@@ -202,7 +203,7 @@ def eigh(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
     Raises ConvergenceFailure if LAPACK fails or the reconstruction residual
     ||H V - V diag(w)||_max exceeds EIGH_RESIDUAL_TOL * max(1, ||H||_max).
     """
-    return _raised(_stacked_eigh([h])[0])
+    return _raised(_stacked_eigh([h.mat])[0])
 
 
 def matrix_exp_hermitian(h: HermitianMatrix) -> np.ndarray:
@@ -235,7 +236,7 @@ def lie_product_approx(
     after the split step, whose errors come first, and reference_error = ||value - e^{x+y}||_max.
     """
     _check_lie_operands(x, y, p)
-    eigs = _stacked_eigh([x, y, HermitianMatrix(x.mat + y.mat)] if with_reference else [x, y])
+    eigs = _stacked_eigh([x.mat, y.mat, x.mat + y.mat] if with_reference else [x.mat, y.mat])
     value = _freeze(_split_steps(_raised(eigs[0]), _raised(eigs[1]), (p,))[0])
     if not with_reference:
         return LieApproximation(value)

@@ -249,25 +249,30 @@ def _points(values, name: str = "ts", ndim: int = 1) -> np.ndarray:
 
 
 def _stacked_trace_values(groups) -> list:
-    """The dense kernel: tr e^{tA + B} for every (pair, ts) of groups, all pairs of one size n.
+    """The dense kernel: tr e^{tA + B} for every (a, b, ts) of groups, with a and b exactly
+    Hermitian arrays of one size n.
 
     The matrices tA + B of all groups go to one eigvalsh call per chunk of about 1 MiB, and a
-    value has the bits of its point alone.  Per group: its values or the error trace_values
-    raises for it, so a stack that fails is evaluated again group by group.
+    value has the bits of its point alone.  Groups that share their arrays a and b share one
+    double-range check.  Per group: its values or the error trace_values raises for it, so a
+    stack that fails is evaluated again group by group.
     """
-    per_chunk = max(1, _CHUNK_BYTES // (16 * groups[0][0].n ** 2))
-    starts = list(accumulate((ts.size for _, ts in groups), initial=0))
-    ts_all = np.concatenate([ts for _, ts in groups])
+    per_chunk = max(1, _CHUNK_BYTES // (16 * groups[0][0].shape[0] ** 2))
+    starts = list(accumulate((ts.size for _, _, ts in groups), initial=0))
+    ts_all = np.concatenate([ts for _, _, ts in groups])
     vals = np.empty(ts_all.size)
+    pairs = {}
+    for a, b, ts in groups:
+        pairs.setdefault((id(a), id(b)), (a, b, []))[2].append(ts)
     try:
-        for p, ts in groups:
-            _raise_out_of_range(ts, p.A.norm_max(), p.B.norm_max())
+        for a, b, tss in pairs.values():
+            _raise_out_of_range(np.concatenate(tss), max_abs(a), max_abs(b))
         for lo in range(0, ts_all.size, per_chunk):
             chunk, hi = ts_all[lo : lo + per_chunk], lo + per_chunk
-            parts = [ts_all[max(lo, start) : min(hi, stop), None, None] * p.A.mat + p.B.mat
-                     for (p, _), start, stop in zip(groups, starts, starts[1:])
+            parts = [ts_all[max(lo, start) : min(hi, stop), None, None] * a + b
+                     for (a, b, _), start, stop in zip(groups, starts, starts[1:])
                      if start < hi and lo < stop]
-            # t*A + B is exactly Hermitian for real t, as A and B are stored symmetrized
+            # t*a + b is exactly Hermitian for real t, as a and b are
             h = parts[0] if len(parts) == 1 else np.concatenate(parts)
             w = _lapack(np.linalg.eigvalsh, h)
             _raise_overflow(chunk, w[:, -1])
@@ -299,7 +304,7 @@ def trace_values(pair: TracePair, ts) -> np.ndarray:
         if factor is not None:
             _raise_out_of_range(ts, abs(factor[0]), pair.B.norm_max())
             return _contour_values(ts, pair.B.mat, *factor)
-    return _raised(_stacked_trace_values([(pair, ts)])[0])
+    return _raised(_stacked_trace_values([(pair.A.mat, pair.B.mat, ts)])[0])
 
 
 def trace_f(pair: TracePair, t: float) -> float:

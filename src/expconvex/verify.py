@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import GramMatrix, TGrid, _distinct_sums, _stacked_psd, default_grid
+from .convexity import TGrid, _distinct_sums, _stacked_psd, default_grid
 from .errors import ExpConvexError
 from .hermitian import (
-    HermitianMatrix, _exp_of, _freeze, _raised, _split_steps, _stacked_eigh, max_abs,
-    validate_hermitian,
+    _exp_of, _freeze, _raised, _split_steps, _stacked_eigh, max_abs, validate_hermitian,
 )
 from .reduction import _reduce, reduction_residuals
 from .tolerances import (
@@ -133,25 +132,26 @@ def run_case(master_seed: int, index: int, max_n: int) -> list[CaseRecord]:
     try:
         # every eigendecomposition of A, B and A + B the case needs, in one call; A + B needs
         # no validate_hermitian, as a sum of two exactly Hermitian matrices
-        eigs = _stacked_eigh([pair.A, pair.B, HermitianMatrix(pair.A.mat + pair.B.mat)])
+        a, b = pair.A.mat, pair.B.mat
+        eigs = _stacked_eigh([a, b, a + b])
         eig_a = _raised(eigs[0])
         red = _reduce(pair.A, pair.B, eig_a)
         ra, rb = reduction_residuals(pair.A, pair.B, red)
         records.append(record("reduce_wavw_l", ra <= RESIDUAL_TOL, ra))
         records.append(record("reduce_wbw_m", rb <= RESIDUAL_TOL, rb))
 
-        m = red.M.mat
+        l, m = red.L.mat, red.M.mat
         min_off = float(m.real[~np.eye(n, dtype=bool)].min())
         records.append(record("reduce_offdiag_min", min_off >= -OFFDIAG_TOL, min_off))
 
-        # every trace value of the case from one stacked eigvalsh call; each check raises
-        # its group's error (n <= MAX_N < CONTOUR_MIN_N: trace_values is dense here too)
-        cpair = TracePair(red.L, HermitianMatrix(np.diag(np.diag(m).real).astype(complex)))
+        # every trace value of the case from one stacked eigvalsh call, with one range check
+        # each for (A, B), (L, M) and (L, diag M); each check raises its group's error
+        # (n <= MAX_N < CONTOUR_MIN_N: trace_values is dense here too)
         sums_rand, inverse_rand = _distinct_sums(grid_rand.points)
         far = _far_points(pair)
         fa, f_uniform, f_rand, f_far, fl, f_round = _stacked_trace_values([
-            (pair, _LINE), (pair, _uniform_sums()[0]), (pair, sums_rand), (pair, far),
-            (TracePair(red.L, red.M), _LINE), (cpair, _LINE_AND_ZERO),
+            (a, b, _LINE), (a, b, _uniform_sums()[0]), (a, b, sums_rand), (a, b, far),
+            (l, m, _LINE), (l, np.diag(np.diag(m).real).astype(complex), _LINE_AND_ZERO),
         ])
         fa, fl = _raised(fa), _raised(fl)
         worst = float(np.max(np.abs(fa - fl) / np.maximum(1.0, fa)))
@@ -164,7 +164,7 @@ def run_case(master_seed: int, index: int, max_n: int) -> list[CaseRecord]:
         for inverse, vals in ((_uniform_sums()[1], f_uniform), (inverse_rand, f_rand)):
             if isinstance(vals, ExpConvexError):
                 break
-            grams.append(GramMatrix(matrix=vals[inverse]))
+            grams.append(vals[inverse])
         for check, rep in zip(("ec_gram_uniform", "ec_gram_random"), _stacked_psd(grams)):
             records.append(record(check, rep.passed, rep.min_eigenvalue))
         _raised(f_uniform)
@@ -181,7 +181,7 @@ def run_case(master_seed: int, index: int, max_n: int) -> list[CaseRecord]:
         # Round trip on the commuting pair (L, diag M) produced by this case: its measure has
         # the atoms (L_jj, e^{M_jj}), in range as the trace-invariance values were
         vals = _raised(f_round)
-        measure = AtomicMeasure.from_atoms(zip(np.diag(red.L.mat).real, np.exp(np.diag(m).real)))
+        measure = AtomicMeasure.from_atoms(zip(np.diag(l).real, np.exp(np.diag(m).real)))
         ft, ref_mass = vals[:-1], float(vals[-1])
         lt = laplace_values(measure, _LINE)
         worst_rt = float(np.max(np.abs(ft - lt) / np.maximum(1.0, ft)))

@@ -447,7 +447,7 @@ def test_stacked_psd_bitwise_equals_one_eigh_per_matrix():
             gs.append(GramMatrix(matrix=(m + m.T) / 2.0))
         for tol in (DEFAULT_PSD_TOL, 1e10):
             # at 1e10 * 1e300 the tolerance is inf, without a warning
-            for g, rep in zip(gs, convexity._stacked_psd(gs, tol)):
+            for g, rep in zip(gs, convexity._stacked_psd([g.matrix for g in gs], tol)):
                 got = (rep.passed, rep.min_eigenvalue, rep.witness.tobytes(), rep.tolerance)
                 assert got == _psd_one_eigh(g, tol)
                 single = psd_check(g, tol)

@@ -350,7 +350,7 @@ def _exp_reference(h):
 def _stacked_exp(hs):
     # each matrix's exponential, or the error matrix_exp_hermitian raises for it
     out = []
-    for eig in _stacked_eigh(hs):
+    for eig in _stacked_eigh([h.mat for h in hs]):
         try:
             out.append(_exp_of(_raised(eig)))
         except ExpConvexError as exc:
@@ -368,7 +368,7 @@ def test_stacked_exp_bitwise_equals_matrix_exp():
         assert str(out[1]) == "largest eigenvalue 701.000 exceeds exp range"
         for h, e in zip(hs[:1] + hs[2:], out[:1] + out[2:]):
             assert e.tobytes() == matrix_exp_hermitian(h).tobytes() == _exp_reference(h).tobytes()
-        for h, (w, v) in zip(hs, _stacked_eigh(hs)):
+        for h, (w, v) in zip(hs, _stacked_eigh([h.mat for h in hs])):
             w1, v1 = eigh(h)
             assert (w.tobytes(), v.tobytes()) == (w1.tobytes(), v1.tobytes())
             assert not (w.flags.writeable or v.flags.writeable)
@@ -403,7 +403,7 @@ def test_stacked_eigh_charges_a_failed_reconstruction_to_its_matrix(monkeypatch)
     message = "reconstruction residual 1.000e+00 exceeds 1.230e-08"
     with pytest.raises(ConvergenceFailure, match=f"^{re.escape(message)}$"):
         eigh(bad)
-    out = _stacked_eigh([good, bad, good])
+    out = _stacked_eigh([good.mat, bad.mat, good.mat])
     assert isinstance(out[1], ConvergenceFailure) and str(out[1]) == message
     for w, v in (out[0], out[2]):
         assert (w.tobytes(), v.tobytes()) == (expected[0].tobytes(), expected[1].tobytes())
@@ -437,7 +437,7 @@ def test_eigh_of_a_power_of_two_scaling_is_the_scaled_eigh():
 
 def test_stacked_exponentials_and_squarings_equal_one_at_a_time():
     for pair in _ensemble_pairs():
-        eigs = [(w / p, v) for w, v in _stacked_eigh([pair.A, pair.B]) for p in (64, 128)]
+        eigs = [(w / p, v) for w, v in _stacked_eigh([pair.A.mat, pair.B.mat]) for p in (64, 128)]
         exps = _exp_of((np.array([w for w, _ in eigs]), np.array([v for _, v in eigs])))
         for e, eig in zip(exps, eigs):
             assert e.tobytes() == _exp_of(eig).tobytes()
@@ -445,7 +445,7 @@ def test_stacked_exponentials_and_squarings_equal_one_at_a_time():
     # bits of its own call, and e^{x+y} from the (x, y, x + y) stack those of matrix_exp_hermitian
     for pair in _ensemble_pairs()[::10]:
         xy = HermitianMatrix(pair.A.mat + pair.B.mat)
-        eig_x, eig_y, eig_xy = _stacked_eigh([pair.A, pair.B, xy])
+        eig_x, eig_y, eig_xy = _stacked_eigh([pair.A.mat, pair.B.mat, xy.mat])
         assert _exp_of(eig_xy).tobytes() == matrix_exp_hermitian(xy).tobytes()
         for ps in [(64, 128), (1, 2, 4, 8), (1,), (4, 4, 16)]:
             values = _split_steps(eig_x, eig_y, ps)
@@ -477,7 +477,7 @@ def _sequential_lie_errors(x, y):
 def _stacked_lie_errors(x, y):
     # verify's Lie check: p = 64 and 128 in one stack, from one eigh call of x, y and x + y
     try:
-        eigs = _stacked_eigh([x, y, HermitianMatrix(x.mat + y.mat)])
+        eigs = _stacked_eigh([x.mat, y.mat, x.mat + y.mat])
         values = _split_steps(_raised(eigs[0]), _raised(eigs[1]), (64, 128))
         ref = _exp_of(_raised(eigs[2]))
         return [max_abs(value - ref) for value in values]

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from expconvex import (
     ConvergenceFailure,
     DimensionMismatch,
-    HermitianMatrix,
     RankNotOne,
     TracePair,
-    corner_diagonalizer,
     hermitian_from_diag,
     max_abs,
     phase_matrix,
@@ -25,7 +23,7 @@ from expconvex import (
 )
 from expconvex.hermitian import _raised, _stacked_eigh
 from expconvex.matrixio import dumps_doc, matrix_from_doc, reduction_to_doc
-from expconvex.reduction import _reduce
+from expconvex.reduction import _reduce, corner_diagonalizer
 from expconvex.tolerances import RESIDUAL_TOL, TRACE_INV_TOL
 
 
@@ -366,7 +364,7 @@ def test_reduce_from_a_stacked_eigendecomposition_is_reduce():
     for n in range(1, 13):
         a, _, _ = random_rank_one(rng, n)
         b = random_hermitian(rng, n)
-        eigs = _stacked_eigh([a, b, HermitianMatrix(a.mat + b.mat)])
+        eigs = _stacked_eigh([a.mat, b.mat, a.mat + b.mat])
         red, want = _reduce(a, b, eigs[0]), reduce(a, b)
         residuals = reduction_residuals(a, b, red)
         assert residuals == _residuals_one_at_a_time(a, b, want)
@@ -385,7 +383,7 @@ def test_reduce_from_a_failed_eigendecomposition_raises_it(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", flaky)
     a, b = hermitian_from_diag([0.0, 5.0]), hermitian_from_diag([1.0, 2.0])
     with pytest.raises(ConvergenceFailure) as stacked:
-        _reduce(a, b, _raised(_stacked_eigh([a, b])[0]))
+        _reduce(a, b, _raised(_stacked_eigh([a.mat, b.mat])[0]))
     with pytest.raises(ConvergenceFailure) as single:
         reduce(a, b)
     assert str(stacked.value) == str(single.value) == "eigensolver failed: did not converge"

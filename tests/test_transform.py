@@ -29,6 +29,7 @@ from expconvex import (
     trace_values,
     validate_hermitian,
 )
+from expconvex import transform
 from expconvex.tolerances import CONTOUR_MIN_N
 from expconvex.transform import _stacked_trace_values
 
@@ -458,6 +459,11 @@ def test_trace_function_label():
     assert f(0.0) == pytest.approx(2.0 * COSH1)
 
 
+def _arrays(groups):
+    # (pair, ts) groups as the (a, b, ts) groups of the dense kernel
+    return [(pair.A.mat, pair.B.mat, ts) for pair, ts in groups]
+
+
 def test_stacked_kernel_bitwise_equals_trace_values():
     # n = 12 holds 455 matrices per eigvalsh chunk, so the last batch
     # (3 x 200 points) spans two chunks, with a group on each side of the cut
@@ -469,7 +475,7 @@ def test_stacked_kernel_bitwise_equals_trace_values():
         ]
         if most > 40:
             groups = [(pair, rng.uniform(-3.0, 3.0, size=200)) for pair, _ in groups]
-        for (pair, ts), vals in zip(groups, _stacked_trace_values(groups)):
+        for (pair, ts), vals in zip(groups, _stacked_trace_values(_arrays(groups))):
             assert vals.tobytes() == trace_values(pair, ts).tobytes()
             assert vals.tolist() == [_scalar_trace_reference(pair, float(t)) for t in ts]
 
@@ -491,7 +497,7 @@ def test_stacked_kernel_keeps_each_groups_error():
         (line, np.array([1.0, 1e308])),  # out of range, checked before any evaluation
         (pauli_pair(), np.array([2.0])),
     ]
-    out = _stacked_trace_values(groups)
+    out = _stacked_trace_values(_arrays(groups))
     assert [type(r).__name__ for r in out] == ["ndarray", "Overflow", "Overflow", "Overflow", "ndarray"]
     for (pair, ts), result in zip(groups, out):
         expect = _error_or_values(pair, ts)
@@ -512,20 +518,21 @@ def test_stacked_kernel_charges_a_failed_eigensolve_to_its_group(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
     bad = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([123.0, 0.0]))
     ts = np.array([0.0, 0.5])
-    first, failed, last = _stacked_trace_values([(pauli_pair(), ts), (bad, ts), (pauli_pair(), ts)])
+    groups = [(pauli_pair(), ts), (bad, ts), (pauli_pair(), ts)]
+    first, failed, last = _stacked_trace_values(_arrays(groups))
     assert isinstance(failed, ConvergenceFailure)
     assert str(failed) == "eigensolver failed: did not converge"
     assert first.tobytes() == last.tobytes() == trace_values(pauli_pair(), ts).tobytes()
 
 
 def test_stacked_kernel_adjacent_groups_of_one_pair():
-    # groups of one pair side by side share a range check and a tA + B product; at n = 12
-    # a chunk holds 455 matrices, so the cut falls inside the first pair's run
+    # groups of one pair share a range check, and each keeps its own tA + B product; at
+    # n = 12 a chunk holds 455 matrices, so the cut falls inside the first pair's run
     rng = np.random.default_rng(46)
     p, q = random_rank_one_pair(rng, 12), random_rank_one_pair(rng, 12)
     sizes = [(p, 200), (p, 200), (p, 100), (q, 50), (p, 7), (p, 0), (q, 3)]
     groups = [(pair, rng.uniform(-3.0, 3.0, size=k)) for pair, k in sizes]
-    for (pair, ts), vals in zip(groups, _stacked_trace_values(groups)):
+    for (pair, ts), vals in zip(groups, _stacked_trace_values(_arrays(groups))):
         assert vals.tobytes() == trace_values(pair, ts).tobytes()
 
 
@@ -533,7 +540,32 @@ def test_stacked_kernel_charges_a_range_error_to_its_group_alone():
     line = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([0.0, 0.0]))
     groups = [(line, np.array([0.5, -1.0])), (line, np.array([1.0, 1e308])),
               (line, np.array([2.0]))]
-    first, failed, last = _stacked_trace_values(groups)
+    first, failed, last = _stacked_trace_values(_arrays(groups))
     assert str(failed) == "t*A + B leaves the double-precision range at t = 1e+308"
     assert first.tobytes() == trace_values(line, [0.5, -1.0]).tobytes()
     assert last.tobytes() == trace_values(line, [2.0]).tobytes()
+
+
+def test_stacked_kernel_checks_the_range_once_per_shared_pair(monkeypatch):
+    # groups that share their arrays a and b share one range check; when one group of a shared
+    # pair has a t beyond the double range, that group alone gets the Overflow naming its t
+    p, q = pauli_pair(), random_rank_one_pair(np.random.default_rng(48), 2)
+    checked = []
+    real = transform._raise_out_of_range
+
+    def counted(ts, a_norm, b_norm):
+        checked.append(ts.tolist())
+        real(ts, a_norm, b_norm)
+
+    monkeypatch.setattr(transform, "_raise_out_of_range", counted)
+    good = [(p, np.array([0.5, -1.0])), (q, np.array([2.0])), (p, np.array([1.5])),
+            (q, np.array([-2.0, 0.0]))]
+    expected = [trace_values(pair, ts).tobytes() for pair, ts in good]
+    checked.clear()
+    assert [v.tobytes() for v in _stacked_trace_values(_arrays(good))] == expected
+    assert checked == [[0.5, -1.0, 1.5], [2.0, -2.0, 0.0]]
+    groups = good[:2] + [(p, np.array([1.0, -1e308]))] + good[2:]
+    out = _stacked_trace_values(_arrays(groups))
+    assert isinstance(out[2], Overflow)
+    assert str(out[2]) == "t*A + B leaves the double-precision range at t = -1e+308"
+    assert [v.tobytes() for v in out[:2] + out[3:]] == expected

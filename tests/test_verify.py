@@ -10,7 +10,7 @@ from expconvex import (
     hermitian_from_diag, laplace_values, lie_product_approx, psd_check, random_rank_one_pair,
     reduce, reduction_residuals, run_case, run_verification, trace_function, trace_values,
 )
-from expconvex import verify
+from expconvex import transform, verify
 from expconvex.matrixio import dumps_doc
 from expconvex.tolerances import LIE_ERROR_FLOOR
 
@@ -175,6 +175,23 @@ def test_run_case_evaluates_every_trace_value_in_one_eigvalsh_call(monkeypatch):
         # 11 + 26 + distinct random sums + 4 far points, 11 for (L, M), 12 for (L, diag M)
         assert len(shapes) == 1 and 11 + 26 + 4 + 11 + 12 < shapes[0][0] <= 100
         shapes.clear()
+
+
+def test_run_case_checks_the_range_once_per_pair(monkeypatch):
+    # the six trace groups of a case share three pairs: (A, B), (L, M) and (L, diag M)
+    checked = []
+    real = transform._raise_out_of_range
+
+    def counted(ts, a_norm, b_norm):
+        checked.append(ts.size)
+        real(ts, a_norm, b_norm)
+
+    monkeypatch.setattr(transform, "_raise_out_of_range", counted)
+    for index in range(4):
+        records = run_case(0, index, max_n=7)
+        assert [r.check for r in records] == CHECK_ORDER
+        assert len(checked) == 3 and checked[1:] == [11, 12]
+        checked.clear()
 
 
 def test_run_case_eigendecomposes_each_distinct_matrix_once(monkeypatch):
