@@ -27,12 +27,7 @@ from .errors import (
 )
 from .hermitian import eigh, validate_hermitian
 from .reduction import reduce, reduction_residuals
-from .transform import (
-    TracePair,
-    fit_measure,
-    sample_trace_f,
-    trace_function,
-)
+from .transform import TracePair, _eigh_ahead, _trace_function, fit_measure
 from .tolerances import DEFAULT_PSD_TOL, HOLDOUT_LIMIT, RIDGE_REG, SUPPORT_MIN_WIDTH
 from .verify import MAX_N, run_verification
 
@@ -95,6 +90,36 @@ def _load_pair(path: str) -> TracePair:
     return TracePair(validate_hermitian(a_raw), validate_hermitian(b_raw))
 
 
+def _trace_pair(path: str) -> tuple[TracePair, object]:
+    """The pair of the file at path, and the contour kernel's eigh of its B when one ran ahead.
+
+    Once the flat route has decoded a B of A's size that is Hermitian, transform._eigh_ahead
+    may start that eigh on a second thread while A is parsed and validated.  The second item
+    is its result, (w, v) or the ConvergenceFailure it kept, or None when no eigh ran ahead
+    for the pair's B.  The thread is joined before this returns, on every path; errors come
+    in the order _load_pair gives them.
+    """
+    ahead = {}
+
+    def on_b(b_raw):
+        try:
+            b = validate_hermitian(b_raw)
+        except ExpConvexError:
+            return  # raised again in its turn, after any error of A
+        ahead.update(raw=b_raw, b=b, join=_eigh_ahead(b.mat))
+
+    try:
+        a_raw, b_raw = matrixio._load_pair(path, on_b)
+        a = validate_hermitian(a_raw)
+    finally:
+        join = ahead.get("join")
+        eig_b = join() if join is not None else None
+    if ahead.get("raw") is b_raw:
+        return TracePair(a, ahead["b"]), eig_b
+    # a B the json route decoded afresh
+    return TracePair(a, validate_hermitian(b_raw)), None
+
+
 def cmd_reduce(args) -> int:
     pair = _load_pair(args.input)
     result = reduce(pair.A, pair.B)
@@ -123,8 +148,8 @@ def cmd_check_ec(args) -> int:
     _require_finite("--tol", args.tol)
     # the grid is checked before the file is read
     grid = TGrid.equispaced(args.grid_lo, args.grid_hi, args.grid_n)
-    pair = _load_pair(args.input)
-    f = trace_function(pair)
+    pair, eig_b = _trace_pair(args.input)
+    f = _trace_function(pair, eig_b)
     report = check_exponential_convexity(f, grid, tol=args.tol)
     if not math.isfinite(report.tolerance):
         raise _UsageError(f"--tol {args.tol:g} times max(1, max|G|) overflows; use a smaller --tol")
@@ -151,7 +176,7 @@ def cmd_fit_measure(args) -> int:
         raise _UsageError(f"--reg must be nonnegative, got {args.reg}")
     _require_finite("--reg", args.reg)
     # the flags are checked before the file is read
-    pair = _load_pair(args.input)
+    pair, eig_b = _trace_pair(args.input)
 
     # the measure of tr e^{tA+B} lives on [lambda_min(A), lambda_max(A)] (Stahl's theorem)
     w, _ = eigh(pair.A)
@@ -161,7 +186,9 @@ def cmd_fit_measure(args) -> int:
         mid = (lo + hi) / 2.0
         lo = mid - ((args.resolution - 1) // 2) / max(args.resolution - 1, 1)
         hi = lo + 1.0
-    samples = sample_trace_f(pair, TGrid.equispaced(-2.0, 2.0, args.t_points))
+    f = _trace_function(pair, eig_b)
+    points = TGrid.equispaced(-2.0, 2.0, args.t_points).points
+    samples = zip(points.tolist(), f.fn(points).tolist())
     fit = fit_measure(samples, (lo, hi), args.resolution, reg=args.reg)
     sys.stdout.write(matrixio.dumps_doc(matrixio.fit_to_doc(fit)))
     return EXIT_OK if fit.holdout_error <= HOLDOUT_LIMIT else EXIT_CHECK

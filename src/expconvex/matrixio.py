@@ -171,14 +171,28 @@ def _flat_matrix(data: bytes, first: int, last: int, n: int, loads) -> np.ndarra
     return flat.view(complex).reshape(n, n) if np.isfinite(flat).all() else None
 
 
-def _pair_from_doc(doc, path: str, decode=matrix_from_doc) -> tuple[np.ndarray, np.ndarray]:
+def _pair_from_doc(doc, path: str, decode=matrix_from_doc, on_b=None) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of a pair document, after the checks both routes make.
+
+    A is decoded first, so that its error comes before B's.  The flat route,
+    whose errors are never reported, passes on_b instead: after A's n and
+    entries pass the shared checks, B is decoded, handed to on_b when it has
+    A's size, and then A is decoded.
+    """
     if not isinstance(doc, dict):
         raise MatrixFileError(f"{path}: expected an object at top level")
     for key in ("A", "B"):
         if key not in doc:
             raise MatrixFileError(f"{path}: missing key '{key}'")
-    a = decode(doc["A"], where=f"{path}: A")
-    b = decode(doc["B"], where=f"{path}: B")
+    if on_b is None:
+        a = decode(doc["A"], where=f"{path}: A")
+        b = decode(doc["B"], where=f"{path}: B")
+    else:
+        n_a, _ = _size_and_entries(doc["A"], f"{path}: A")
+        b = decode(doc["B"], where=f"{path}: B")
+        if b.shape[0] == n_a:
+            on_b(b)
+        a = decode(doc["A"], where=f"{path}: A")
     if a.shape != b.shape:
         raise MatrixFileError(
             f"{path}: A is {a.shape[0]}x{a.shape[0]} but B is {b.shape[0]}x{b.shape[0]}"
@@ -186,7 +200,7 @@ def _pair_from_doc(doc, path: str, decode=matrix_from_doc) -> tuple[np.ndarray, 
     return a, b
 
 
-def _pair_by_parts(data: bytes, loads) -> tuple[np.ndarray, np.ndarray] | None:
+def _pair_by_parts(data: bytes, loads, on_b) -> tuple[np.ndarray, np.ndarray] | None:
     """(A, B) with both entries arrays parsed by _flat_matrix, or None for the json route.
 
     Each entries array runs from the first "[" after the previous matrix object
@@ -194,7 +208,8 @@ def _pair_by_parts(data: bytes, loads) -> tuple[np.ndarray, np.ndarray] | None:
     the only arrays left, the short text goes through json.loads and the json
     route's checks; a file that passes them, with arrays that parse as numbers,
     parses as the short text with the arrays put back.  Each matrix is decoded
-    before the next one is parsed, so the parses of the two never exist at once.
+    before the next one is parsed, so the parses of the two never exist at once;
+    B comes first, and on_b(B) is called before A's entries are parsed.
     """
     spans, end = [], 0
     for _ in range(2):
@@ -217,7 +232,7 @@ def _pair_by_parts(data: bytes, loads) -> tuple[np.ndarray, np.ndarray] | None:
 
     # decoded here: json.loads of bytes would skip a byte-order mark, which the json route refuses
     try:
-        return _pair_from_doc(json.loads(short.decode("utf-8")), "", decode)
+        return _pair_from_doc(json.loads(short.decode("utf-8")), "", decode, on_b)
     except (MatrixFileError, ValueError, RecursionError):
         return None
 
@@ -230,12 +245,22 @@ def load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
     and decoded by matrix_from_doc, which write every error message; a
     valid file that _pair_by_parts refuses loads there too, only more slowly.
     """
+    return _load_pair(path, lambda b: None)
+
+
+def _load_pair(path: str, on_b) -> tuple[np.ndarray, np.ndarray]:
+    """load_pair, calling on_b(B) when the flat route has decoded B, before it parses A's entries.
+
+    The json route calls no on_b; nor does the flat route when the file leaves it
+    before B is decoded, or when A's declared n is not B's.  A file that leaves it
+    after may still load by the json route, with a B decoded afresh.
+    """
     data = _read_bytes(path)
     # imported on the first file read, so that import expconvex.cli and
     # verify never load it
     import orjson
 
-    pair = _pair_by_parts(data, orjson.loads)
+    pair = _pair_by_parts(data, orjson.loads, on_b)
     return pair if pair is not None else _pair_from_doc(_parse_text(path, data), path)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .convexity import ScalarFunction, TGrid
 from .errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     ExpConvexError,
     IllConditioned,
@@ -182,7 +184,35 @@ def _top_eigenvalue(beta: np.ndarray, p: np.ndarray, c: np.ndarray) -> np.ndarra
             hi[act[~below]] = mid[~below]
 
 
-def _contour_values(ts: np.ndarray, b: np.ndarray, lam: float, v: np.ndarray) -> np.ndarray:
+def _eigh_ahead(b: np.ndarray):
+    """Start the contour kernel's _lapack(np.linalg.eigh, b) on a second thread and return its
+    join: a call that waits for it and gives (w, v), or the ConvergenceFailure it kept.
+
+    None, and no thread, when b is below CONTOUR_MIN_N, where trace_values takes the dense
+    kernel.  LAPACK releases the GIL, so the caller's Python work (the parse of a pair file's
+    A) runs meanwhile on another core.  The package's one use of threading.
+    """
+    if b.shape[0] < CONTOUR_MIN_N:
+        return None
+    out = [None]
+
+    def run():
+        try:
+            out[0] = _lapack(np.linalg.eigh, b)
+        except ConvergenceFailure as exc:
+            out[0] = exc
+
+    thread = threading.Thread(target=run, name="eigh-ahead")
+    thread.start()
+
+    def join():
+        thread.join()
+        return out[0]
+
+    return join
+
+
+def _contour_values(ts: np.ndarray, b: np.ndarray, lam: float, v: np.ndarray, eig_b) -> np.ndarray:
     """tr e^{t lambda v v* + B} at every t: one eigh of B, then O(n) work per node and t.
 
     With B = Q diag(beta) Q*, p = |Q* v|^2, c = t lambda and s the top
@@ -190,9 +220,10 @@ def _contour_values(ts: np.ndarray, b: np.ndarray, lam: float, v: np.ndarray) ->
     is the Talbot midpoint sum of (1/2 pi i) int e^z tr(z + s - H)^{-1} dz and
     Sherman-Morrison gives the resolvent trace
     sum_j g_j + c sum_j p_j g_j^2 / (1 - c sum_j p_j g_j), g_j = 1/(z + s - beta_j).
+    eig_b, when not None, is eigh(B) as _eigh_ahead gives it: (w, v) or the error it kept.
     Same errors as the dense kernel, with the whole batch as one chunk.
     """
-    beta, q = _lapack(np.linalg.eigh, b)
+    beta, q = _lapack(np.linalg.eigh, b) if eig_b is None else _raised(eig_b)
     p = np.abs(q.conj().T @ v) ** 2
     c = ts * lam
     s = _top_eigenvalue(beta, p, c)
@@ -295,6 +326,11 @@ def trace_values(pair: TracePair, ts) -> np.ndarray:
     double-precision range (checked before any evaluation), when a largest eigenvalue
     exceeds the exp range or when a value underflows to zero (overflow first in a chunk).
     """
+    return _trace_values(pair, ts, None)
+
+
+def _trace_values(pair: TracePair, ts, eig_b) -> np.ndarray:
+    """trace_values, with the contour kernel's eigh of B taken from eig_b (see _contour_values)."""
     ts = _points(ts)
     n = pair.n
     if n == 0:
@@ -303,7 +339,7 @@ def trace_values(pair: TracePair, ts) -> np.ndarray:
         factor = _rank_one_factor(pair.A)
         if factor is not None:
             _raise_out_of_range(ts, abs(factor[0]), pair.B.norm_max())
-            return _contour_values(ts, pair.B.mat, *factor)
+            return _contour_values(ts, pair.B.mat, *factor, eig_b)
     return _raised(_stacked_trace_values([(pair.A.mat, pair.B.mat, ts)])[0])
 
 
@@ -314,7 +350,12 @@ def trace_f(pair: TracePair, t: float) -> float:
 
 def trace_function(pair: TracePair) -> ScalarFunction:
     """The trace function of a pair as a labelled scalar function."""
-    return ScalarFunction(fn=lambda ts: trace_values(pair, ts), label=f"trace(n={pair.n})")
+    return _trace_function(pair, None)
+
+
+def _trace_function(pair: TracePair, eig_b) -> ScalarFunction:
+    """trace_function, evaluated by _trace_values with eig_b."""
+    return ScalarFunction(fn=lambda ts: _trace_values(pair, ts, eig_b), label=f"trace(n={pair.n})")
 
 
 def sample_trace_f(pair: TracePair, grid: TGrid) -> list[tuple[float, float]]:

@@ -3,14 +3,18 @@
 import json
 import subprocess
 import sys
+import threading
+import time
+import types
 import warnings
 
 import numpy as np
 import orjson
 import pytest
 
-from expconvex import cli, transform, validate_hermitian
+from expconvex import cli, matrixio, transform, validate_hermitian
 from expconvex.cli import MAX_GRID_N, MAX_RESOLUTION, MAX_T_POINTS, main
+from expconvex.errors import ExpConvexError
 from expconvex.matrixio import matrix_from_doc
 from expconvex.tolerances import CONTOUR_MIN_N, HOLDOUT_LIMIT
 from expconvex.verify import random_rank_one_pair
@@ -610,16 +614,20 @@ print(json.dumps({"codes": codes, "loaded": seen}))
     "module, unloaded, loader, loaded_name",
     [("scipy", ["reduce", "check-ec", "verify"], "fit-measure", "scipy.optimize"),
      # import expconvex.cli loads no orjson; verify loads it at its first report write
-     ("orjson", [], "verify", "orjson")],
-    ids=["scipy", "orjson"],
+     ("orjson", [], "verify", "orjson"),
+     # check-ec starts B's eigh ahead on this n = CONTOUR_MIN_N pair with threading, which
+     # numpy imports, and loads no concurrent.futures (scipy, and so fit-measure, does)
+     ("concurrent", ["reduce", "check-ec", "verify"], None, None)],
+    ids=["scipy", "orjson", "concurrent"],
 )
 def test_scipy_loaded_only_by_fit_measure(tmp_path, worked_pair, module, unloaded, loader,
                                           loaded_name):
     # a fresh interpreter, so no other test has imported the module yet;
     # the steps run in order and the module must first appear at loader
-    steps = unloaded + [loader]
+    steps = unloaded + ([loader] if loader else [])
+    path = worked_pair if loader else _ensemble_file(tmp_path, CONTOUR_MIN_N)
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, module, worked_pair, str(tmp_path / "o.json")]
+        [sys.executable, "-c", _IMPORT_PROBE, module, path, str(tmp_path / "o.json")]
         + steps,
         capture_output=True, text=True,
     )
@@ -628,7 +636,8 @@ def test_scipy_loaded_only_by_fit_measure(tmp_path, worked_pair, module, unloade
     assert doc["codes"] == {step: 0 for step in steps}
     for step in ["import"] + unloaded:
         assert doc["loaded"][step] == [], step
-    assert loaded_name in doc["loaded"][loader]
+    if loader:
+        assert loaded_name in doc["loaded"][loader]
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, 2.5, -3.0])
@@ -644,3 +653,201 @@ def test_fit_measure_scalar_a_puts_an_atom_at_c(tmp_path, capsys, c, resolution)
     assert doc["holdout_error"] <= 1e-5
     locations = [loc for loc, _ in doc["measure"]["atoms"]]
     assert min(abs(loc - c) for loc in locations) <= 1e-12 * max(1.0, abs(c))
+
+
+# B's eigendecomposition started ahead: check-ec and fit-measure at n >= CONTOUR_MIN_N start
+# the contour kernel's eigh of B on a second thread once the flat route has decoded B
+
+
+class _InlineThread:
+    """The part of threading.Thread that transform._eigh_ahead uses, running its target in start."""
+
+    def __init__(self, target, name=None):
+        self._target = target
+
+    def start(self):
+        self._target()
+
+    def join(self):
+        pass
+
+
+def _counted_threads(monkeypatch):
+    """The names of the threads transform starts from now on, in a list that grows."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(transform, "threading", types.SimpleNamespace(Thread=Counted))
+    return started
+
+
+def _outcome(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _ensemble_file(tmp_path, n, seed=61):
+    pair = random_rank_one_pair(np.random.default_rng([seed, n]), n)
+    return write_pair(tmp_path / f"pair-{n}.json", pair.A.mat, pair.B.mat)
+
+
+_TRACE_COMMANDS = {"check-ec": ["check-ec"], "check-ec-8": ["check-ec", "--grid-n", "8"],
+                   "fit-measure": ["fit-measure"]}
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("command", list(_TRACE_COMMANDS))
+def test_eigh_ahead_gives_the_bytes_of_an_inline_eigh(tmp_path, capsys, monkeypatch, n, command):
+    f = _ensemble_file(tmp_path, n)
+    argv = _TRACE_COMMANDS[command][:1] + [f] + _TRACE_COMMANDS[command][1:]
+    with pytest.MonkeyPatch.context() as mp:
+        started = _counted_threads(mp)
+        threaded = _outcome(capsys, argv)
+    assert started == ["eigh-ahead"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transform, "threading", types.SimpleNamespace(Thread=_InlineThread))
+        inline = _outcome(capsys, argv)
+    # no eigh ahead: the kernel calls eigh itself, as before the eigh was started ahead
+    monkeypatch.setattr(cli, "_eigh_ahead", lambda b: None)
+    assert threaded == inline == _outcome(capsys, argv)
+    assert threaded[0] in (0, 3) and threaded[2] == ""
+
+
+def test_eigh_of_b_runs_once_and_off_the_main_thread(tmp_path, capsys, monkeypatch):
+    f = _ensemble_file(tmp_path, 64)
+    calls, real = [], np.linalg.eigh
+
+    def spy(a):
+        if a.ndim == 2:  # the contour kernel's eigh; eigh(pair.A) and the Gram's are stacked
+            calls.append(threading.current_thread() is threading.main_thread())
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    for command in ("check-ec", "fit-measure"):
+        calls.clear()
+        assert main([command, f]) == 0
+        assert calls == [False], command
+    capsys.readouterr()
+
+
+def _malformed_a(tmp_path, n):
+    """A flat B of size n after an A whose first entry holds a string: B decodes, A does not."""
+    pair = random_rank_one_pair(np.random.default_rng([67, n]), n)
+    doc = {"A": matrixio.matrix_to_doc(pair.A.mat), "B": matrixio.matrix_to_doc(pair.B.mat)}
+    doc["A"]["entries"][0][1] = "x"
+    path = tmp_path / "malformed-a.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _rank_two(tmp_path, n):
+    pair = random_rank_one_pair(np.random.default_rng([71, n]), n)
+    a = pair.A.mat.copy()
+    a[0, 0] += 0.5 * pair.A.norm_max()
+    return write_pair(tmp_path / "rank-two.json", a, pair.B.mat)
+
+
+@pytest.mark.parametrize("case", ["success", "malformed-a", "rank-two", "eigh-fails"])
+@pytest.mark.parametrize("command", ["check-ec", "fit-measure"])
+def test_eigh_ahead_thread_is_joined_on_every_path(tmp_path, capsys, monkeypatch, case, command):
+    n = CONTOUR_MIN_N
+    f = {"success": _ensemble_file, "malformed-a": _malformed_a, "rank-two": _rank_two,
+         "eigh-fails": _ensemble_file}[case](tmp_path, n)
+    real = np.linalg.eigh
+
+    def slow_eigh(a):
+        # the contour kernel's eigh of B, the one unstacked call, outlasts the rest of an
+        # op, so that a thread left unjoined is still alive when main returns
+        if a.ndim == 2:
+            time.sleep(0.2)
+            if case == "eigh-fails":
+                raise np.linalg.LinAlgError("did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        started = _counted_threads(mp)
+        threaded = _outcome(capsys, [command, f])
+    assert threading.active_count() == before
+    assert started == ["eigh-ahead"]
+    # the outcome of the kernel's own eigh, as before the eigh was started ahead
+    monkeypatch.setattr(cli, "_eigh_ahead", lambda b: None)
+    assert threaded == _outcome(capsys, [command, f])
+    code, out, err = threaded
+    if case == "malformed-a":
+        assert (code, out) == (1, "") and err.startswith(f"error: {f}: A: entry 0 ")
+    elif case == "eigh-fails":
+        assert (code, out) == (4, "")
+        assert err == "error: numerical failure: eigensolver failed: did not converge\n"
+    else:
+        assert code in (0, 3) and err == ""
+
+
+def _json_route_file(tmp_path, n):
+    """An extra key holding an array in each matrix object sends the file to the json route."""
+    pair = random_rank_one_pair(np.random.default_rng([73, n]), n)
+    doc = {k: dict(matrixio.matrix_to_doc(m.mat), note=[1]) for k, m in zip("AB", (pair.A, pair.B))}
+    path = tmp_path / "json-route.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-ec", "n31"], ["fit-measure", "n31"], ["check-ec", "json-route"],
+    ["fit-measure", "json-route"], ["reduce", "n32", "out"], ["verify", "--cases", "2"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_no_eigh_ahead_below_the_contour_size_on_the_json_route_or_elsewhere(
+        tmp_path, capsys, monkeypatch, argv):
+    files = {"n31": _ensemble_file(tmp_path, CONTOUR_MIN_N - 1),
+             "n32": _ensemble_file(tmp_path, CONTOUR_MIN_N),
+             "json-route": _json_route_file(tmp_path, CONTOUR_MIN_N),
+             "out": str(tmp_path / "out.json")}
+    started = _counted_threads(monkeypatch)
+    assert main([files.get(arg, arg) for arg in argv]) in (0, 3)
+    assert started == []
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", ["A", "B", "AB"])
+@pytest.mark.parametrize("command", ["check-ec", "fit-measure"])
+def test_eigh_ahead_keeps_a_error_before_b_error(tmp_path, capsys, command, bad):
+    # matrices that are not Hermitian, each by its own deviation; the error is the one the
+    # plain loader raises, and a thread starts only when B passes its check
+    n = CONTOUR_MIN_N
+    pair = random_rank_one_pair(np.random.default_rng([79, n]), n)
+    a, b = pair.A.mat.copy(), pair.B.mat.copy()
+    if "A" in bad:
+        a[0, 1] += 1.0
+    if "B" in bad:
+        b[0, 1] += 2.0
+    f = write_pair(tmp_path / "not-hermitian.json", a, b)
+    with pytest.raises(ExpConvexError) as expected:
+        cli._load_pair(f)
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        started = _counted_threads(mp)
+        assert _outcome(capsys, [command, f]) == (1, "", f"error: {expected.value}\n")
+    assert started == ([] if "B" in bad else ["eigh-ahead"])
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n_a", [2, CONTOUR_MIN_N + 1])
+@pytest.mark.parametrize("command", ["check-ec", "fit-measure"])
+def test_no_eigh_ahead_when_a_and_b_sizes_differ(tmp_path, capsys, command, n_a):
+    # both matrices Hermitian, B of the contour size: the short text already shows the sizes
+    # differ, so B's eigh is not started and the error is the plain loader's
+    b = random_rank_one_pair(np.random.default_rng([83, CONTOUR_MIN_N]), CONTOUR_MIN_N).B.mat
+    f = write_pair(tmp_path / "sizes-differ.json", np.eye(n_a), b)
+    with pytest.raises(ExpConvexError) as expected:
+        cli._load_pair(f)
+    assert "but B is" in str(expected.value)
+    with pytest.MonkeyPatch.context() as mp:
+        started = _counted_threads(mp)
+        assert _outcome(capsys, [command, f]) == (1, "", f"error: {expected.value}\n")
+    assert started == []

@@ -562,10 +562,29 @@ def test_hermitian_lapack_is_the_one_eigensolver_boundary():
     assert catches == {("hermitian", "_lapack"), ("transform", "fit_measure")}
 
 
+def test_threading_is_used_in_one_helper():
+    """transform._eigh_ahead is the package's one user of threading: one module imports it,
+    and no other function names it."""
+    imports, users = set(), set()
+    for path in sorted(Path(hermitian_module.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node, func in _by_function(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names] + [getattr(node, "module", None)]
+                if any(name and name.split(".")[0] in ("threading", "concurrent", "_thread")
+                       for name in names):
+                    imports.add((path.stem, func))
+            if isinstance(node, ast.Name) and node.id == "threading":
+                users.add((path.stem, func))
+    assert imports == {("transform", None)}
+    assert users == {("transform", "_eigh_ahead")}
+
+
 def test_only_the_readers_of_a_stacked_result_raise_its_kept_error():
     """A private kernel takes plain values: the functions that read a stacked result
-    (eigh, trace_values, lie_product_approx, entrywise_ec_check, run_case) are the only
-    callers of hermitian._raised."""
+    (eigh, _trace_values, lie_product_approx, entrywise_ec_check, run_case), and the contour
+    kernel, which reads the result of an eigh started ahead, are the only callers of
+    hermitian._raised."""
     callers = set()
     for path in sorted(Path(hermitian_module.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -574,5 +593,6 @@ def test_only_the_readers_of_a_stacked_result_raise_its_kept_error():
                 callers.add((path.stem, func))
     assert callers == {
         ("hermitian", "eigh"), ("hermitian", "lie_product_approx"),
-        ("transform", "trace_values"), ("convexity", "entrywise_ec_check"), ("verify", "run_case"),
+        ("transform", "_trace_values"), ("transform", "_contour_values"),
+        ("convexity", "entrywise_ec_check"), ("verify", "run_case"),
     }
