@@ -27,15 +27,8 @@ from .errors import (
     Overflow,
 )
 from .hermitian import (
-    HermitianMatrix,
-    _check_lie_operands,
-    _eigenvalue_text,
-    _freeze,
-    _lapack,
-    _raised,
-    eigh,
-    lie_product_approx,
-    max_abs,
+    HermitianMatrix, _check_lie_operands, _eigenvalue_text, _freeze, _lapack, _raised,
+    _split_steps, _stacked_eigh, eigh, max_abs,
 )
 from .tolerances import (
     ATOM_MERGE_TOL, COMM_TOL, CONTOUR_MIN_N, CONTOUR_NODES, EXP_OVERFLOW_LIMIT, RANK_TOL_FACTOR,
@@ -386,14 +379,21 @@ def laplace_transform(measure: AtomicMeasure, t: float) -> float:
 
 
 def lie_trace_function(l: HermitianMatrix, m: HermitianMatrix, p: int) -> ScalarFunction:
-    """The split-step trace t -> tr (e^{Lt/p} e^{M/p})^p, converging to trace(L, M)."""
+    """The split-step trace t -> tr (e^{Lt/p} e^{M/p})^p, converging to trace(L, M).
+
+    Each evaluation eigendecomposes L and M once, by one stacked call, and takes every
+    e^{tL/p} from eigh(L) = (w, V) as V diag(e^{tw/p}) V*: one split step at a time, so a
+    batch of points holds O(n^2) memory.  Raises ValueError naming the first non-finite t.
+    """
     _check_lie_operands(l, m, p)
 
-    def f(t: float) -> float:
-        approx = lie_product_approx(HermitianMatrix(t * l.mat), m, p)
-        return float(np.trace(approx.value).real)
+    def f_p(ts) -> np.ndarray:
+        ts = _points(ts)
+        eigs = _stacked_eigh([l.mat, m.mat])
+        (w, v), eig_m = _raised(eigs[0]), _raised(eigs[1])
+        return np.array([np.trace(_split_steps((t * w, v), eig_m, (p,))[0]).real for t in ts])
 
-    return ScalarFunction(fn=lambda ts: np.array([f(t) for t in ts]), label=f"lie_trace(p={p})")
+    return ScalarFunction(fn=f_p, label=f"lie_trace(p={p})")
 
 
 def commuting_measure(pair: TracePair) -> AtomicMeasure:

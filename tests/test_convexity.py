@@ -31,10 +31,13 @@ from expconvex import (
     entrywise_ec_check,
     gram,
     hermitian_from_diag,
+    lie_product_approx,
     lie_trace_function,
     matrix_exp_hermitian,
     max_abs,
     psd_check,
+    random_rank_one_pair,
+    reduce,
     trace_f,
     trace_function,
     validate_hermitian,
@@ -317,6 +320,59 @@ def test_lie_trace_function_refuses_its_arguments_when_built():
         lie_trace_function(l, m, 0)
     with pytest.raises(DimensionMismatch, match="^operands are 2x2 and 3x3$"):
         lie_trace_function(l, hermitian_from_diag([0.5, 0.25, 0.0]), 4)
+
+
+def _public_lie_trace(l, m, p, ts):
+    """f_p at every t of ts through the public Lie product, one split step per point."""
+    return np.array([np.trace(lie_product_approx(HermitianMatrix(t * l.mat), m, p).value).real
+                     for t in ts])
+
+
+def test_lie_trace_function_on_a_reduced_pair_has_the_bits_of_the_public_lie_product():
+    # criterion 9's reduced pair, whose L is diagonal, at its grid sums and points
+    rng = np.random.default_rng([1009, 0])
+    pair = random_rank_one_pair(rng, int(rng.integers(2, 6)))
+    red = reduce(pair.A, pair.B)
+    grid = default_grid()
+    for ts in (convexity._distinct_sums(grid.points)[0], grid.points):
+        for p in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512):
+            got = lie_trace_function(red.L, red.M, p).fn(ts)
+            assert got.tobytes() == _public_lie_trace(red.L, red.M, p, ts).tobytes()
+
+
+def test_lie_trace_function_agrees_with_the_public_lie_product_on_general_pairs():
+    rng = np.random.default_rng(20)
+    ts = np.linspace(-2.0, 2.0, 9)
+    for n in (2, 3, 5):
+        g, h = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        l, m = validate_hermitian(g + g.conj().T), validate_hermitian(h + h.conj().T)
+        for p in (1, 3, 16):
+            ref = _public_lie_trace(l, m, p, ts)
+            np.testing.assert_allclose(lie_trace_function(l, m, p).fn(ts), ref, rtol=1e-11)
+
+
+def test_lie_trace_function_eigendecomposes_once_per_evaluation(monkeypatch):
+    real = np.linalg.eigh
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    l, m = hermitian_from_diag([0.0, 1.0, 2.0]), validate_hermitian(np.ones((3, 3)))
+    f = lie_trace_function(l, m, 8)
+    for size in (1, 2, 26):
+        f.fn(np.linspace(-2.0, 2.0, size))
+        assert shapes == [(2, 3, 3)]
+        shapes.clear()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lie_trace_function_names_a_non_finite_point(bad):
+    f = lie_trace_function(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([0.5, 0.25]), 4)
+    with pytest.raises(ValueError, match=rf"^ts\[2\] = {bad} is not finite$"):
+        f.fn([0.0, 1.0, bad, 2.0])
 
 
 def test_entrywise_ec_worked_instance():
