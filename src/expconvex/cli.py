@@ -85,19 +85,14 @@ def _require_finite(flag: str, value: float) -> None:
         raise _UsageError(f"{flag} must be finite, got {value}")
 
 
-def _load_pair(path: str) -> TracePair:
-    a_raw, b_raw = matrixio.load_pair(path)
-    return TracePair(validate_hermitian(a_raw), validate_hermitian(b_raw))
-
-
 def _trace_pair(path: str) -> tuple[TracePair, object]:
     """The pair of the file at path, and the contour kernel's eigh of its B when one ran ahead.
 
     Once the flat route has decoded a B of A's size that is Hermitian, transform._eigh_ahead
     may start that eigh on a second thread while A is parsed and validated.  The second item
-    is its result, (w, v) or the ConvergenceFailure it kept, or None when no eigh ran ahead
-    for the pair's B.  The thread is joined before this returns, on every path; errors come
-    in the order _load_pair gives them.
+    is its result, (w, v), or None when no eigh ran ahead for the pair's B or it failed.  The
+    thread is joined before this returns, on every path; A's errors come before B's, as in
+    cmd_reduce.
     """
     ahead = {}
 
@@ -109,7 +104,7 @@ def _trace_pair(path: str) -> tuple[TracePair, object]:
         ahead.update(raw=b_raw, b=b, join=_eigh_ahead(b.mat))
 
     try:
-        a_raw, b_raw = matrixio._load_pair(path, on_b)
+        a_raw, b_raw = matrixio.load_pair(path, on_b)
         a = validate_hermitian(a_raw)
     finally:
         join = ahead.get("join")
@@ -121,7 +116,8 @@ def _trace_pair(path: str) -> tuple[TracePair, object]:
 
 
 def cmd_reduce(args) -> int:
-    pair = _load_pair(args.input)
+    a_raw, b_raw = matrixio.load_pair(args.input)
+    pair = TracePair(validate_hermitian(a_raw), validate_hermitian(b_raw))
     result = reduce(pair.A, pair.B)
     res = reduction_residuals(pair.A, pair.B, result)
     matrixio.write_doc(args.output, matrixio.reduction_to_doc(result, res))

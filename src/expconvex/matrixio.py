@@ -149,21 +149,25 @@ def _pairs_of_numbers(data: bytes, first: int, last: int, n: int) -> bool:
             and packed.count(b"],[") == n * n - 1)
 
 
-def _flat_matrix(data: bytes, first: int, last: int, n: int, loads) -> np.ndarray | None:
+def _flat_matrix(data: bytes, first: int, last: int, n: int) -> np.ndarray | None:
     """The n x n matrix whose entries array is data[first:last + 1], or None when it is not one.
 
-    The entries are parsed by one loads call as a flat array of numbers, so
-    no [re, im] list is built.  The numbers loads parses are the file's own
-    tokens, so the doubles are those json would parse.  The array loads
-    gets has no bracket inside it, so its nesting is one level whatever the
-    file holds.
+    The entries are parsed by one orjson.loads call as a flat array of
+    numbers, so no [re, im] list is built.  The numbers orjson parses are the
+    file's own tokens, so the doubles are those json would parse.  The array
+    orjson gets has no bracket inside it, so its nesting is one level
+    whatever the file holds.
     """
     if not _pairs_of_numbers(data, first, last, n):
         return None
+    # imported on the first entries array parsed, so that import expconvex.cli
+    # and verify never load it
+    import orjson
+
     # the brackets become spaces, a plain byte map and faster than deleting
     # them, so that the 2n*n comma-separated fields are the slots of the pairs
     try:
-        values = loads(b"".join((b"[", data[first + 1:last].translate(_BRACKETS_TO_SPACES), b"]")))
+        values = orjson.loads(b"".join((b"[", data[first + 1:last].translate(_BRACKETS_TO_SPACES), b"]")))
     except json.JSONDecodeError:  # orjson's error is a subclass
         return None
     flat = np.fromiter(values, float, count=2 * n * n)
@@ -175,7 +179,7 @@ def _pair_from_doc(doc, path: str, decode=matrix_from_doc, on_b=None) -> tuple[n
     """(A, B) of a pair document, after the checks both routes make.
 
     A is decoded first, so that its error comes before B's.  The flat route,
-    whose errors are never reported, passes on_b instead: after A's n and
+    whose errors are never reported, may pass on_b instead: after A's n and
     entries pass the shared checks, B is decoded, handed to on_b when it has
     A's size, and then A is decoded.
     """
@@ -200,7 +204,7 @@ def _pair_from_doc(doc, path: str, decode=matrix_from_doc, on_b=None) -> tuple[n
     return a, b
 
 
-def _pair_by_parts(data: bytes, loads, on_b) -> tuple[np.ndarray, np.ndarray] | None:
+def _pair_by_parts(data: bytes, on_b) -> tuple[np.ndarray, np.ndarray] | None:
     """(A, B) with both entries arrays parsed by _flat_matrix, or None for the json route.
 
     Each entries array runs from the first "[" after the previous matrix object
@@ -209,7 +213,8 @@ def _pair_by_parts(data: bytes, loads, on_b) -> tuple[np.ndarray, np.ndarray] | 
     route's checks; a file that passes them, with arrays that parse as numbers,
     parses as the short text with the arrays put back.  Each matrix is decoded
     before the next one is parsed, so the parses of the two never exist at once;
-    B comes first, and on_b(B) is called before A's entries are parsed.
+    A comes first; with on_b, B does, and on_b(B) is called before A's entries
+    are parsed.
     """
     spans, end = [], 0
     for _ in range(2):
@@ -226,7 +231,7 @@ def _pair_by_parts(data: bytes, loads, on_b) -> tuple[np.ndarray, np.ndarray] | 
 
     def decode(doc, where):
         n, entries = _size_and_entries(doc, where)  # entries is a placeholder
-        if (mat := _flat_matrix(data, *spans[entries[0]], n, loads)) is None:
+        if (mat := _flat_matrix(data, *spans[entries[0]], n)) is None:
             raise MatrixFileError(f"{where}: not a flat array of {n * n} pairs")
         return mat
 
@@ -237,30 +242,21 @@ def _pair_by_parts(data: bytes, loads, on_b) -> tuple[np.ndarray, np.ndarray] | 
         return None
 
 
-def load_pair(path: str) -> tuple[np.ndarray, np.ndarray]:
+def load_pair(path: str, on_b=None) -> tuple[np.ndarray, np.ndarray]:
     """Load a two-matrix file with keys "A" and "B".
 
     A file whose two entries arrays orjson can parse as flat arrays of
     numbers takes _pair_by_parts.  Any other file is parsed by _parse_text
     and decoded by matrix_from_doc, which write every error message; a
     valid file that _pair_by_parts refuses loads there too, only more slowly.
-    """
-    return _load_pair(path, lambda b: None)
-
-
-def _load_pair(path: str, on_b) -> tuple[np.ndarray, np.ndarray]:
-    """load_pair, calling on_b(B) when the flat route has decoded B, before it parses A's entries.
-
-    The json route calls no on_b; nor does the flat route when the file leaves it
-    before B is decoded, or when A's declared n is not B's.  A file that leaves it
-    after may still load by the json route, with a B decoded afresh.
+    With on_b, the flat route decodes B first and calls on_b(B) before it
+    parses A's entries; it calls none when the file leaves it before B is
+    decoded, or when A's declared n is not B's, and the json route calls
+    none.  A file that leaves the flat route after may still load by the
+    json route, with a B decoded afresh.
     """
     data = _read_bytes(path)
-    # imported on the first file read, so that import expconvex.cli and
-    # verify never load it
-    import orjson
-
-    pair = _pair_by_parts(data, orjson.loads, on_b)
+    pair = _pair_by_parts(data, on_b)
     return pair if pair is not None else _pair_from_doc(_parse_text(path, data), path)
 
 

@@ -179,7 +179,7 @@ def _top_eigenvalue(beta: np.ndarray, p: np.ndarray, c: np.ndarray) -> np.ndarra
 
 def _eigh_ahead(b: np.ndarray):
     """Start the contour kernel's _lapack(np.linalg.eigh, b) on a second thread and return its
-    join: a call that waits for it and gives (w, v), or the ConvergenceFailure it kept.
+    join: a call that waits for it and gives (w, v), or None when the eigensolver failed.
 
     None, and no thread, when b is below CONTOUR_MIN_N, where trace_values takes the dense
     kernel.  LAPACK releases the GIL, so the caller's Python work (the parse of a pair file's
@@ -192,8 +192,8 @@ def _eigh_ahead(b: np.ndarray):
     def run():
         try:
             out[0] = _lapack(np.linalg.eigh, b)
-        except ConvergenceFailure as exc:
-            out[0] = exc
+        except ConvergenceFailure:
+            pass  # the kernel's own eigh of b raises it again, in its turn
 
     thread = threading.Thread(target=run, name="eigh-ahead")
     thread.start()
@@ -213,10 +213,10 @@ def _contour_values(ts: np.ndarray, b: np.ndarray, lam: float, v: np.ndarray, ei
     is the Talbot midpoint sum of (1/2 pi i) int e^z tr(z + s - H)^{-1} dz and
     Sherman-Morrison gives the resolvent trace
     sum_j g_j + c sum_j p_j g_j^2 / (1 - c sum_j p_j g_j), g_j = 1/(z + s - beta_j).
-    eig_b, when not None, is eigh(B) as _eigh_ahead gives it: (w, v) or the error it kept.
-    Same errors as the dense kernel, with the whole batch as one chunk.
+    eig_b, when not None, is eigh(B) as _eigh_ahead gives it.  Same errors as the dense
+    kernel, with the whole batch as one chunk.
     """
-    beta, q = _lapack(np.linalg.eigh, b) if eig_b is None else _raised(eig_b)
+    beta, q = _lapack(np.linalg.eigh, b) if eig_b is None else eig_b
     p = np.abs(q.conj().T @ v) ** 2
     c = ts * lam
     s = _top_eigenvalue(beta, p, c)

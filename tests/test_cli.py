@@ -691,6 +691,11 @@ def _outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _plain_load(path):
+    """A and B as validated by the CLI with no eigh ahead: load_pair without on_b, then A, B."""
+    return [validate_hermitian(m) for m in matrixio.load_pair(path)]
+
+
 def _ensemble_file(tmp_path, n, seed=61):
     pair = random_rank_one_pair(np.random.default_rng([seed, n]), n)
     return write_pair(tmp_path / f"pair-{n}.json", pair.A.mat, pair.B.mat)
@@ -758,12 +763,13 @@ def test_eigh_ahead_thread_is_joined_on_every_path(tmp_path, capsys, monkeypatch
     n = CONTOUR_MIN_N
     f = {"success": _ensemble_file, "malformed-a": _malformed_a, "rank-two": _rank_two,
          "eigh-fails": _ensemble_file}[case](tmp_path, n)
-    real = np.linalg.eigh
+    real, on_main = np.linalg.eigh, []
 
     def slow_eigh(a):
         # the contour kernel's eigh of B, the one unstacked call, outlasts the rest of an
         # op, so that a thread left unjoined is still alive when main returns
         if a.ndim == 2:
+            on_main.append(threading.current_thread() is threading.main_thread())
             time.sleep(0.2)
             if case == "eigh-fails":
                 raise np.linalg.LinAlgError("did not converge")
@@ -776,6 +782,8 @@ def test_eigh_ahead_thread_is_joined_on_every_path(tmp_path, capsys, monkeypatch
         threaded = _outcome(capsys, [command, f])
     assert threading.active_count() == before
     assert started == ["eigh-ahead"]
+    # a failed eigh ahead leaves nothing behind: the kernel makes its own, which fails alike
+    assert on_main == ([False, True] if case == "eigh-fails" else [False])
     # the outcome of the kernel's own eigh, as before the eigh was started ahead
     monkeypatch.setattr(cli, "_eigh_ahead", lambda b: None)
     assert threaded == _outcome(capsys, [command, f])
@@ -828,7 +836,7 @@ def test_eigh_ahead_keeps_a_error_before_b_error(tmp_path, capsys, command, bad)
         b[0, 1] += 2.0
     f = write_pair(tmp_path / "not-hermitian.json", a, b)
     with pytest.raises(ExpConvexError) as expected:
-        cli._load_pair(f)
+        _plain_load(f)
     before = threading.active_count()
     with pytest.MonkeyPatch.context() as mp:
         started = _counted_threads(mp)
@@ -845,7 +853,7 @@ def test_no_eigh_ahead_when_a_and_b_sizes_differ(tmp_path, capsys, command, n_a)
     b = random_rank_one_pair(np.random.default_rng([83, CONTOUR_MIN_N]), CONTOUR_MIN_N).B.mat
     f = write_pair(tmp_path / "sizes-differ.json", np.eye(n_a), b)
     with pytest.raises(ExpConvexError) as expected:
-        cli._load_pair(f)
+        _plain_load(f)
     assert "but B is" in str(expected.value)
     with pytest.MonkeyPatch.context() as mp:
         started = _counted_threads(mp)

@@ -583,8 +583,7 @@ def test_threading_is_used_in_one_helper():
 def test_only_the_readers_of_a_stacked_result_raise_its_kept_error():
     """A private kernel takes plain values: the functions that read a stacked result
     (eigh, _trace_values, lie_product_approx, lie_trace_function's f_p, entrywise_ec_check,
-    run_case), and the contour kernel, which reads the result of an eigh started ahead, are
-    the only callers of hermitian._raised."""
+    run_case) are the only callers of hermitian._raised."""
     callers = set()
     for path in sorted(Path(hermitian_module.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -593,14 +592,14 @@ def test_only_the_readers_of_a_stacked_result_raise_its_kept_error():
                 callers.add((path.stem, func))
     assert callers == {
         ("hermitian", "eigh"), ("hermitian", "lie_product_approx"),
-        ("transform", "_trace_values"), ("transform", "_contour_values"),
-        ("transform", "f_p"), ("convexity", "entrywise_ec_check"), ("verify", "run_case"),
+        ("transform", "_trace_values"), ("transform", "f_p"),
+        ("convexity", "entrywise_ec_check"), ("verify", "run_case"),
     }
 
 
 def test_only_the_public_boundary_builds_validated_types():
     """A private kernel takes arrays: HermitianMatrix, TracePair, GramMatrix and TGrid are
-    built only at the public boundary, where input is validated or read (the CLI's loaders,
+    built only at the public boundary, where input is validated or read (the CLI's commands,
     verify's generators) or a public function returns one."""
     builders = set()
     built = {"HermitianMatrix", "TracePair", "GramMatrix", "TGrid", "TGrid.equispaced"}
@@ -614,6 +613,6 @@ def test_only_the_public_boundary_builds_validated_types():
         ("hermitian", "hermitian_from_diag"), ("reduction", "_reduce"),
         ("convexity", "equispaced"), ("convexity", "default_grid"), ("convexity", "gram"),
         ("verify", "random_rank_one_pair"), ("verify", "random_grid"),
-        ("cli", "_load_pair"), ("cli", "_trace_pair"), ("cli", "cmd_check_ec"),
+        ("cli", "cmd_reduce"), ("cli", "_trace_pair"), ("cli", "cmd_check_ec"),
         ("cli", "cmd_fit_measure"),
     }

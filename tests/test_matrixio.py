@@ -262,10 +262,10 @@ def _one_flat_array(data):
             and not any(mark in data[1:-1] for mark in (b"[", b"]", b"{")))
 
 
-def _load_outcome(path):
+def _load_outcome(path, on_b=None):
     """(A, B) as int64 views of their bits, or the error text."""
     try:
-        a, b = load_pair(str(path))
+        a, b = load_pair(str(path), on_b)
     except MatrixFileError as exc:
         return str(exc)
     return a.view(np.int64), b.view(np.int64)
@@ -397,22 +397,33 @@ _NEAR_CANONICAL = {
 _N_REFUSED = {"n-zero", "n-leading-zero", "n-float", "n-negative", "n-string"}
 
 
-@pytest.mark.parametrize("kind", list(_NEAR_CANONICAL))
-def test_near_canonical_object_leaves_flat_tier(tmp_path, kind):
+def _near_canonical_flat_calls(tmp_path, kind, on_b):
+    """Whether each _flat_matrix call of a load of the kind's pair file gave a matrix,
+    after checking that the file ends as on the json route and orjson parsed flat arrays."""
     path = tmp_path / "pair.json"
     path.write_text(f'{{"A": {_NEAR_CANONICAL[kind]}, "B": {_B}}}')
     calls, loaded = [], []
     with pytest.MonkeyPatch.context() as mp:
         _spy(mp, "_flat_matrix", calls)
         _spy_orjson(mp, loaded)
-        got = _load_outcome(path)
-    if kind in _N_REFUSED:
-        assert not calls, calls
-    else:
-        # the flat route decodes B first: B's entries are a flat array and A's are not
-        assert [matrix is not None for _, matrix in calls] == [True, False]
+        got = _load_outcome(path, on_b)
     assert _same_outcome(got, _json_route_outcome(path))
     assert all(map(_one_flat_array, loaded))
+    return [matrix is not None for _, matrix in calls]
+
+
+@pytest.mark.parametrize("kind", list(_NEAR_CANONICAL))
+def test_near_canonical_object_leaves_flat_tier(tmp_path, kind):
+    flat = _near_canonical_flat_calls(tmp_path, kind, None)
+    # without on_b the flat route decodes A first, and its entries are not a flat array
+    assert flat == ([] if kind in _N_REFUSED else [False])
+
+
+@pytest.mark.parametrize("kind", list(_NEAR_CANONICAL))
+def test_near_canonical_object_leaves_flat_tier_after_b_with_on_b(tmp_path, kind):
+    flat = _near_canonical_flat_calls(tmp_path, kind, lambda b: None)
+    # with on_b B comes first: B's entries are a flat array and A's are not
+    assert flat == ([] if kind in _N_REFUSED else [True, False])
 
 
 # files with repeated keys, extra keys, or brackets and braces outside the two

@@ -12,7 +12,7 @@ from expconvex import (
 )
 from expconvex import transform, verify
 from expconvex.matrixio import dumps_doc
-from expconvex.tolerances import LIE_ERROR_FLOOR
+from expconvex.tolerances import CONTOUR_MIN_N, LIE_ERROR_FLOOR
 
 # the checks of one case, in record order
 CHECK_ORDER = [
@@ -192,6 +192,14 @@ def test_run_case_checks_the_range_once_per_pair(monkeypatch):
         assert [r.check for r in records] == CHECK_ORDER
         assert len(checked) == 3 and checked[1:] == [11, 12]
         checked.clear()
+
+
+def test_run_case_sizes_stay_on_the_dense_kernel():
+    # run_case evaluates every trace value with the dense _stacked_trace_values, which gives
+    # trace_values's bits only where trace_values runs the dense kernel too
+    assert verify.MAX_N < CONTOUR_MIN_N, (
+        f"run_case calls the dense trace kernel directly: route rank-one pairs with "
+        f"n >= {CONTOUR_MIN_N} to the contour kernel before raising MAX_N to {verify.MAX_N}")
 
 
 def test_run_case_eigendecomposes_each_distinct_matrix_once(monkeypatch):
