@@ -27,7 +27,7 @@ from .errors import (
 )
 from .hermitian import eigh, validate_hermitian
 from .reduction import reduce, reduction_residuals
-from .transform import TracePair, _eigh_ahead, _trace_function, fit_measure
+from .transform import TracePair, _eigh_ahead, fit_measure, trace_function
 from .tolerances import DEFAULT_PSD_TOL, HOLDOUT_LIMIT, RIDGE_REG, SUPPORT_MIN_WIDTH
 from .verify import MAX_N, run_verification
 
@@ -85,14 +85,13 @@ def _require_finite(flag: str, value: float) -> None:
         raise _UsageError(f"{flag} must be finite, got {value}")
 
 
-def _trace_pair(path: str) -> tuple[TracePair, object]:
-    """The pair of the file at path, and the contour kernel's eigh of its B when one ran ahead.
+def _trace_pair(path: str) -> TracePair:
+    """The pair of the file at path, with the contour kernel's eigh of its B started ahead.
 
     Once the flat route has decoded a B of A's size that is Hermitian, transform._eigh_ahead
-    may start that eigh on a second thread while A is parsed and validated.  The second item
-    is its result, (w, v), or None when no eigh ran ahead for the pair's B or it failed.  The
-    thread is joined before this returns, on every path; A's errors come before B's, as in
-    cmd_reduce.
+    may start that eigh on a second thread while A is parsed and validated; the pair holds
+    that same B, on which the result is cached (HermitianMatrix._lapack_eigh).  The thread is
+    joined before this returns, on every path; A's errors come before B's, as in cmd_reduce.
     """
     ahead = {}
 
@@ -101,18 +100,17 @@ def _trace_pair(path: str) -> tuple[TracePair, object]:
             b = validate_hermitian(b_raw)
         except ExpConvexError:
             return  # raised again in its turn, after any error of A
-        ahead.update(raw=b_raw, b=b, join=_eigh_ahead(b.mat))
+        ahead.update(raw=b_raw, b=b, join=_eigh_ahead(b))
 
     try:
         a_raw, b_raw = matrixio.load_pair(path, on_b)
         a = validate_hermitian(a_raw)
     finally:
-        join = ahead.get("join")
-        eig_b = join() if join is not None else None
-    if ahead.get("raw") is b_raw:
-        return TracePair(a, ahead["b"]), eig_b
-    # a B the json route decoded afresh
-    return TracePair(a, validate_hermitian(b_raw)), None
+        if ahead.get("join") is not None:
+            ahead["join"]()
+    # the json route decodes B afresh
+    b = ahead["b"] if ahead.get("raw") is b_raw else validate_hermitian(b_raw)
+    return TracePair(a, b)
 
 
 def cmd_reduce(args) -> int:
@@ -144,8 +142,7 @@ def cmd_check_ec(args) -> int:
     _require_finite("--tol", args.tol)
     # the grid is checked before the file is read
     grid = TGrid.equispaced(args.grid_lo, args.grid_hi, args.grid_n)
-    pair, eig_b = _trace_pair(args.input)
-    f = _trace_function(pair, eig_b)
+    f = trace_function(_trace_pair(args.input))
     report = check_exponential_convexity(f, grid, tol=args.tol)
     if not math.isfinite(report.tolerance):
         raise _UsageError(f"--tol {args.tol:g} times max(1, max|G|) overflows; use a smaller --tol")
@@ -172,7 +169,7 @@ def cmd_fit_measure(args) -> int:
         raise _UsageError(f"--reg must be nonnegative, got {args.reg}")
     _require_finite("--reg", args.reg)
     # the flags are checked before the file is read
-    pair, eig_b = _trace_pair(args.input)
+    pair = _trace_pair(args.input)
 
     # the measure of tr e^{tA+B} lives on [lambda_min(A), lambda_max(A)] (Stahl's theorem)
     w, _ = eigh(pair.A)
@@ -182,7 +179,7 @@ def cmd_fit_measure(args) -> int:
         mid = (lo + hi) / 2.0
         lo = mid - ((args.resolution - 1) // 2) / max(args.resolution - 1, 1)
         hi = lo + 1.0
-    f = _trace_function(pair, eig_b)
+    f = trace_function(pair)
     points = TGrid.equispaced(-2.0, 2.0, args.t_points).points
     samples = zip(points.tolist(), f.fn(points).tolist())
     fit = fit_measure(samples, (lo, hi), args.resolution, reg=args.reg)

@@ -8,6 +8,7 @@ product approximation is measured.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -68,6 +69,15 @@ class HermitianMatrix:
 
     def norm_max(self) -> float:
         return max_abs(self.mat)
+
+    @functools.cached_property
+    def _lapack_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """_lapack(np.linalg.eigh, mat), frozen and with no phase fix: the contour kernel's eigh
+        of B, kept from the first access on.  A ConvergenceFailure is not kept: the next access
+        tries again.  Before Python 3.12 cached_property computes under one lock shared by all
+        matrices; the CLI decomposes one matrix at a time."""
+        w, v = _lapack(np.linalg.eigh, self.mat)
+        return _freeze(w), _freeze(v)
 
 
 @dataclass(frozen=True)

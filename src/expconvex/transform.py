@@ -177,35 +177,30 @@ def _top_eigenvalue(beta: np.ndarray, p: np.ndarray, c: np.ndarray) -> np.ndarra
             hi[act[~below]] = mid[~below]
 
 
-def _eigh_ahead(b: np.ndarray):
-    """Start the contour kernel's _lapack(np.linalg.eigh, b) on a second thread and return its
-    join: a call that waits for it and gives (w, v), or None when the eigensolver failed.
+def _eigh_ahead(b: HermitianMatrix):
+    """Start b._lapack_eigh, the contour kernel's eigh of B, on a second thread and return the
+    thread's join.  The result is cached on b; a failure is not, and the kernel's own access
+    raises it again, in its turn.
 
     None, and no thread, when b is below CONTOUR_MIN_N, where trace_values takes the dense
     kernel.  LAPACK releases the GIL, so the caller's Python work (the parse of a pair file's
     A) runs meanwhile on another core.  The package's one use of threading.
     """
-    if b.shape[0] < CONTOUR_MIN_N:
+    if b.n < CONTOUR_MIN_N:
         return None
-    out = [None]
 
     def run():
         try:
-            out[0] = _lapack(np.linalg.eigh, b)
+            b._lapack_eigh  # computed and cached on b
         except ConvergenceFailure:
-            pass  # the kernel's own eigh of b raises it again, in its turn
+            pass
 
     thread = threading.Thread(target=run, name="eigh-ahead")
     thread.start()
-
-    def join():
-        thread.join()
-        return out[0]
-
-    return join
+    return thread.join
 
 
-def _contour_values(ts: np.ndarray, b: np.ndarray, lam: float, v: np.ndarray, eig_b) -> np.ndarray:
+def _contour_values(ts: np.ndarray, eig_b, lam: float, v: np.ndarray) -> np.ndarray:
     """tr e^{t lambda v v* + B} at every t: one eigh of B, then O(n) work per node and t.
 
     With B = Q diag(beta) Q*, p = |Q* v|^2, c = t lambda and s the top
@@ -213,10 +208,10 @@ def _contour_values(ts: np.ndarray, b: np.ndarray, lam: float, v: np.ndarray, ei
     is the Talbot midpoint sum of (1/2 pi i) int e^z tr(z + s - H)^{-1} dz and
     Sherman-Morrison gives the resolvent trace
     sum_j g_j + c sum_j p_j g_j^2 / (1 - c sum_j p_j g_j), g_j = 1/(z + s - beta_j).
-    eig_b, when not None, is eigh(B) as _eigh_ahead gives it.  Same errors as the dense
-    kernel, with the whole batch as one chunk.
+    eig_b = (beta, Q) is B's HermitianMatrix._lapack_eigh.  Same errors as the dense kernel,
+    with the whole batch as one chunk.
     """
-    beta, q = _lapack(np.linalg.eigh, b) if eig_b is None else eig_b
+    beta, q = eig_b
     p = np.abs(q.conj().T @ v) ** 2
     c = ts * lam
     s = _top_eigenvalue(beta, p, c)
@@ -319,11 +314,6 @@ def trace_values(pair: TracePair, ts) -> np.ndarray:
     double-precision range (checked before any evaluation), when a largest eigenvalue
     exceeds the exp range or when a value underflows to zero (overflow first in a chunk).
     """
-    return _trace_values(pair, ts, None)
-
-
-def _trace_values(pair: TracePair, ts, eig_b) -> np.ndarray:
-    """trace_values, with the contour kernel's eigh of B taken from eig_b (see _contour_values)."""
     ts = _points(ts)
     n = pair.n
     if n == 0:
@@ -332,7 +322,7 @@ def _trace_values(pair: TracePair, ts, eig_b) -> np.ndarray:
         factor = _rank_one_factor(pair.A)
         if factor is not None:
             _raise_out_of_range(ts, abs(factor[0]), pair.B.norm_max())
-            return _contour_values(ts, pair.B.mat, *factor, eig_b)
+            return _contour_values(ts, pair.B._lapack_eigh, *factor)
     return _raised(_stacked_trace_values([(pair.A.mat, pair.B.mat, ts)])[0])
 
 
@@ -342,13 +332,8 @@ def trace_f(pair: TracePair, t: float) -> float:
 
 
 def trace_function(pair: TracePair) -> ScalarFunction:
-    """The trace function of a pair as a labelled scalar function."""
-    return _trace_function(pair, None)
-
-
-def _trace_function(pair: TracePair, eig_b) -> ScalarFunction:
-    """trace_function, evaluated by _trace_values with eig_b."""
-    return ScalarFunction(fn=lambda ts: _trace_values(pair, ts, eig_b), label=f"trace(n={pair.n})")
+    """The trace function of a pair as a labelled scalar function, evaluated by trace_values."""
+    return ScalarFunction(fn=lambda ts: trace_values(pair, ts), label=f"trace(n={pair.n})")
 
 
 def sample_trace_f(pair: TracePair, grid: TGrid) -> list[tuple[float, float]]:
@@ -441,16 +426,22 @@ def growth_exponents(pair: TracePair) -> SupportEstimate:
     lambda_max_est = [log f(2 t_far) - log f(t_far)] / t_far, and
     symmetrically at -t_far for the minimum, with t_far = 40/||A||_max (1
     for A = 0), far enough that the dominant eigenvalue carries the slope.
-    Raises Overflow (from trace_values), naming the t, when a far value
+    Raises Overflow naming the far point when 2 t_far leaves the double-precision
+    range, and Overflow (from trace_values), naming the t, when a far value
     overflows or underflows to zero.
     """
     far = _far_points(pair)
+    if math.isinf(far[0]):
+        raise Overflow(f"far point t = 80/||A||_max leaves the double-precision range at "
+                       f"||A||_max = {pair.A.norm_max():.3e}")
     return _support_estimate(far, trace_values(pair, far), eigh(pair.A)[0])
 
 
 def _far_points(pair: TracePair) -> np.ndarray:
     norm = pair.A.norm_max()
-    return np.array([2.0, 1.0, -1.0, -2.0]) * (40.0 / norm if norm > 0.0 else 1.0)
+    t_far = 40.0 / norm if norm > 0.0 else 1.0
+    # Python floats: 2 t_far overflows to inf without a warning
+    return np.array([2.0 * t_far, t_far, -t_far, -2.0 * t_far])
 
 
 def _support_estimate(far: np.ndarray, f_far: np.ndarray, w: np.ndarray) -> SupportEstimate:

@@ -723,6 +723,25 @@ def test_eigh_ahead_gives_the_bytes_of_an_inline_eigh(tmp_path, capsys, monkeypa
     assert threaded[0] in (0, 3) and threaded[2] == ""
 
 
+@pytest.mark.parametrize("n", [4, 64])
+@pytest.mark.parametrize("command", ["check-ec", "fit-measure"])
+def test_trace_commands_evaluate_through_the_public_trace_values(
+        tmp_path, capsys, monkeypatch, n, command):
+    # one call of the public evaluator, so that a wrapper of transform.trace_values (the
+    # benchmark's tracer) sees every point the command evaluates
+    f = _ensemble_file(tmp_path, n)
+    calls, real = [], transform.trace_values
+
+    def spy(pair, ts):
+        calls.append(pair.n)
+        return real(pair, ts)
+
+    monkeypatch.setattr(transform, "trace_values", spy)
+    assert main([command, f]) in (0, 3)
+    assert calls == [n]
+    capsys.readouterr()
+
+
 def test_eigh_of_b_runs_once_and_off_the_main_thread(tmp_path, capsys, monkeypatch):
     f = _ensemble_file(tmp_path, 64)
     calls, real = [], np.linalg.eigh

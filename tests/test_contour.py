@@ -1,6 +1,9 @@
 """The rank-one contour kernel of trace_values: which pairs take it, its
-pointwise contract, its errors, and its accuracy against the dense kernel
-on adversarial spectra."""
+pointwise contract, its errors, the eigendecomposition of B it keeps on B,
+and its accuracy against the dense kernel on adversarial spectra."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -148,6 +151,72 @@ def test_contour_eigensolver_failure_is_convergence_failure(monkeypatch):
     )
     with pytest.raises(ConvergenceFailure, match="eigensolver failed"):
         trace_values(pair, [0.0])
+
+
+def test_contour_kernel_decomposes_b_once_per_matrix(monkeypatch):
+    calls, real = [], np.linalg.eigh
+
+    def spy(a):
+        if a.ndim == 2:  # the contour kernel's eigh of B; the package's others are stacked
+            calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    pair = random_rank_one_pair(np.random.default_rng([53, CONTOUR_MIN_N]), CONTOUR_MIN_N)
+    first = trace_values(pair, SUMS)
+    assert trace_values(pair, SUMS[::-1]).tolist() == first[::-1].tolist()
+    assert calls == [(CONTOUR_MIN_N, CONTOUR_MIN_N)]
+    # a B equal to the pair's but another object has its own decomposition, with the same bits
+    other = TracePair(pair.A, validate_hermitian(pair.B.mat))
+    assert trace_values(other, SUMS).tolist() == first.tolist()
+    assert len(calls) == 2
+
+
+def test_a_failed_decomposition_of_b_is_not_kept(monkeypatch):
+    b = random_rank_one_pair(np.random.default_rng([59, CONTOUR_MIN_N]), CONTOUR_MIN_N).B
+    calls = []
+
+    def fail(a):
+        calls.append(a.shape)
+        raise np.linalg.LinAlgError("did not converge")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", fail)
+        for _ in range(2):
+            with pytest.raises(ConvergenceFailure, match="^eigensolver failed: did not converge$"):
+                b._lapack_eigh
+            assert "_lapack_eigh" not in vars(b)
+    assert len(calls) == 2
+    beta, q = b._lapack_eigh
+    ref = np.linalg.eigh(b.mat)
+    assert beta.tobytes() == ref[0].tobytes() and q.tobytes() == ref[1].tobytes()
+    assert b._lapack_eigh[0] is beta
+    # the kept arrays are read-only
+    for a in (beta, q):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_decomposition_of_b_read_from_many_threads_has_one_value():
+    # more threads than cores, switching often: every reader gets the bits of one eigh of B,
+    # whether the first access runs under cached_property's lock (Python < 3.12) or not
+    b = random_rank_one_pair(np.random.default_rng([67, CONTOUR_MIN_N]), CONTOUR_MIN_N).B
+    ref = np.linalg.eigh(b.mat)
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(b._lapack_eigh)) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == len(threads)
+    for beta, q in got:
+        assert beta.tobytes() == ref[0].tobytes() and q.tobytes() == ref[1].tobytes()
 
 
 @pytest.mark.parametrize(

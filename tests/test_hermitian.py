@@ -582,7 +582,7 @@ def test_threading_is_used_in_one_helper():
 
 def test_only_the_readers_of_a_stacked_result_raise_its_kept_error():
     """A private kernel takes plain values: the functions that read a stacked result
-    (eigh, _trace_values, lie_product_approx, lie_trace_function's f_p, entrywise_ec_check,
+    (eigh, trace_values, lie_product_approx, lie_trace_function's f_p, entrywise_ec_check,
     run_case) are the only callers of hermitian._raised."""
     callers = set()
     for path in sorted(Path(hermitian_module.__file__).parent.glob("*.py")):
@@ -592,7 +592,7 @@ def test_only_the_readers_of_a_stacked_result_raise_its_kept_error():
                 callers.add((path.stem, func))
     assert callers == {
         ("hermitian", "eigh"), ("hermitian", "lie_product_approx"),
-        ("transform", "_trace_values"), ("transform", "f_p"),
+        ("transform", "trace_values"), ("transform", "f_p"),
         ("convexity", "entrywise_ec_check"), ("verify", "run_case"),
     }
 

@@ -304,6 +304,23 @@ def test_growth_exponents_far_underflow_names_t(b_diag, t):
         growth_exponents(pair)
 
 
+@pytest.mark.parametrize("tiny", [1e-308, 3e-307])
+def test_growth_exponents_far_point_overflow_is_overflow(tiny):
+    # t_far = 40/||A||_max (1e-308) or 2 t_far (3e-307) overflows: the error names the far
+    # point, not a non-finite t the caller never passed, and numpy warns of nothing
+    pair = TracePair(hermitian_from_diag([0.0, tiny]), hermitian_from_diag([0.0, 0.0]))
+    with pytest.raises(Overflow, match=r"^far point t = 80/\|\|A\|\|_max leaves the "
+                       rf"double-precision range at \|\|A\|\|_max = {tiny:.3e}$"):
+        growth_exponents(pair)
+
+
+def test_growth_exponents_tiny_a_keeps_its_estimate():
+    pair = TracePair(hermitian_from_diag([0.0, 1e-300]), hermitian_from_diag([0.0, 0.0]))
+    est = growth_exponents(pair)
+    assert est.lambda_max_est == pytest.approx(1e-300, rel=1e-12, abs=0.0)
+    assert est.lambda_min_est == 0.0
+
+
 def test_growth_exponents_random_within_tolerance():
     rng = np.random.default_rng(45)
     for _ in range(10):
