@@ -16,6 +16,8 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from . import matrixio
 from .convexity import TGrid, check_exponential_convexity
 from .errors import (
@@ -180,7 +182,7 @@ def cmd_fit_measure(args) -> int:
         lo = mid - ((args.resolution - 1) // 2) / max(args.resolution - 1, 1)
         hi = lo + 1.0
     f = trace_function(pair)
-    points = TGrid.equispaced(-2.0, 2.0, args.t_points).points
+    points = np.linspace(-2.0, 2.0, args.t_points)
     samples = zip(points.tolist(), f.fn(points).tolist())
     fit = fit_measure(samples, (lo, hi), args.resolution, reg=args.reg)
     sys.stdout.write(matrixio.dumps_doc(matrixio.fit_to_doc(fit)))

@@ -115,8 +115,8 @@ class MeasureFit:
     holdout_error: float
 
 
-# Stacked matrices per eigvalsh call: about 1 MiB of complex entries, so a
-# long batch at large n holds one chunk of (k, n, n) at a time, not all k.
+# trace_values' chunk of k points: about 1 MiB of complex entries, (k, n, n) matrices in the
+# dense kernel and (k, n) terms in the contour one, so a long batch is not held all at once.
 _CHUNK_BYTES = 2**20
 
 # Largest |t| ||A|| + ||B|| at which a kernel evaluates t: below it t*A + B and
@@ -209,7 +209,7 @@ def _contour_values(ts: np.ndarray, eig_b, lam: float, v: np.ndarray) -> np.ndar
     Sherman-Morrison gives the resolvent trace
     sum_j g_j + c sum_j p_j g_j^2 / (1 - c sum_j p_j g_j), g_j = 1/(z + s - beta_j).
     eig_b = (beta, Q) is B's HermitianMatrix._lapack_eigh.  Same errors as the dense kernel,
-    with the whole batch as one chunk.
+    with ts as one chunk.
     """
     beta, q = eig_b
     p = np.abs(q.conj().T @ v) ** 2
@@ -271,32 +271,24 @@ def _stacked_trace_values(groups) -> list:
     """The dense kernel: tr e^{tA + B} for every (a, b, ts) of groups, with a and b exactly
     Hermitian arrays of one size n.
 
-    The matrices tA + B of all groups go to one eigvalsh call per chunk of about 1 MiB, and a
-    value has the bits of its point alone.  Groups that share their arrays a and b share one
-    double-range check.  Per group: its values or the error trace_values raises for it, so a
-    stack that fails is evaluated again group by group.
+    The matrices tA + B of all groups go to one eigvalsh call, whose size the caller bounds,
+    and a value has the bits of its point alone.  Groups that share their arrays a and b share
+    one double-range check.  Per group: its values or the error trace_values raises for it, so
+    a stack that fails is evaluated again group by group.
     """
-    per_chunk = max(1, _CHUNK_BYTES // (16 * groups[0][0].shape[0] ** 2))
     starts = list(accumulate((ts.size for _, _, ts in groups), initial=0))
-    ts_all = np.concatenate([ts for _, _, ts in groups])
-    vals = np.empty(ts_all.size)
     pairs = {}
     for a, b, ts in groups:
         pairs.setdefault((id(a), id(b)), (a, b, []))[2].append(ts)
     try:
         for a, b, tss in pairs.values():
             _raise_out_of_range(np.concatenate(tss), max_abs(a), max_abs(b))
-        for lo in range(0, ts_all.size, per_chunk):
-            chunk, hi = ts_all[lo : lo + per_chunk], lo + per_chunk
-            parts = [ts_all[max(lo, start) : min(hi, stop), None, None] * a + b
-                     for (a, b, _), start, stop in zip(groups, starts, starts[1:])
-                     if start < hi and lo < stop]
-            # t*a + b is exactly Hermitian for real t, as a and b are
-            h = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            w = _lapack(np.linalg.eigvalsh, h)
-            _raise_overflow(chunk, w[:, -1])
-            vals[lo : lo + chunk.size] = np.sum(np.exp(w), axis=-1)
-            _raise_underflow(chunk, vals[lo : lo + chunk.size])
+        ts_all = np.concatenate([ts for _, _, ts in groups])
+        h = np.concatenate([ts[:, None, None] * a + b for a, b, ts in groups])
+        w = _lapack(np.linalg.eigvalsh, h)  # t*a + b is exactly Hermitian, as a and b are
+        _raise_overflow(ts_all, w[:, -1])
+        vals = np.sum(np.exp(w), axis=-1)
+        _raise_underflow(ts_all, vals)
     except ExpConvexError as exc:
         return [exc] if len(groups) == 1 else [_stacked_trace_values([g])[0] for g in groups]
     return [vals[s:e] for s, e in zip(starts, starts[1:])]
@@ -305,25 +297,30 @@ def _stacked_trace_values(groups) -> list:
 def trace_values(pair: TracePair, ts) -> np.ndarray:
     """tr e^{tA + B} at every t of the 1-d array ts, in input order.
 
-    Two kernels give the values, neither depending on the other points of ts: the
-    dense one is _stacked_trace_values with this pair alone.  When n >= CONTOUR_MIN_N
-    and A = lambda v v* up to RANK_TOL_FACTOR * ||A||_max, the contour kernel instead
-    diagonalizes B once and sums Sherman-Morrison resolvent traces on a Talbot
-    contour.  Raises ValueError naming the first non-finite t, ConvergenceFailure when the
-    eigensolver fails, and Overflow, naming the first such t, when t*A + B would leave the
-    double-precision range (checked before any evaluation), when a largest eigenvalue
-    exceeds the exp range or when a value underflows to zero (overflow first in a chunk).
+    Two kernels give the values, neither depending on the other points of ts: the dense one
+    is _stacked_trace_values with this pair alone.  When n >= CONTOUR_MIN_N and A = lambda v v*
+    up to RANK_TOL_FACTOR * ||A||_max, the contour kernel instead diagonalizes B once and sums
+    Sherman-Morrison resolvent traces on a Talbot contour.  Either takes ts one chunk at a time.
+    Raises ValueError naming the first non-finite t, ConvergenceFailure when the eigensolver
+    fails, and Overflow, naming the first such t, when t*A + B would leave the double-precision
+    range (checked on all of ts first), when a largest eigenvalue exceeds the exp range or when
+    a value underflows to zero (overflow first in a chunk).
     """
     ts = _points(ts)
     n = pair.n
     if n == 0:
         return np.zeros(ts.size)
-    if n >= CONTOUR_MIN_N:
-        factor = _rank_one_factor(pair.A)
-        if factor is not None:
-            _raise_out_of_range(ts, abs(factor[0]), pair.B.norm_max())
-            return _contour_values(ts, pair.B._lapack_eigh, *factor)
-    return _raised(_stacked_trace_values([(pair.A.mat, pair.B.mat, ts)])[0])
+    factor = _rank_one_factor(pair.A) if n >= CONTOUR_MIN_N else None
+    a_norm, row = (pair.A.norm_max(), n * n) if factor is None else (abs(factor[0]), n)
+    _raise_out_of_range(ts, a_norm, pair.B.norm_max())
+    per_chunk = max(1, _CHUNK_BYTES // (16 * row))
+    vals = np.empty(ts.size)
+    for lo in range(0, ts.size, per_chunk):
+        chunk = ts[lo : lo + per_chunk]
+        vals[lo : lo + chunk.size] = (
+            _raised(_stacked_trace_values([(pair.A.mat, pair.B.mat, chunk)])[0])
+            if factor is None else _contour_values(chunk, pair.B._lapack_eigh, *factor))
+    return vals
 
 
 def trace_f(pair: TracePair, t: float) -> float:

@@ -12,11 +12,14 @@ import numpy as np
 import orjson
 import pytest
 
-from expconvex import cli, matrixio, transform, validate_hermitian
+from expconvex import (
+    TGrid, TracePair, cli, eigh, fit_measure, matrixio, sample_trace_f, transform,
+    validate_hermitian,
+)
 from expconvex.cli import MAX_GRID_N, MAX_RESOLUTION, MAX_T_POINTS, main
 from expconvex.errors import ExpConvexError
 from expconvex.matrixio import matrix_from_doc
-from expconvex.tolerances import CONTOUR_MIN_N, HOLDOUT_LIMIT
+from expconvex.tolerances import CONTOUR_MIN_N, HOLDOUT_LIMIT, SUPPORT_MIN_WIDTH
 from expconvex.verify import random_rank_one_pair
 
 
@@ -740,6 +743,25 @@ def test_trace_commands_evaluate_through_the_public_trace_values(
     assert main([command, f]) in (0, 3)
     assert calls == [n]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", [2, 32])
+@pytest.mark.parametrize("t_points, resolution", [(48, 64), (47, 100), (3, 12)])
+def test_fit_measure_report_is_the_library_fit(tmp_path, capsys, n, t_points, resolution):
+    # the plain linspace the command samples on is TGrid.equispaced's grid, bit for bit
+    f = _ensemble_file(tmp_path, n)
+    pair = TracePair(*_plain_load(f))
+    w, _ = eigh(pair.A)
+    lo, hi = w[0], w[-1]
+    if hi - lo < SUPPORT_MIN_WIDTH:
+        mid = (lo + hi) / 2.0
+        lo = mid - ((resolution - 1) // 2) / max(resolution - 1, 1)
+        hi = lo + 1.0
+    fit = fit_measure(sample_trace_f(pair, TGrid.equispaced(-2.0, 2.0, t_points)), (lo, hi),
+                      resolution)
+    argv = ["fit-measure", f, "--t-points", str(t_points), "--resolution", str(resolution)]
+    assert main(argv) in (0, 3)
+    assert capsys.readouterr().out == matrixio.dumps_doc(matrixio.fit_to_doc(fit))
 
 
 def test_eigh_of_b_runs_once_and_off_the_main_thread(tmp_path, capsys, monkeypatch):

@@ -614,5 +614,4 @@ def test_only_the_public_boundary_builds_validated_types():
         ("convexity", "equispaced"), ("convexity", "default_grid"), ("convexity", "gram"),
         ("verify", "random_rank_one_pair"), ("verify", "random_grid"),
         ("cli", "cmd_reduce"), ("cli", "_trace_pair"), ("cli", "cmd_check_ec"),
-        ("cli", "cmd_fit_measure"),
     }

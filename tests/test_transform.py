@@ -3,6 +3,7 @@ commuting-case recovery, growth exponents, and the NNLS measure fit."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,8 +137,8 @@ def test_trace_values_overflow_names_first_t():
     pair = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([0.0, 0.0]))
     with pytest.raises(Overflow, match=r"at t = 750\.0$"):
         trace_values(pair, [0.0, 750.0, 720.0])
-    # n = 128 holds four matrices per chunk: the first offender in input
-    # order sits in a later chunk than a smaller t would suggest
+    # n = 128 with a rank-one A takes the contour kernel: the first offender in
+    # input order is named, not the largest t
     big = TracePair(
         hermitian_from_diag([0.0] * 127 + [1.0]), hermitian_from_diag([0.0] * 128)
     )
@@ -151,6 +152,59 @@ def test_trace_values_underflow_names_first_t():
     assert trace_values(pair, [100.0])[0] > 0.0
     with pytest.raises(Overflow, match=r"^trace value 0\.0 underflows at t = 10\.0$"):
         trace_values(pair, [100.0, 10.0, -4.0])
+
+
+def test_trace_values_holds_one_chunk_of_a_long_contour_batch():
+    # the contour kernel's (k, n) complex terms take 20 MB each for 20,000 points at
+    # n = 64; trace_values hands it 1,024 points, 1 MiB of terms, at a time
+    pair = random_rank_one_pair(np.random.default_rng([50, 64]), 64)
+    ts = np.linspace(-2.0, 2.0, 20_000)
+    tracemalloc.start()
+    try:
+        trace_values(pair, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("n, points", [(32, 5000), (4, 10_000)], ids=["contour", "dense"])
+def test_trace_values_chunks_give_the_bits_of_short_batches(n, points):
+    # 2,048 points per contour chunk at n = 32 and 4,096 per dense chunk at n = 4: the
+    # values of a batch that spans three chunks equal those of its slices of 7 points
+    rng = np.random.default_rng([51, n])
+    pair = random_rank_one_pair(rng, n)
+    ts = rng.uniform(-3.0, 3.0, size=points)
+    slices = np.concatenate([trace_values(pair, ts[lo : lo + 7]) for lo in range(0, points, 7)])
+    assert trace_values(pair, ts).tobytes() == slices.tobytes()
+
+
+def test_trace_values_checks_the_range_of_every_chunk_first(monkeypatch):
+    # a t beyond the double range in the last contour chunk is named before any evaluation
+    calls = []
+    monkeypatch.setattr(transform, "_contour_values", lambda ts, *args: calls.append(ts.size))
+    pair = random_rank_one_pair(np.random.default_rng([52, CONTOUR_MIN_N]), CONTOUR_MIN_N)
+    ts = np.zeros(5000)
+    ts[-1] = 1e308
+    message = "t*A + B leaves the double-precision range at t = 1e+308"
+    with pytest.raises(Overflow, match=f"^{re.escape(message)}$"):
+        trace_values(pair, ts)
+    assert calls == []
+
+
+def test_contour_batch_reports_an_earlier_chunks_underflow_first():
+    # f(t) = e^-800 (31 + e^t) underflows at t = 10 and overflows past t = 1,500; with 2,048
+    # points per contour chunk at n = 32 the underflow's chunk comes first, as in the dense
+    # kernel, and within one chunk the overflow is reported first
+    n = CONTOUR_MIN_N
+    pair = TracePair(hermitian_from_diag([0.0] * (n - 1) + [1.0]),
+                     hermitian_from_diag([-800.0] * n))
+    ts = np.full(5000, 100.0)
+    ts[5], ts[3000] = 10.0, 2000.0
+    with pytest.raises(Overflow, match=r"^trace value 0\.0 underflows at t = 10\.0$"):
+        trace_values(pair, ts)
+    with pytest.raises(Overflow, match=r"exceeds exp range at t = 2000\.0$"):
+        trace_values(pair, ts[1000:])
 
 
 def test_sample_trace_f():
@@ -482,8 +536,8 @@ def _arrays(groups):
 
 
 def test_stacked_kernel_bitwise_equals_trace_values():
-    # n = 12 holds 455 matrices per eigvalsh chunk, so the last batch
-    # (3 x 200 points) spans two chunks, with a group on each side of the cut
+    # the last batch (3 x 200 points at n = 12) is one eigvalsh stack of 600 matrices,
+    # more than the 455 of a trace_values chunk: the caller bounds the stack, not the kernel
     rng = np.random.default_rng(45)
     for n, most in [(n, 40) for n in range(2, 13)] + [(12, 201)]:
         groups = [
@@ -543,8 +597,8 @@ def test_stacked_kernel_charges_a_failed_eigensolve_to_its_group(monkeypatch):
 
 
 def test_stacked_kernel_adjacent_groups_of_one_pair():
-    # groups of one pair share a range check, and each keeps its own tA + B product; at
-    # n = 12 a chunk holds 455 matrices, so the cut falls inside the first pair's run
+    # groups of one pair share a range check, and each keeps its own tA + B product in
+    # the one stack, 560 matrices at n = 12
     rng = np.random.default_rng(46)
     p, q = random_rank_one_pair(rng, 12), random_rank_one_pair(rng, 12)
     sizes = [(p, 200), (p, 200), (p, 100), (q, 50), (p, 7), (p, 0), (q, 3)]

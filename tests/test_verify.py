@@ -202,6 +202,24 @@ def test_run_case_sizes_stay_on_the_dense_kernel():
         f"n >= {CONTOUR_MIN_N} to the contour kernel before raising MAX_N to {verify.MAX_N}")
 
 
+def test_run_case_stacks_stay_within_one_trace_chunk(monkeypatch):
+    # _stacked_trace_values makes one eigvalsh call of whatever its caller stacks: at
+    # n = MAX_N a case's stack of at most 100 matrices must fit the _CHUNK_BYTES that
+    # trace_values allows, or raising MAX_N lets verify allocate unbounded stacks
+    sizes = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.asarray(a).nbytes)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    index = 0
+    while run_case(0, index, max_n=verify.MAX_N)[0].n != verify.MAX_N:
+        index += 1
+    assert sizes and max(sizes) <= transform._CHUNK_BYTES
+
+
 def test_run_case_eigendecomposes_each_distinct_matrix_once(monkeypatch):
     real = np.linalg.eigh
     mats = []
