@@ -175,28 +175,21 @@ def _flat_matrix(data: bytes, first: int, last: int, n: int) -> np.ndarray | Non
     return flat.view(complex).reshape(n, n) if np.isfinite(flat).all() else None
 
 
-def _pair_from_doc(doc, path: str, decode=matrix_from_doc, on_b=None) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) of a pair document, after the checks both routes make.
-
-    A is decoded first, so that its error comes before B's.  The flat route,
-    whose errors are never reported, may pass on_b instead: after A's n and
-    entries pass the shared checks, B is decoded, handed to on_b when it has
-    A's size, and then A is decoded.
-    """
+def _pair_objects(doc, path: str) -> tuple[object, object]:
+    """The A and B objects of a pair document, after the top-level checks both routes make."""
     if not isinstance(doc, dict):
         raise MatrixFileError(f"{path}: expected an object at top level")
     for key in ("A", "B"):
         if key not in doc:
             raise MatrixFileError(f"{path}: missing key '{key}'")
-    if on_b is None:
-        a = decode(doc["A"], where=f"{path}: A")
-        b = decode(doc["B"], where=f"{path}: B")
-    else:
-        n_a, _ = _size_and_entries(doc["A"], f"{path}: A")
-        b = decode(doc["B"], where=f"{path}: B")
-        if b.shape[0] == n_a:
-            on_b(b)
-        a = decode(doc["A"], where=f"{path}: A")
+    return doc["A"], doc["B"]
+
+
+def _pair_from_doc(doc, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of a pair document parsed by json, A decoded first so that its error comes first."""
+    doc_a, doc_b = _pair_objects(doc, path)
+    a = matrix_from_doc(doc_a, where=f"{path}: A")
+    b = matrix_from_doc(doc_b, where=f"{path}: B")
     if a.shape != b.shape:
         raise MatrixFileError(
             f"{path}: A is {a.shape[0]}x{a.shape[0]} but B is {b.shape[0]}x{b.shape[0]}"
@@ -211,10 +204,10 @@ def _pair_by_parts(data: bytes, on_b) -> tuple[np.ndarray, np.ndarray] | None:
     to the last "]" before the next "}".  With "[0]" and "[1]" in their place,
     the only arrays left, the short text goes through json.loads and the json
     route's checks; a file that passes them, with arrays that parse as numbers,
-    parses as the short text with the arrays put back.  Each matrix is decoded
-    before the next one is parsed, so the parses of the two never exist at once;
-    A comes first; with on_b, B does, and on_b(B) is called before A's entries
-    are parsed.
+    parses as the short text with the arrays put back.  The declared sizes are
+    compared before either array is parsed; then B's entries are parsed, on_b(B)
+    is called if on_b is given, and A's entries are parsed, so the parses of the
+    two never exist at once.
     """
     spans, end = [], 0
     for _ in range(2):
@@ -228,18 +221,23 @@ def _pair_by_parts(data: bytes, on_b) -> tuple[np.ndarray, np.ndarray] | None:
     short = b"".join((data[:first_a], b"[0]", data[last_a + 1:first_b], b"[1]", data[last_b + 1:]))
     if short.count(b"[") != 2:
         return None
-
-    def decode(doc, where):
-        n, entries = _size_and_entries(doc, where)  # entries is a placeholder
-        if (mat := _flat_matrix(data, *spans[entries[0]], n)) is None:
-            raise MatrixFileError(f"{where}: not a flat array of {n * n} pairs")
-        return mat
-
     # decoded here: json.loads of bytes would skip a byte-order mark, which the json route refuses
     try:
-        return _pair_from_doc(json.loads(short.decode("utf-8")), "", decode, on_b)
+        doc_a, doc_b = _pair_objects(json.loads(short.decode("utf-8")), "")
+        # each entries array is a placeholder: [i] stands for spans[i]
+        n, placeholder_a = _size_and_entries(doc_a, "A")
+        n_b, placeholder_b = _size_and_entries(doc_b, "B")
     except (MatrixFileError, ValueError, RecursionError):
         return None
+    if n_b != n:
+        return None
+    b = _flat_matrix(data, *spans[placeholder_b[0]], n)
+    if b is None:
+        return None
+    if on_b is not None:
+        on_b(b)
+    a = _flat_matrix(data, *spans[placeholder_a[0]], n)
+    return None if a is None else (a, b)
 
 
 def load_pair(path: str, on_b=None) -> tuple[np.ndarray, np.ndarray]:
@@ -249,11 +247,10 @@ def load_pair(path: str, on_b=None) -> tuple[np.ndarray, np.ndarray]:
     numbers takes _pair_by_parts.  Any other file is parsed by _parse_text
     and decoded by matrix_from_doc, which write every error message; a
     valid file that _pair_by_parts refuses loads there too, only more slowly.
-    With on_b, the flat route decodes B first and calls on_b(B) before it
-    parses A's entries; it calls none when the file leaves it before B is
-    decoded, or when A's declared n is not B's, and the json route calls
-    none.  A file that leaves the flat route after may still load by the
-    json route, with a B decoded afresh.
+    The flat route calls on_b(B) once, after both declared sizes agree and
+    B's entries are parsed, before A's; the json route calls none.  A file
+    that leaves the flat route after that may still load by the json route,
+    with a B decoded afresh.
     """
     data = _read_bytes(path)
     pair = _pair_by_parts(data, on_b)

@@ -183,8 +183,9 @@ def _eigh_ahead(b: HermitianMatrix):
     raises it again, in its turn.
 
     None, and no thread, when b is below CONTOUR_MIN_N, where trace_values takes the dense
-    kernel.  LAPACK releases the GIL, so the caller's Python work (the parse of a pair file's
-    A) runs meanwhile on another core.  The package's one use of threading.
+    kernel.  LAPACK releases the GIL, so the caller's Python work runs meanwhile on another
+    core: the parse of a pair file's A, which load_pair's flat route parses after it calls its
+    hook on B.  The package's one use of threading.
     """
     if b.n < CONTOUR_MIN_N:
         return None

@@ -397,11 +397,22 @@ _NEAR_CANONICAL = {
 _N_REFUSED = {"n-zero", "n-leading-zero", "n-float", "n-negative", "n-string"}
 
 
-def _near_canonical_flat_calls(tmp_path, kind, on_b):
-    """Whether each _flat_matrix call of a load of the kind's pair file gave a matrix,
-    after checking that the file ends as on the json route and orjson parsed flat arrays."""
+# B declares A's n, so that the flat route gets past the comparison of the sizes; a B of
+# 10**9 rows cannot be written, so that kind's B holds one pair and its own array is refused
+_B_OF_N = {
+    "1": _B,
+    "2": '{"n": 2, "entries": [[0, 0], [0, 0], [0, 0], [0, 0]]}',
+    "1000000000": '{"n": 1000000000, "entries": [[0, 0]]}',
+}
+
+
+def _check_near_canonical(tmp_path, kind, on_b):
+    """A load of the kind's pair file ends as on the json route, orjson parses flat arrays
+    only, and _flat_matrix parses B's entries first and refuses A's, with or without on_b."""
+    a_text = _NEAR_CANONICAL[kind]
+    b_text = _B_OF_N.get(re.match(r'\{"n": ([^,]*),', a_text)[1], _B)  # a refused n: any B
     path = tmp_path / "pair.json"
-    path.write_text(f'{{"A": {_NEAR_CANONICAL[kind]}, "B": {_B}}}')
+    path.write_text(f'{{"A": {a_text}, "B": {b_text}}}')
     calls, loaded = [], []
     with pytest.MonkeyPatch.context() as mp:
         _spy(mp, "_flat_matrix", calls)
@@ -409,21 +420,68 @@ def _near_canonical_flat_calls(tmp_path, kind, on_b):
         got = _load_outcome(path, on_b)
     assert _same_outcome(got, _json_route_outcome(path))
     assert all(map(_one_flat_array, loaded))
-    return [matrix is not None for _, matrix in calls]
+    flat = [matrix is not None for _, matrix in calls]
+    if kind in _N_REFUSED:
+        assert flat == []
+    elif kind == "n-10-digits":
+        assert flat == [False]
+    else:
+        assert flat == [True, False]
 
 
 @pytest.mark.parametrize("kind", list(_NEAR_CANONICAL))
 def test_near_canonical_object_leaves_flat_tier(tmp_path, kind):
-    flat = _near_canonical_flat_calls(tmp_path, kind, None)
-    # without on_b the flat route decodes A first, and its entries are not a flat array
-    assert flat == ([] if kind in _N_REFUSED else [False])
+    _check_near_canonical(tmp_path, kind, None)
 
 
 @pytest.mark.parametrize("kind", list(_NEAR_CANONICAL))
 def test_near_canonical_object_leaves_flat_tier_after_b_with_on_b(tmp_path, kind):
-    flat = _near_canonical_flat_calls(tmp_path, kind, lambda b: None)
-    # with on_b B comes first: B's entries are a flat array and A's are not
-    assert flat == ([] if kind in _N_REFUSED else [True, False])
+    _check_near_canonical(tmp_path, kind, lambda b: None)
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["without-on_b", "with-on_b"])
+def test_flat_layout_with_differing_sizes_parses_no_entries(tmp_path, hooked):
+    # the short text shows the declared sizes differ: no entries array is parsed, no hook is
+    # called, and the json route reports the error
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"A": {"n": 1, "entries": [[1, 0]]},
+                                "B": {"n": 2, "entries": [[0, 0]] * 4}}))
+    calls, hook_calls = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        _spy(mp, "_flat_matrix", calls)
+        got = _load_outcome(path, hook_calls.append if hooked else None)
+    assert calls == [] and hook_calls == []
+    assert got == _json_route_outcome(path) == f"{path}: A is 1x1 but B is 2x2"
+
+
+def _pair_text(a, b, layout):
+    docs = {"A": matrix_to_doc(a), "B": matrix_to_doc(b)}
+    if layout == "entries-first":
+        docs = {key: {"entries": doc["entries"], "n": doc["n"]} for key, doc in docs.items()}
+    elif layout == "B-first":
+        docs = {"B": docs["B"], "A": docs["A"]}
+    if layout == "compact":
+        return json.dumps(docs, separators=(",", ":"))
+    return json.dumps(docs, indent=2 if layout == "indent-2" else None)
+
+
+@pytest.mark.parametrize("n", [2, 64])
+@pytest.mark.parametrize("layout", ["compact", "indent-2", "entries-first", "B-first"])
+def test_flat_route_parses_b_before_a_with_or_without_hook(tmp_path, layout, n):
+    rng = np.random.default_rng([29, n])
+    a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+    path = tmp_path / "pair.json"
+    path.write_text(_pair_text(a, b, layout))
+    hook_calls = []
+    for on_b in (None, hook_calls.append):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            _spy(mp, "_flat_matrix", calls)
+            got_a, got_b = load_pair(str(path), on_b)
+        assert (got_a.tobytes(), got_b.tobytes()) == (a.tobytes(), b.tobytes())
+        assert [matrix.tobytes() for _, matrix in calls] == [b.tobytes(), a.tobytes()]
+    # the hooked load calls on_b once, with the B it returns
+    assert len(hook_calls) == 1 and hook_calls[0] is got_b
 
 
 # files with repeated keys, extra keys, or brackets and braces outside the two
