@@ -29,7 +29,7 @@ from .errors import (
 )
 from .hermitian import eigh, validate_hermitian
 from .reduction import reduce, reduction_residuals
-from .transform import TracePair, _eigh_ahead, fit_measure, trace_function
+from .transform import TracePair, _eigh_ahead, fit_measure, trace_function, trace_values
 from .tolerances import DEFAULT_PSD_TOL, HOLDOUT_LIMIT, RIDGE_REG, SUPPORT_MIN_WIDTH
 from .verify import MAX_N, run_verification
 
@@ -182,9 +182,8 @@ def cmd_fit_measure(args) -> int:
         mid = (lo + hi) / 2.0
         lo = mid - ((args.resolution - 1) // 2) / max(args.resolution - 1, 1)
         hi = lo + 1.0
-    f = trace_function(pair)
     points = np.linspace(-2.0, 2.0, args.t_points)
-    samples = zip(points.tolist(), f.fn(points).tolist())
+    samples = zip(points.tolist(), trace_values(pair, points).tolist())
     fit = fit_measure(samples, (lo, hi), args.resolution, reg=args.reg)
     sys.stdout.write(matrixio.dumps_doc(matrixio.fit_to_doc(fit)))
     return EXIT_OK if fit.holdout_error <= HOLDOUT_LIMIT else EXIT_CHECK

@@ -119,9 +119,9 @@ class MeasureFit:
 # dense kernel and (k, n) terms in the contour one, so a long batch is not held all at once.
 _CHUNK_BYTES = 2**20
 
-# Largest |t| ||A|| + ||B|| at which a kernel evaluates t: below it t*A + B and
-# t*lambda with the contour bracket (up to twice that) stay finite, with a factor
-# 2 to spare for rounding.
+# Largest |t| ||A|| + ||B|| at which trace_values evaluates t, checked there for both
+# kernels: below it t*A + B and t*lambda with the contour bracket (up to twice that)
+# stay finite, with a factor 2 to spare for rounding.
 _MAX_SCALE = sys.float_info.max / 4
 
 # Midpoint nodes theta_k in (0, pi) of the Talbot parabola
@@ -228,16 +228,6 @@ def _contour_values(ts: np.ndarray, eig_b, lam: float, v: np.ndarray) -> np.ndar
     return vals
 
 
-def _raise_out_of_range(ts: np.ndarray, a_norm: float, b_norm: float) -> None:
-    """Overflow, naming the first t with |t| a_norm + b_norm above _MAX_SCALE, if there is one."""
-    if a_norm > 0.0:
-        # the bound on |t| is a Python float, which overflows to inf without a warning
-        beyond = np.flatnonzero(np.abs(ts) > (_MAX_SCALE - b_norm) / a_norm)
-        if beyond.size:
-            t = float(ts[beyond[0]])
-            raise Overflow(f"t*A + B leaves the double-precision range at t = {t}")
-
-
 def _raise_overflow(ts: np.ndarray, top: np.ndarray) -> None:
     over = np.flatnonzero(top > EXP_OVERFLOW_LIMIT)
     if over.size:
@@ -272,18 +262,13 @@ def _stacked_trace_values(groups) -> list:
     """The dense kernel: tr e^{tA + B} for every (a, b, ts) of groups, with a and b exactly
     Hermitian arrays of one size n.
 
-    The matrices tA + B of all groups go to one eigvalsh call, whose size the caller bounds,
-    and a value has the bits of its point alone.  Groups that share their arrays a and b share
-    one double-range check.  Per group: its values or the error trace_values raises for it, so
-    a stack that fails is evaluated again group by group.
+    The caller bounds the stack and keeps |t| ||a||_max + ||b||_max within _MAX_SCALE, so
+    that t*a + b stays finite.  The matrices tA + B of all groups go to one eigvalsh call, and
+    a value has the bits of its point alone.  Per group: its values or the error trace_values
+    raises for it, so a stack that fails is evaluated again group by group.
     """
     starts = list(accumulate((ts.size for _, _, ts in groups), initial=0))
-    pairs = {}
-    for a, b, ts in groups:
-        pairs.setdefault((id(a), id(b)), (a, b, []))[2].append(ts)
     try:
-        for a, b, tss in pairs.values():
-            _raise_out_of_range(np.concatenate(tss), max_abs(a), max_abs(b))
         ts_all = np.concatenate([ts for _, _, ts in groups])
         h = np.concatenate([ts[:, None, None] * a + b for a, b, ts in groups])
         w = _lapack(np.linalg.eigvalsh, h)  # t*a + b is exactly Hermitian, as a and b are
@@ -313,7 +298,12 @@ def trace_values(pair: TracePair, ts) -> np.ndarray:
         return np.zeros(ts.size)
     factor = _rank_one_factor(pair.A) if n >= CONTOUR_MIN_N else None
     a_norm, row = (pair.A.norm_max(), n * n) if factor is None else (abs(factor[0]), n)
-    _raise_out_of_range(ts, a_norm, pair.B.norm_max())
+    if a_norm > 0.0:
+        # the bound on |t| is a Python float, which overflows to inf without a warning
+        beyond = np.flatnonzero(np.abs(ts) > (_MAX_SCALE - pair.B.norm_max()) / a_norm)
+        if beyond.size:
+            t = float(ts[beyond[0]])
+            raise Overflow(f"t*A + B leaves the double-precision range at t = {t}")
     per_chunk = max(1, _CHUNK_BYTES // (16 * row))
     vals = np.empty(ts.size)
     for lo in range(0, ts.size, per_chunk):

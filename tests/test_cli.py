@@ -730,8 +730,8 @@ def test_eigh_ahead_gives_the_bytes_of_an_inline_eigh(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("command", ["check-ec", "fit-measure"])
 def test_trace_commands_evaluate_through_the_public_trace_values(
         tmp_path, capsys, monkeypatch, n, command):
-    # one call of the public evaluator, so that a wrapper of transform.trace_values (the
-    # benchmark's tracer) sees every point the command evaluates
+    # one call of the public evaluator, so that a wrapper of transform.trace_values bound
+    # under each of its names (the benchmark's tracer) sees every point the command evaluates
     f = _ensemble_file(tmp_path, n)
     calls, real = [], transform.trace_values
 
@@ -739,7 +739,8 @@ def test_trace_commands_evaluate_through_the_public_trace_values(
         calls.append(pair.n)
         return real(pair, ts)
 
-    monkeypatch.setattr(transform, "trace_values", spy)
+    for module in (transform, cli):
+        monkeypatch.setattr(module, "trace_values", spy)
     assert main([command, f]) in (0, 3)
     assert calls == [n]
     capsys.readouterr()

@@ -177,21 +177,26 @@ def test_run_case_evaluates_every_trace_value_in_one_eigvalsh_call(monkeypatch):
         shapes.clear()
 
 
-def test_run_case_checks_the_range_once_per_pair(monkeypatch):
-    # the six trace groups of a case share three pairs: (A, B), (L, M) and (L, diag M)
-    checked = []
-    real = transform._raise_out_of_range
+def test_run_case_points_stay_inside_the_double_range(monkeypatch):
+    # run_case calls the dense kernel, which trusts its caller to keep t*a + b finite: the far
+    # points give |t| ||A||_max <= 80, the line and the Gram sums |t| <= 4 with ||L||_max <= 3
+    stacks = []
+    real = verify._stacked_trace_values
 
-    def counted(ts, a_norm, b_norm):
-        checked.append(ts.size)
-        real(ts, a_norm, b_norm)
+    def spied(groups):
+        stacks.append(groups)
+        return real(groups)
 
-    monkeypatch.setattr(transform, "_raise_out_of_range", counted)
-    for index in range(4):
-        records = run_case(0, index, max_n=7)
-        assert [r.check for r in records] == CHECK_ORDER
-        assert len(checked) == 3 and checked[1:] == [11, 12]
-        checked.clear()
+    monkeypatch.setattr(verify, "_stacked_trace_values", spied)
+    for max_n in (7, 12, 64):
+        for seed in range(3):
+            for index in range(8):
+                run_case(seed, index, max_n)
+    assert len(stacks) == 3 * 3 * 8 and all(len(groups) == 6 for groups in stacks)
+    for a, b, ts in (group for groups in stacks for group in groups):
+        scale = float(np.abs(ts).max() * np.abs(a).max())
+        assert scale <= 80.0 * (1.0 + 1e-12)
+        assert scale + float(np.abs(b).max()) < transform._MAX_SCALE
 
 
 def test_run_case_sizes_stay_on_the_dense_kernel():
