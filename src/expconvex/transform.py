@@ -115,11 +115,11 @@ class MeasureFit:
     holdout_error: float
 
 
-# trace_values' chunk of k points: about 1 MiB of complex entries, (k, n, n) matrices in the
+# _trace_batch's chunk of k points: about 1 MiB of complex entries, (k, n, n) matrices in the
 # dense kernel and (k, n) terms in the contour one, so a long batch is not held all at once.
 _CHUNK_BYTES = 2**20
 
-# Largest |t| ||A|| + ||B|| at which trace_values evaluates t, checked there for both
+# Largest |t| ||A|| + ||B|| at which _trace_batch evaluates t, checked there for both
 # kernels: below it t*A + B and t*lambda with the contour bracket (up to twice that)
 # stay finite, with a factor 2 to spare for rounding.
 _MAX_SCALE = sys.float_info.max / 4
@@ -182,7 +182,7 @@ def _eigh_ahead(b: HermitianMatrix):
     thread's join.  The result is cached on b; a failure is not, and the kernel's own access
     raises it again, in its turn.
 
-    None, and no thread, when b is below CONTOUR_MIN_N, where trace_values takes the dense
+    None, and no thread, when b is below CONTOUR_MIN_N, where _trace_batch takes the dense
     kernel.  LAPACK releases the GIL, so the caller's Python work runs meanwhile on another
     core: the parse of a pair file's A, which load_pair's flat route parses after it calls its
     hook on B.  The package's one use of threading.
@@ -258,60 +258,75 @@ def _points(values, name: str = "ts", ndim: int = 1) -> np.ndarray:
     return values
 
 
-def _stacked_trace_values(groups) -> list:
-    """The dense kernel: tr e^{tA + B} for every (a, b, ts) of groups, with a and b exactly
-    Hermitian arrays of one size n.
+def _stacked_trace_values(ts: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The dense kernel: tr e^{h_k} for every exactly Hermitian h_k = t_k a + b of the stack h,
+    by one eigvalsh call, each value with the bits of its matrix alone.  Raises
+    ConvergenceFailure, then Overflow naming the first t_k whose largest eigenvalue exceeds the
+    exp range, then the first whose value underflows to zero."""
+    w = _lapack(np.linalg.eigvalsh, h)
+    _raise_overflow(ts, w[:, -1])
+    vals = np.sum(np.exp(w), axis=-1)
+    _raise_underflow(ts, vals)
+    return vals
 
-    The caller bounds the stack and keeps |t| ||a||_max + ||b||_max within _MAX_SCALE, so
-    that t*a + b stays finite.  The matrices tA + B of all groups go to one eigvalsh call, and
-    a value has the bits of its point alone.  Per group: its values or the error trace_values
-    raises for it, so a stack that fails is evaluated again group by group.
+
+def _trace_batch(pairs) -> list:
+    """tr e^{ta + b} at every t of every array of pairs, a list of (a, b, arrays): HermitianMatrix
+    a and b, all of one size n, and 1-d float arrays of points.  Per array, in order: its values
+    or the error trace_values raises for it alone.
+
+    Per pair, before any evaluation, the range is checked and the kernel chosen: the contour one
+    when n >= CONTOUR_MIN_N and a = lambda v v* up to RANK_TOL_FACTOR * ||a||_max, which
+    diagonalizes b once and sums Sherman-Morrison resolvent traces on a Talbot contour, else the
+    dense one.  Each takes about _CHUNK_BYTES of points at a time, the dense one those of adjacent
+    pairs in one eigvalsh stack.  One array fails with its first failed chunk's error; a longer
+    batch that fails is evaluated again array by array.
     """
-    starts = list(accumulate((ts.size for _, _, ts in groups), initial=0))
+    arrays = [ts for _, _, group in pairs for ts in group]
+    starts = list(accumulate((ts.size for ts in arrays), initial=0))
+    ts_all = np.concatenate([np.empty(0), *arrays])
+    t_max = float(np.abs(ts_all).max(initial=0.0))
+    vals, stacks, lo = np.zeros(ts_all.size), [], 0  # stack: [factor, lo, hi, *(a, b, lo, hi)]
     try:
-        ts_all = np.concatenate([ts for _, _, ts in groups])
-        h = np.concatenate([ts[:, None, None] * a + b for a, b, ts in groups])
-        w = _lapack(np.linalg.eigvalsh, h)  # t*a + b is exactly Hermitian, as a and b are
-        _raise_overflow(ts_all, w[:, -1])
-        vals = np.sum(np.exp(w), axis=-1)
-        _raise_underflow(ts_all, vals)
+        for a, b, group in pairs:
+            n, hi = a.n, lo + sum(map(len, group))
+            factor = _rank_one_factor(a) if n >= CONTOUR_MIN_N else None
+            a_norm, row = (a.norm_max(), n * n) if factor is None else (abs(factor[0]), n)
+            # the bound on |t| is a Python float, which overflows to inf without a warning
+            bound = (_MAX_SCALE - b.norm_max()) / a_norm if a_norm > 0.0 else math.inf
+            if t_max > bound and (beyond := np.flatnonzero(np.abs(ts_all[lo:hi]) > bound)).size:
+                t = float(ts_all[lo + beyond[0]])
+                raise Overflow(f"t*A + B leaves the double-precision range at t = {t}")
+            step = max(1, _CHUNK_BYTES // (16 * row or 1))
+            while n and lo < hi:  # dense points join the last stack while it is dense, not full
+                last = stacks[-1] if stacks else [0, lo, lo]
+                if not (factor is last[0] is None and last[2] - last[1] < step):
+                    stacks.append([factor, lo, lo])
+                stacks[-1][2] = end = min(hi, stacks[-1][1] + step)
+                stacks[-1].append((a, b, lo, end))
+                lo = end
+            lo = hi
+        for factor, lo, hi, *runs in stacks:
+            vals[lo:hi] = (
+                _contour_values(ts_all[lo:hi], runs[0][1]._lapack_eigh, *factor) if factor
+                else _stacked_trace_values(ts_all[lo:hi], np.concatenate(
+                    [ts_all[i:j, None, None] * a.mat + b.mat for a, b, i, j in runs])))
     except ExpConvexError as exc:
-        return [exc] if len(groups) == 1 else [_stacked_trace_values([g])[0] for g in groups]
+        return [exc] if len(arrays) == 1 else [
+            _trace_batch([(a, b, [ts])])[0] for a, b, group in pairs for ts in group]
     return [vals[s:e] for s, e in zip(starts, starts[1:])]
 
 
 def trace_values(pair: TracePair, ts) -> np.ndarray:
-    """tr e^{tA + B} at every t of the 1-d array ts, in input order.
+    """tr e^{tA + B} at every t of the 1-d array ts, in input order: _trace_batch with one pair
+    and one array, whose kernels make no value depend on the other points of ts.
 
-    Two kernels give the values, neither depending on the other points of ts: the dense one
-    is _stacked_trace_values with this pair alone.  When n >= CONTOUR_MIN_N and A = lambda v v*
-    up to RANK_TOL_FACTOR * ||A||_max, the contour kernel instead diagonalizes B once and sums
-    Sherman-Morrison resolvent traces on a Talbot contour.  Either takes ts one chunk at a time.
     Raises ValueError naming the first non-finite t, ConvergenceFailure when the eigensolver
     fails, and Overflow, naming the first such t, when t*A + B would leave the double-precision
     range (checked on all of ts first), when a largest eigenvalue exceeds the exp range or when
     a value underflows to zero (overflow first in a chunk).
     """
-    ts = _points(ts)
-    n = pair.n
-    if n == 0:
-        return np.zeros(ts.size)
-    factor = _rank_one_factor(pair.A) if n >= CONTOUR_MIN_N else None
-    a_norm, row = (pair.A.norm_max(), n * n) if factor is None else (abs(factor[0]), n)
-    if a_norm > 0.0:
-        # the bound on |t| is a Python float, which overflows to inf without a warning
-        beyond = np.flatnonzero(np.abs(ts) > (_MAX_SCALE - pair.B.norm_max()) / a_norm)
-        if beyond.size:
-            t = float(ts[beyond[0]])
-            raise Overflow(f"t*A + B leaves the double-precision range at t = {t}")
-    per_chunk = max(1, _CHUNK_BYTES // (16 * row))
-    vals = np.empty(ts.size)
-    for lo in range(0, ts.size, per_chunk):
-        chunk = ts[lo : lo + per_chunk]
-        vals[lo : lo + chunk.size] = (
-            _raised(_stacked_trace_values([(pair.A.mat, pair.B.mat, chunk)])[0])
-            if factor is None else _contour_values(chunk, pair.B._lapack_eigh, *factor))
-    return vals
+    return _raised(_trace_batch([(pair.A, pair.B, [_points(ts)])])[0])
 
 
 def trace_f(pair: TracePair, t: float) -> float:
@@ -512,11 +527,16 @@ def fit_measure(
     if math.isinf(training_residual):
         scale = float(np.abs(residual).max())
         training_residual = scale * float(np.linalg.norm(residual / scale))
-    pred = np.exp(np.outer(t_hold, locs)) @ weights
+    live = weights > 0.0
+    # a dead atom adds nothing: with its exponent set to 0, only a live term can overflow
+    with np.errstate(over="ignore"):
+        pred = np.exp(np.outer(t_hold, np.where(live, locs, 0.0))) @ weights
+    if not np.isfinite(pred).all():
+        t = float(t_hold[np.argmin(np.isfinite(pred))])
+        raise IllConditioned(f"holdout prediction overflows double precision at t = {t}")
     denom = np.where(np.abs(f_hold) > 0.0, np.abs(f_hold), 1.0)
     holdout_error = float(np.max(np.abs(pred - f_hold) / denom))
 
-    live = weights > 0.0
     measure = AtomicMeasure.from_atoms(zip(locs[live].tolist(), weights[live].tolist()))
     return MeasureFit(
         measure=measure,

@@ -18,7 +18,8 @@ import numpy as np
 from .convexity import TGrid, _distinct_sums, _stacked_psd, default_grid
 from .errors import ExpConvexError
 from .hermitian import (
-    _exp_of, _freeze, _raised, _split_steps, _stacked_eigh, max_abs, validate_hermitian,
+    _exp_of, _freeze, _raised, _split_steps, _stacked_eigh, hermitian_from_diag, max_abs,
+    validate_hermitian,
 )
 from .reduction import _reduce, reduction_residuals
 from .tolerances import (
@@ -26,8 +27,7 @@ from .tolerances import (
     ROUNDTRIP_TOL, TRACE_INV_TOL,
 )
 from .transform import (
-    AtomicMeasure, TracePair, _far_points, _stacked_trace_values, _support_estimate,
-    laplace_values,
+    AtomicMeasure, TracePair, _far_points, _support_estimate, _trace_batch, laplace_values,
     trace_f,  # noqa: F401  bench/test_bench.py refers to verify.trace_f
 )
 
@@ -132,8 +132,7 @@ def run_case(master_seed: int, index: int, max_n: int) -> list[CaseRecord]:
     try:
         # every eigendecomposition of A, B and A + B the case needs, in one call; A + B needs
         # no validate_hermitian, as a sum of two exactly Hermitian matrices
-        a, b = pair.A.mat, pair.B.mat
-        eigs = _stacked_eigh([a, b, a + b])
+        eigs = _stacked_eigh([pair.A.mat, pair.B.mat, pair.A.mat + pair.B.mat])
         eig_a = _raised(eigs[0])
         red = _reduce(pair.A, pair.B, eig_a)
         ra, rb = reduction_residuals(pair.A, pair.B, red)
@@ -144,16 +143,12 @@ def run_case(master_seed: int, index: int, max_n: int) -> list[CaseRecord]:
         min_off = float(m.real[~np.eye(n, dtype=bool)].min())
         records.append(record("reduce_offdiag_min", min_off >= -OFFDIAG_TOL, min_off))
 
-        # every trace value of the case from one stacked eigvalsh call, each group with its own
-        # error (n <= MAX_N < CONTOUR_MIN_N: trace_values is dense here too); no range check is
-        # needed, as |t| ||A||_max <= 80 at the far points, |t| <= 4 elsewhere, ||L||_max =
-        # |lambda| <= 3 and ||B||_max is far below transform._MAX_SCALE
+        # every trace value of the case from one batch, each array with its own error
         sums_rand, inverse_rand = _distinct_sums(grid_rand.points)
         far = _far_points(pair)
-        fa, f_uniform, f_rand, f_far, fl, f_round = _stacked_trace_values([
-            (a, b, _LINE), (a, b, _uniform_sums()[0]), (a, b, sums_rand), (a, b, far),
-            (l, m, _LINE), (l, np.diag(np.diag(m).real).astype(complex), _LINE_AND_ZERO),
-        ])
+        fa, f_uniform, f_rand, f_far, fl, f_round = _trace_batch([
+            (pair.A, pair.B, [_LINE, _uniform_sums()[0], sums_rand, far]), (red.L, red.M, [_LINE]),
+            (red.L, hermitian_from_diag(np.diag(m).real), [_LINE_AND_ZERO])])
         fa, fl = _raised(fa), _raised(fl)
         worst = float(np.max(np.abs(fa - fl) / np.maximum(1.0, fa)))
         records.append(record("trace_invariance", worst <= TRACE_INV_TOL, worst))

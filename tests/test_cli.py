@@ -343,6 +343,15 @@ def test_fit_measure_residual_above_the_square_root_of_the_double_range(tmp_path
     assert doc["holdout_error"] <= HOLDOUT_LIMIT
 
 
+def test_fit_measure_dead_atoms_past_the_exp_range_give_a_finite_report(tmp_path, capsys):
+    # A = diag(0, 360), B = diag(0, -100): the atoms near 360 are dead, and their terms at the
+    # held-out t = 2 would overflow; the report is a finite verdict (exit 3), not a usage error
+    f = write_pair(tmp_path / "dead.json", np.diag([0.0, 360.0]), np.diag([0.0, -100.0]))
+    assert main(["fit-measure", f]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert HOLDOUT_LIMIT < doc["holdout_error"] < np.finfo(float).max
+
+
 @pytest.mark.parametrize("command", ["reduce", "check-ec", "fit-measure"])
 def test_entry_above_half_the_double_range_exits_1(tmp_path, capsys, command):
     # (A + A*)/2 would overflow to NaN: an input error, not a verdict on garbage

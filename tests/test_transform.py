@@ -32,7 +32,7 @@ from expconvex import (
 )
 from expconvex import transform
 from expconvex.tolerances import CONTOUR_MIN_N
-from expconvex.transform import _stacked_trace_values
+from expconvex.transform import _CHUNK_BYTES, _trace_batch
 
 COSH1 = math.cosh(1.0)
 
@@ -486,6 +486,30 @@ def test_fit_measure_overflowing_design_is_ill_conditioned():
         fit_measure(samples, (0.0, 500.0), 8)
 
 
+def test_fit_measure_holdout_ignores_dead_atoms_that_would_overflow():
+    # the atoms near 360 get zero weight, and e^{2 * 360} at the held-out t = 2 would overflow:
+    # a dead atom adds nothing, so the holdout error is finite and no warning is raised
+    fit = fit_measure([(t, math.exp(t / 2.0)) for t in np.linspace(-2.0, 2.0, 48)],
+                      (0.0, 360.0), 16)
+    assert math.isfinite(fit.holdout_error)
+    assert fit.measure.locations.max() < 2.0 * 360.0 / 15.0
+
+
+def test_fit_measure_live_atom_overflow_is_ill_conditioned(monkeypatch):
+    import scipy.optimize
+
+    def nnls(a, b):
+        # a live atom at 360: e^{0.5 * 360} is finite at the training t, e^{2 * 360} is not
+        weights = np.zeros(a.shape[1])
+        weights[-1] = 1.0
+        return weights, 0.0
+
+    monkeypatch.setattr(scipy.optimize, "nnls", nnls)
+    with pytest.raises(IllConditioned,
+                       match=r"^holdout prediction overflows double precision at t = 2\.0$"):
+        fit_measure([(0.0, 1.0), (0.5, 1.0), (2.0, 1.0)], (0.0, 360.0), 8)
+
+
 @pytest.mark.parametrize("failure", ["raises", "nan"])
 def test_fit_measure_nnls_failure_is_ill_conditioned(monkeypatch, failure):
     import scipy.optimize
@@ -530,23 +554,20 @@ def test_trace_function_label():
     assert f(0.0) == pytest.approx(2.0 * COSH1)
 
 
-def _arrays(groups):
-    # (pair, ts) groups as the (a, b, ts) groups of the dense kernel
-    return [(pair.A.mat, pair.B.mat, ts) for pair, ts in groups]
+def _batch(groups):
+    # (pair, ts) groups as a batch of one-array pairs
+    return [(pair.A, pair.B, [ts]) for pair, ts in groups]
 
 
 def test_stacked_kernel_bitwise_equals_trace_values():
-    # the last batch (3 x 200 points at n = 12) is one eigvalsh stack of 600 matrices,
-    # more than the 455 of a trace_values chunk: the caller bounds the stack, not the kernel
+    # one batch of three pairs is one eigvalsh stack, each value with the bits of its point alone
     rng = np.random.default_rng(45)
-    for n, most in [(n, 40) for n in range(2, 13)] + [(12, 201)]:
+    for n in range(2, 13):
         groups = [
-            (random_rank_one_pair(rng, n), rng.uniform(-3.0, 3.0, size=int(rng.integers(1, most))))
+            (random_rank_one_pair(rng, n), rng.uniform(-3.0, 3.0, size=int(rng.integers(1, 40))))
             for _ in range(3)
         ]
-        if most > 40:
-            groups = [(pair, rng.uniform(-3.0, 3.0, size=200)) for pair, _ in groups]
-        for (pair, ts), vals in zip(groups, _stacked_trace_values(_arrays(groups))):
+        for (pair, ts), vals in zip(groups, _trace_batch(_batch(groups))):
             assert vals.tobytes() == trace_values(pair, ts).tobytes()
             assert vals.tolist() == [_scalar_trace_reference(pair, float(t)) for t in ts]
 
@@ -558,6 +579,16 @@ def _error_or_values(pair, ts):
         return exc
 
 
+def _assert_as_alone(groups, out):
+    # each result is what trace_values gives or raises for its array alone
+    for (pair, ts), result in zip(groups, out):
+        expect = _error_or_values(pair, ts)
+        if isinstance(expect, Overflow):
+            assert type(result) is Overflow and str(result) == str(expect)
+        else:
+            assert result.tobytes() == expect.tobytes()
+
+
 def test_stacked_kernel_keeps_each_groups_error():
     line = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([0.0, 0.0]))
     cold = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([-800.0, -800.0]))
@@ -565,16 +596,13 @@ def test_stacked_kernel_keeps_each_groups_error():
         (pauli_pair(), np.array([0.5, -1.0])),
         (line, np.array([0.0, 750.0, 720.0])),  # overflow at 750
         (cold, np.array([100.0, 10.0, -4.0])),  # underflow at 10
+        (line, np.array([1.0, 1e308])),  # beyond the double range at 1e308
         (pauli_pair(), np.array([2.0])),
     ]
-    out = _stacked_trace_values(_arrays(groups))
-    assert [type(r).__name__ for r in out] == ["ndarray", "Overflow", "Overflow", "ndarray"]
-    for (pair, ts), result in zip(groups, out):
-        expect = _error_or_values(pair, ts)
-        if isinstance(expect, Overflow):
-            assert str(result) == str(expect)
-        else:
-            assert result.tobytes() == expect.tobytes()
+    out = _trace_batch(_batch(groups))
+    assert [type(r).__name__ for r in out] == [
+        "ndarray", "Overflow", "Overflow", "Overflow", "ndarray"]
+    _assert_as_alone(groups, out)
 
 
 def test_stacked_kernel_charges_a_failed_eigensolve_to_its_group(monkeypatch):
@@ -589,18 +617,89 @@ def test_stacked_kernel_charges_a_failed_eigensolve_to_its_group(monkeypatch):
     bad = TracePair(hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([123.0, 0.0]))
     ts = np.array([0.0, 0.5])
     groups = [(pauli_pair(), ts), (bad, ts), (pauli_pair(), ts)]
-    first, failed, last = _stacked_trace_values(_arrays(groups))
+    first, failed, last = _trace_batch(_batch(groups))
     assert isinstance(failed, ConvergenceFailure)
     assert str(failed) == "eigensolver failed: did not converge"
     assert first.tobytes() == last.tobytes() == trace_values(pauli_pair(), ts).tobytes()
 
 
 def test_stacked_kernel_adjacent_groups_of_one_pair():
-    # groups of one pair each keep their own tA + B product in the one stack, 560 matrices
-    # at n = 12
+    # arrays of one pair, listed under one pair or under two, each keep the bits of their own
+    # points: 560 matrices at n = 12, more than the 455 of one chunk
     rng = np.random.default_rng(46)
     p, q = random_rank_one_pair(rng, 12), random_rank_one_pair(rng, 12)
     sizes = [(p, 200), (p, 200), (p, 100), (q, 50), (p, 7), (p, 0), (q, 3)]
     groups = [(pair, rng.uniform(-3.0, 3.0, size=k)) for pair, k in sizes]
-    for (pair, ts), vals in zip(groups, _stacked_trace_values(_arrays(groups))):
+    arrays = [ts for _, ts in groups]
+    batch = [(p.A, p.B, arrays[:3]), (q.A, q.B, arrays[3:4]), (p.A, p.B, arrays[4:5]),
+             (p.A, p.B, arrays[5:6]), (q.A, q.B, arrays[6:])]
+    for (pair, ts), vals in zip(groups, _trace_batch(batch)):
         assert vals.tobytes() == trace_values(pair, ts).tobytes()
+
+
+def test_trace_batch_stacks_cross_the_chunk_within_its_bound(monkeypatch):
+    # 3 arrays x 200 points at n = 12 cross the 455-point chunk: two stacks, each within
+    # _CHUNK_BYTES, and each array keeps the bits trace_values gives it
+    rng = np.random.default_rng(47)
+    pair = random_rank_one_pair(rng, 12)
+    arrays = [rng.uniform(-3.0, 3.0, size=200) for _ in range(3)]
+    expect = [trace_values(pair, ts) for ts in arrays]
+    sizes = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: sizes.append(h.nbytes) or real(h))
+    out = _trace_batch([(pair.A, pair.B, arrays[:2]), (pair.A, pair.B, arrays[2:])])
+    assert [vals.tobytes() for vals in out] == [vals.tobytes() for vals in expect]
+    assert len(sizes) == 2 and max(sizes) <= _CHUNK_BYTES
+
+
+def test_trace_batch_charges_each_error_to_its_array_in_a_later_chunk():
+    # at n = 12 a chunk holds 455 points: the overflow at 750 lies in the second chunk of its
+    # array, and the next array underflows in its first chunk and overflows in its second, so
+    # that it reports the underflow, as trace_values does
+    n = 12
+    a = hermitian_from_diag([0.0] * (n - 1) + [1.0])
+    line, cold = TracePair(a, hermitian_from_diag([0.0] * n)), TracePair(
+        a, hermitian_from_diag([-800.0] * n))
+    late_over = np.full(600, 1.0)
+    late_over[500] = 750.0
+    early_under = np.full(600, 100.0)
+    early_under[[10, 500]] = [10.0, 750.0]
+    beyond = np.full(300, 2.0)
+    beyond[250] = -1e308
+    fine = np.linspace(-2.0, 2.0, 300)
+    groups = [(line, fine), (line, late_over), (cold, early_under), (line, beyond),
+              (cold, fine + 100.0), (line, fine)]
+    batch = [(line.A, line.B, [fine, late_over]), (cold.A, cold.B, [early_under]),
+             (line.A, line.B, [beyond]), (cold.A, cold.B, [fine + 100.0]),
+             (line.A, line.B, [fine])]
+    out = _trace_batch(batch)
+    assert [str(r) if isinstance(r, Overflow) else None for r in out] == [
+        None, "largest eigenvalue 750.00 of t*A + B exceeds exp range at t = 750.0",
+        "trace value 0.0 underflows at t = 10.0",
+        "t*A + B leaves the double-precision range at t = -1e+308", None, None]
+    _assert_as_alone(groups, out)
+
+
+def test_trace_batch_mixes_contour_and_dense_pairs(monkeypatch):
+    # at n = CONTOUR_MIN_N a rank-one pair takes the contour kernel and a rank-two pair the
+    # dense one, within one batch
+    n = CONTOUR_MIN_N
+    rng = np.random.default_rng([48, n])
+    one = random_rank_one_pair(rng, n)
+    two = TracePair(validate_hermitian(one.A.mat + random_rank_one_pair(rng, n).A.mat), one.B)
+    arrays = [rng.uniform(-3.0, 3.0, size=k) for k in (30, 5, 0, 40)]
+    groups = [(one, arrays[0]), (one, arrays[1]), (two, arrays[2]), (two, arrays[3])]
+    expect = [trace_values(pair, ts) for pair, ts in groups]
+    calls = []
+    contour = transform._contour_values
+    monkeypatch.setattr(transform, "_contour_values", lambda ts, *args: calls.append(ts.size)
+                        or contour(ts, *args))
+    out = _trace_batch([(one.A, one.B, arrays[:2]), (two.A, two.B, arrays[2:])])
+    assert calls == [35]
+    assert [vals.tobytes() for vals in out] == [vals.tobytes() for vals in expect]
+
+
+def test_trace_batch_of_an_empty_pair_is_zeros():
+    empty = validate_hermitian(np.zeros((0, 0)))
+    out = _trace_batch([(empty, empty, [np.array([-1.0, 2.0]), np.empty(0), np.zeros(3)])])
+    assert [vals.tolist() for vals in out] == [[0.0, 0.0], [], [0.0, 0.0, 0.0]]

@@ -12,7 +12,7 @@ from expconvex import (
 )
 from expconvex import transform, verify
 from expconvex.matrixio import dumps_doc
-from expconvex.tolerances import CONTOUR_MIN_N, LIE_ERROR_FLOOR
+from expconvex.tolerances import LIE_ERROR_FLOOR
 
 # the checks of one case, in record order
 CHECK_ORDER = [
@@ -178,39 +178,36 @@ def test_run_case_evaluates_every_trace_value_in_one_eigvalsh_call(monkeypatch):
 
 
 def test_run_case_points_stay_inside_the_double_range(monkeypatch):
-    # run_case calls the dense kernel, which trusts its caller to keep t*a + b finite: the far
-    # points give |t| ||A||_max <= 80, the line and the Gram sums |t| <= 4 with ||L||_max <= 3
-    stacks = []
-    real = verify._stacked_trace_values
+    # run_case hands its three pairs to the batch entry, which checks the range: the far points
+    # give |t| ||A||_max <= 80, the line and the Gram sums |t| <= 4 with ||L||_max <= 3, so no
+    # array of the ensemble is near it
+    batches = []
+    real = verify._trace_batch
 
-    def spied(groups):
-        stacks.append(groups)
-        return real(groups)
+    def spied(pairs):
+        out = real(pairs)
+        batches.append((pairs, out))
+        return out
 
-    monkeypatch.setattr(verify, "_stacked_trace_values", spied)
+    monkeypatch.setattr(verify, "_trace_batch", spied)
     for max_n in (7, 12, 64):
         for seed in range(3):
             for index in range(8):
                 run_case(seed, index, max_n)
-    assert len(stacks) == 3 * 3 * 8 and all(len(groups) == 6 for groups in stacks)
-    for a, b, ts in (group for groups in stacks for group in groups):
-        scale = float(np.abs(ts).max() * np.abs(a).max())
-        assert scale <= 80.0 * (1.0 + 1e-12)
-        assert scale + float(np.abs(b).max()) < transform._MAX_SCALE
-
-
-def test_run_case_sizes_stay_on_the_dense_kernel():
-    # run_case evaluates every trace value with the dense _stacked_trace_values, which gives
-    # trace_values's bits only where trace_values runs the dense kernel too
-    assert verify.MAX_N < CONTOUR_MIN_N, (
-        f"run_case calls the dense trace kernel directly: route rank-one pairs with "
-        f"n >= {CONTOUR_MIN_N} to the contour kernel before raising MAX_N to {verify.MAX_N}")
+    assert len(batches) == 3 * 3 * 8
+    assert all([len(arrays) for _, _, arrays in pairs] == [4, 1, 1] for pairs, _ in batches)
+    for pairs, out in batches:
+        for a, b, arrays in pairs:
+            for ts in arrays:
+                scale = float(np.abs(ts).max() * a.norm_max())
+                assert scale <= 80.0 * (1.0 + 1e-12)
+                assert scale + b.norm_max() < transform._MAX_SCALE
+        assert not any("double-precision range" in str(r) for r in out)
 
 
 def test_run_case_stacks_stay_within_one_trace_chunk(monkeypatch):
-    # _stacked_trace_values makes one eigvalsh call of whatever its caller stacks: at
-    # n = MAX_N a case's stack of at most 100 matrices must fit the _CHUNK_BYTES that
-    # trace_values allows, or raising MAX_N lets verify allocate unbounded stacks
+    # the batch entry bounds every eigvalsh stack by _CHUNK_BYTES: at n = MAX_N a case's
+    # stack of at most 100 matrices fits in one, so that it takes one eigvalsh call
     sizes = []
     real = np.linalg.eigvalsh
 
@@ -223,6 +220,14 @@ def test_run_case_stacks_stay_within_one_trace_chunk(monkeypatch):
     while run_case(0, index, max_n=verify.MAX_N)[0].n != verify.MAX_N:
         index += 1
     assert sizes and max(sizes) <= transform._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("max_n", [7, 12])
+@pytest.mark.parametrize("seed", range(4))
+def test_ensemble_records_no_failure(max_n, seed):
+    # a guard on every verdict and on the batch entry: a changed rule or an ensemble point
+    # turned into a recorded error fails it
+    assert run_verification(200, max_n, seed).failures == 0
 
 
 def test_run_case_eigendecomposes_each_distinct_matrix_once(monkeypatch):
