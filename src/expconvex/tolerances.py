@@ -16,7 +16,7 @@ PHASE_ZERO_TOL = 1e-13  # |g_j| at or below this is no coupling and keeps phase 
 
 # trace evaluation: the contour kernel takes A of rank one up to RANK_TOL_FACTOR
 CONTOUR_MIN_N = 32  # rank-one A from this n: for 26 points dense is faster only up to n = 24-28
-CONTOUR_NODES = 32  # Talbot nodes: |log f error| 3e-7 at 16, 8e-11 at 24, 1e-13 at 32
+CONTOUR_NODES = 32  # Talbot nodes: |log f error| 3e-7 at 16, 8e-11 at 24, 1e-13 at 32; test_referee
 
 # exponential convexity
 DEFAULT_PSD_TOL = 1e-8  # Gram check: min eigenvalue >= -tol * max(1, ||G||_max)

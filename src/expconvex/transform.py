@@ -201,49 +201,29 @@ def _eigh_ahead(b: HermitianMatrix):
     return thread.join
 
 
-def _contour_values(ts: np.ndarray, eig_b, lam: float, v: np.ndarray) -> np.ndarray:
-    """tr e^{t lambda v v* + B} at every t: one eigh of B, then O(n) work per node and t.
+def _contour_values(ts: np.ndarray, eig_b, lam: float, v: np.ndarray) -> tuple:
+    """(s, tr e^{t lambda v v* + B}) at every t: one eigh of B, then O(n) work per node and t.
 
     With B = Q diag(beta) Q*, p = |Q* v|^2, c = t lambda and s the top
     eigenvalue, log f = s + log I, where I = tr e^{H - s} for H = B + c v v*
     is the Talbot midpoint sum of (1/2 pi i) int e^z tr(z + s - H)^{-1} dz and
     Sherman-Morrison gives the resolvent trace
     sum_j g_j + c sum_j p_j g_j^2 / (1 - c sum_j p_j g_j), g_j = 1/(z + s - beta_j).
-    eig_b = (beta, Q) is B's HermitianMatrix._lapack_eigh.  Same errors as the dense kernel,
-    with ts as one chunk.
+    eig_b = (beta, Q) is B's HermitianMatrix._lapack_eigh.
     """
     beta, q = eig_b
     p = np.abs(q.conj().T @ v) ** 2
     c = ts * lam
     s = _top_eigenvalue(beta, p, c)
-    _raise_overflow(ts, s)
     total = np.zeros(ts.size)
-    for node, weight in zip(_NODES, _WEIGHTS):
-        g = 1.0 / ((s[:, None] + node) - beta)
-        phi = np.sum(p * g, axis=-1)
-        psi = np.sum(p * g * g, axis=-1)
-        total += (weight * (np.sum(g, axis=-1) + c * psi / (1.0 - c * phi))).imag
-    vals = np.exp(s + np.log(total))
-    _raise_underflow(ts, vals)
-    return vals
-
-
-def _raise_overflow(ts: np.ndarray, top: np.ndarray) -> None:
-    over = np.flatnonzero(top > EXP_OVERFLOW_LIMIT)
-    if over.size:
-        k = int(over[0])
-        raise Overflow(
-            f"largest eigenvalue {_eigenvalue_text(top[k], 2)} of t*A + B exceeds exp range "
-            f"at t = {float(ts[k])}"
-        )
-
-
-def _raise_underflow(ts: np.ndarray, vals: np.ndarray) -> None:
-    # tr e^H > 0 for every Hermitian H, so a value that is not has underflowed
-    under = np.flatnonzero(~(vals > 0.0))
-    if under.size:
-        k = int(under[0])
-        raise Overflow(f"trace value {float(vals[k])} underflows at t = {float(ts[k])}")
+    # a point whose s exceeds the exp range may lose its sum: _trace_batch raises on s first
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for node, weight in zip(_NODES, _WEIGHTS):
+            g = 1.0 / ((s[:, None] + node) - beta)
+            phi = np.sum(p * g, axis=-1)
+            psi = np.sum(p * g * g, axis=-1)
+            total += (weight * (np.sum(g, axis=-1) + c * psi / (1.0 - c * phi))).imag
+        return s, np.exp(s + np.log(total))
 
 
 def _points(values, name: str = "ts", ndim: int = 1) -> np.ndarray:
@@ -258,18 +238,6 @@ def _points(values, name: str = "ts", ndim: int = 1) -> np.ndarray:
     return values
 
 
-def _stacked_trace_values(ts: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The dense kernel: tr e^{h_k} for every exactly Hermitian h_k = t_k a + b of the stack h,
-    by one eigvalsh call, each value with the bits of its matrix alone.  Raises
-    ConvergenceFailure, then Overflow naming the first t_k whose largest eigenvalue exceeds the
-    exp range, then the first whose value underflows to zero."""
-    w = _lapack(np.linalg.eigvalsh, h)
-    _raise_overflow(ts, w[:, -1])
-    vals = np.sum(np.exp(w), axis=-1)
-    _raise_underflow(ts, vals)
-    return vals
-
-
 def _trace_batch(pairs) -> list:
     """tr e^{ta + b} at every t of every array of pairs, a list of (a, b, arrays): HermitianMatrix
     a and b, all of one size n, and 1-d float arrays of points.  Per array, in order: its values
@@ -279,8 +247,10 @@ def _trace_batch(pairs) -> list:
     when n >= CONTOUR_MIN_N and a = lambda v v* up to RANK_TOL_FACTOR * ||a||_max, which
     diagonalizes b once and sums Sherman-Morrison resolvent traces on a Talbot contour, else the
     dense one.  Each takes about _CHUNK_BYTES of points at a time, the dense one those of adjacent
-    pairs in one eigvalsh stack.  One array fails with its first failed chunk's error; a longer
-    batch that fails is evaluated again array by array.
+    pairs in one eigvalsh stack.  The kernels only compute; each chunk is checked here, for the
+    first t whose largest eigenvalue exceeds EXP_OVERFLOW_LIMIT, then the first value that is not
+    > 0.  One array fails with its first failed chunk's error; a longer batch that fails is
+    evaluated again array by array.
     """
     arrays = [ts for _, _, group in pairs for ts in group]
     starts = list(accumulate((ts.size for ts in arrays), initial=0))
@@ -307,10 +277,24 @@ def _trace_batch(pairs) -> list:
                 lo = end
             lo = hi
         for factor, lo, hi, *runs in stacks:
-            vals[lo:hi] = (
-                _contour_values(ts_all[lo:hi], runs[0][1]._lapack_eigh, *factor) if factor
-                else _stacked_trace_values(ts_all[lo:hi], np.concatenate(
-                    [ts_all[i:j, None, None] * a.mat + b.mat for a, b, i, j in runs])))
+            ts = ts_all[lo:hi]
+            if factor:
+                top, vals[lo:hi] = _contour_values(ts, runs[0][1]._lapack_eigh, *factor)
+            else:
+                w = _lapack(np.linalg.eigvalsh, np.concatenate(
+                    [ts_all[i:j, None, None] * a.mat + b.mat for a, b, i, j in runs]))
+                top = w[:, -1]
+            if (over := np.flatnonzero(top > EXP_OVERFLOW_LIMIT)).size:
+                k = int(over[0])
+                raise Overflow(f"largest eigenvalue {_eigenvalue_text(top[k], 2)} of t*A + B "
+                               f"exceeds exp range at t = {float(ts[k])}")
+            if not factor:  # every exponent is now at most EXP_OVERFLOW_LIMIT
+                vals[lo:hi] = np.sum(np.exp(w), axis=-1)
+            # tr e^H > 0 for every Hermitian H, so a value that is not has underflowed
+            if (under := np.flatnonzero(~(vals[lo:hi] > 0.0))).size:
+                k = int(under[0])
+                raise Overflow(f"trace value {float(vals[lo + k])} underflows at t = "
+                               f"{float(ts[k])}")
     except ExpConvexError as exc:
         return [exc] if len(arrays) == 1 else [
             _trace_batch([(a, b, [ts])])[0] for a, b, group in pairs for ts in group]

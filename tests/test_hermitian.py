@@ -615,3 +615,19 @@ def test_only_the_public_boundary_builds_validated_types():
         ("verify", "random_rank_one_pair"), ("verify", "random_grid"),
         ("cli", "cmd_reduce"), ("cli", "_trace_pair"), ("cli", "cmd_check_ec"),
     }
+
+
+def test_trace_batch_is_the_one_checker_of_trace_values():
+    """The trace kernels only compute: transform._trace_batch alone builds the overflow and
+    underflow messages of a trace value, and _contour_values and _top_eigenvalue raise nothing."""
+    path = Path(hermitian_module.__file__).parent / "transform.py"
+    builders, raisers = set(), set()
+    for node, func in _by_function(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and any(
+            text in node.value for text in ("exceeds exp range at t = ", "underflows at t = ")
+        ):
+            builders.add(func)
+        if isinstance(node, ast.Raise):
+            raisers.add(func)
+    assert builders == {"_trace_batch"}
+    assert not raisers & {"_contour_values", "_top_eigenvalue"}

@@ -653,31 +653,33 @@ def test_trace_batch_stacks_cross_the_chunk_within_its_bound(monkeypatch):
 
 
 def test_trace_batch_charges_each_error_to_its_array_in_a_later_chunk():
-    # at n = 12 a chunk holds 455 points: the overflow at 750 lies in the second chunk of its
-    # array, and the next array underflows in its first chunk and overflows in its second, so
-    # that it reports the underflow, as trace_values does
-    n = 12
-    a = hermitian_from_diag([0.0] * (n - 1) + [1.0])
-    line, cold = TracePair(a, hermitian_from_diag([0.0] * n)), TracePair(
-        a, hermitian_from_diag([-800.0] * n))
-    late_over = np.full(600, 1.0)
-    late_over[500] = 750.0
-    early_under = np.full(600, 100.0)
-    early_under[[10, 500]] = [10.0, 750.0]
-    beyond = np.full(300, 2.0)
-    beyond[250] = -1e308
-    fine = np.linspace(-2.0, 2.0, 300)
-    groups = [(line, fine), (line, late_over), (cold, early_under), (line, beyond),
-              (cold, fine + 100.0), (line, fine)]
-    batch = [(line.A, line.B, [fine, late_over]), (cold.A, cold.B, [early_under]),
-             (line.A, line.B, [beyond]), (cold.A, cold.B, [fine + 100.0]),
-             (line.A, line.B, [fine])]
-    out = _trace_batch(batch)
-    assert [str(r) if isinstance(r, Overflow) else None for r in out] == [
-        None, "largest eigenvalue 750.00 of t*A + B exceeds exp range at t = 750.0",
-        "trace value 0.0 underflows at t = 10.0",
-        "t*A + B leaves the double-precision range at t = -1e+308", None, None]
-    _assert_as_alone(groups, out)
+    # A has rank one, so n picks the kernel: a chunk holds 455 points of the dense one at n = 12
+    # and 2,048 of the contour one at n = CONTOUR_MIN_N, with arrays 1 and 5 times as long.  The
+    # overflow at 750 lies in the second chunk of its array, and the next array underflows in its
+    # first chunk and overflows in its second, so that it reports the underflow, as trace_values
+    # does
+    for n, scale in [(12, 1), (CONTOUR_MIN_N, 5)]:
+        a = hermitian_from_diag([0.0] * (n - 1) + [1.0])
+        line, cold = TracePair(a, hermitian_from_diag([0.0] * n)), TracePair(
+            a, hermitian_from_diag([-800.0] * n))
+        late_over = np.full(600 * scale, 1.0)
+        late_over[500 * scale] = 750.0
+        early_under = np.full(600 * scale, 100.0)
+        early_under[[10, 500 * scale]] = [10.0, 750.0]
+        beyond = np.full(300 * scale, 2.0)
+        beyond[250 * scale] = -1e308
+        fine = np.linspace(-2.0, 2.0, 300 * scale)
+        groups = [(line, fine), (line, late_over), (cold, early_under), (line, beyond),
+                  (cold, fine + 100.0), (line, fine)]
+        batch = [(line.A, line.B, [fine, late_over]), (cold.A, cold.B, [early_under]),
+                 (line.A, line.B, [beyond]), (cold.A, cold.B, [fine + 100.0]),
+                 (line.A, line.B, [fine])]
+        out = _trace_batch(batch)
+        assert [str(r) if isinstance(r, Overflow) else None for r in out] == [
+            None, "largest eigenvalue 750.00 of t*A + B exceeds exp range at t = 750.0",
+            "trace value 0.0 underflows at t = 10.0",
+            "t*A + B leaves the double-precision range at t = -1e+308", None, None]
+        _assert_as_alone(groups, out)
 
 
 def test_trace_batch_mixes_contour_and_dense_pairs(monkeypatch):
