@@ -254,10 +254,10 @@ def lie_product_approx(
 
 
 def _check_lie_operands(x: HermitianMatrix, y: HermitianMatrix, p: int) -> None:
-    """Raise DimensionMismatch for operands of two sizes, or ValueError for a p below 1."""
+    """Raise DimensionMismatch for operands of two sizes, or ValueError for a p not an integer >= 1."""
     if x.n != y.n:
         raise DimensionMismatch(f"operands are {x.n}x{x.n} and {y.n}x{y.n}")
-    if p < 1:
+    if not isinstance(p, (int, np.integer)) or p < 1:
         raise ValueError(f"p must be a positive integer, got {p}")
 
 
@@ -312,7 +312,10 @@ def exp_entrywise_nonneg_check(m: HermitianMatrix, tol: float = OFFDIAG_TOL) -> 
 
     holds is True iff every entry has real part >= -tol and |imag| <= tol.
     min_entry is the smallest real part together with its location.
+    Raises ValueError for a 0x0 m, which has no entry.
     """
+    if m.n == 0:
+        raise ValueError("matrix is 0x0: e^m has no entry to check")
     e = matrix_exp_hermitian(m)
     re = e.real
     idx = np.unravel_index(np.argmin(re), re.shape)

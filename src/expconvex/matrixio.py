@@ -262,11 +262,10 @@ def reduction_to_doc(result, residuals: tuple[float, float]) -> dict:
 
     mu_n and M_block are read off M's diagonal; g = V_block b_col,
     omegas = phase_matrix(g), Omega = diag(omegas), W_block = Omega V_block
-    and g_abs = |g| are rebuilt from the trace exactly as reduce computes them.
+    and g_abs = |g| are rebuilt from the result exactly as reduce computes them.
     """
-    tr = result.trace
     m_diag = result.M.mat.diagonal().real
-    g = tr.V_block @ tr.b_col
+    g = result.V_block @ result.b_col
     omegas = phase_matrix(g)
     omega = np.diag(omegas)
     return {
@@ -278,16 +277,16 @@ def reduction_to_doc(result, residuals: tuple[float, float]) -> dict:
             "wbw_minus_m": float(residuals[1]),
         },
         "trace": {
-            "U": matrix_to_doc(tr.U),
-            "B_block": matrix_to_doc(tr.B_block.mat),
-            "b_col": complex_vector_to_doc(tr.b_col),
+            "U": matrix_to_doc(result.U),
+            "B_block": matrix_to_doc(result.B_block.mat),
+            "b_col": complex_vector_to_doc(result.b_col),
             "mu_n": float(m_diag[-1]),
-            "V_block": matrix_to_doc(tr.V_block),
+            "V_block": matrix_to_doc(result.V_block),
             "M_block": real_vector_to_doc(m_diag[:-1]),
             "g": complex_vector_to_doc(g),
             "omegas": complex_vector_to_doc(omegas),
             "Omega": matrix_to_doc(omega),
-            "W_block": matrix_to_doc(omega @ tr.V_block),
+            "W_block": matrix_to_doc(omega @ result.V_block),
             "g_abs": real_vector_to_doc(np.abs(g)),
         },
     }

@@ -23,31 +23,24 @@ from .tolerances import PHASE_ZERO_TOL, RANK_TOL_FACTOR
 
 
 @dataclass(frozen=True)
-class ReductionTrace:
-    """The intermediates of the reduction that L, M and W do not hold.
+class ReductionResult:
+    """The unitary W with W A W* = L, W B W* = M, and the intermediates L, M and W do not hold.
 
     U is the Householder corner diagonalizer; B_block and b_col are the
     leading block and the coupling column of U B U*; V_block diagonalizes
-    B_block.  The rest is read off the result: M's diagonal holds the
+    B_block.  The rest is read off M and W: M's diagonal holds the
     eigenvalues of B_block and the corner entry mu_n of U B U*, and with
     g = V_block b_col and omegas = phase_matrix(g) W's leading block is
-    diag(omegas) V_block and M's coupling column is |g|.
+    W_block = diag(omegas) V_block and M's coupling column is |g|.
     """
-
-    U: np.ndarray
-    B_block: HermitianMatrix
-    b_col: np.ndarray
-    V_block: np.ndarray
-
-
-@dataclass(frozen=True)
-class ReductionResult:
-    """The unitary W with W A W* = L, W B W* = M, plus the construction trace."""
 
     W: np.ndarray
     L: HermitianMatrix
     M: HermitianMatrix
-    trace: ReductionTrace
+    U: np.ndarray
+    B_block: HermitianMatrix
+    b_col: np.ndarray
+    V_block: np.ndarray
 
 
 def _rank_one_certificate(eig_a, rank_tol: float) -> tuple[float, np.ndarray]:
@@ -144,17 +137,14 @@ def _reduce(a: HermitianMatrix, b: HermitianMatrix, eig_a) -> ReductionResult:
     m_mat[n - 1, : n - 1] = g_abs
     m_mat[n - 1, n - 1] = b1[n - 1, n - 1].real
 
-    trace = ReductionTrace(
-        U=u,
-        B_block=b_block,
-        b_col=_freeze(b_col),
-        V_block=_freeze(v_block),
-    )
     return ReductionResult(
         W=_freeze(w_full),
         L=HermitianMatrix(_freeze(l_mat)),
         M=HermitianMatrix(_freeze(m_mat)),
-        trace=trace,
+        U=u,
+        B_block=b_block,
+        b_col=_freeze(b_col),
+        V_block=_freeze(v_block),
     )
 
 

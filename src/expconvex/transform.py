@@ -415,8 +415,10 @@ def growth_exponents(pair: TracePair) -> SupportEstimate:
     for A = 0), far enough that the dominant eigenvalue carries the slope.
     Raises Overflow naming the far point when 2 t_far leaves the double-precision
     range, and Overflow (from trace_values), naming the t, when a far value
-    overflows or underflows to zero.
+    overflows or underflows to zero.  Raises ValueError for a 0x0 pair, whose f is 0.
     """
+    if pair.n == 0:
+        raise ValueError("matrices are 0x0: f = 0 has no growth exponent")
     far = _far_points(pair)
     if math.isinf(far[0]):
         raise Overflow(f"far point t = 80/||A||_max leaves the double-precision range at "

@@ -113,6 +113,8 @@ def random_grid(rng: np.random.Generator) -> TGrid:
 
 
 def run_case(master_seed: int, index: int, max_n: int) -> list[CaseRecord]:
+    if max_n < 2:
+        raise ValueError(f"max_n must be >= 2, got {max_n}")
     rng = np.random.default_rng([master_seed, index])
     n = int(rng.integers(2, max_n + 1))
     seed = (master_seed, index)

@@ -318,6 +318,8 @@ def test_lie_trace_function_refuses_its_arguments_when_built():
     l, m = hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([0.5, 0.25])
     with pytest.raises(ValueError, match="^p must be a positive integer, got 0$"):
         lie_trace_function(l, m, 0)
+    with pytest.raises(ValueError, match="^p must be a positive integer, got 2.5$"):
+        lie_trace_function(l, m, 2.5)
     with pytest.raises(DimensionMismatch, match="^operands are 2x2 and 3x3$"):
         lie_trace_function(l, hermitian_from_diag([0.5, 0.25, 0.0]), 4)
 

@@ -265,9 +265,17 @@ def test_lie_split_step_overflow_raises_without_a_warning():
 
 
 def test_lie_rejects_bad_p():
+    # a p that is not an integer is an argument error, not matrix_power's TypeError
     x = hermitian_from_diag([0.0, 1.0])
-    with pytest.raises(ValueError):
-        lie_product_approx(x, x, 0)
+    for p in (0, 2.5, 2.0, "4"):
+        with pytest.raises(ValueError, match=f"^p must be a positive integer, got {p}$"):
+            lie_product_approx(x, x, p)
+
+
+def test_lie_takes_a_numpy_integer_p():
+    x, y = hermitian_from_diag([0.0, 1.0]), hermitian_from_diag([0.5, 0.25])
+    assert np.array_equal(lie_product_approx(x, y, np.int64(4)).value,
+                          lie_product_approx(x, y, 4).value)
 
 
 def test_lie_rejects_operands_of_two_sizes():
@@ -325,6 +333,11 @@ def test_exp_entrywise_diagonal_holds():
     rep = exp_entrywise_nonneg_check(hermitian_from_diag([-1.0, 2.0]))
     assert rep.holds
     assert rep.min_entry == pytest.approx(0.0, abs=1e-15)
+
+
+def test_exp_entrywise_names_a_0x0_matrix():
+    with pytest.raises(ValueError, match="^matrix is 0x0: e\\^m has no entry to check$"):
+        exp_entrywise_nonneg_check(validate_hermitian(np.zeros((0, 0))))
 
 
 def test_exp_entrywise_random_nonneg_offdiag():

@@ -49,7 +49,7 @@ def _zero_b(n):
 def test_assert_rank_one_corner_diagonal():
     red = reduce(hermitian_from_diag([0.0, 0.0, 2.0]), _zero_b(3))
     assert max_abs(red.L.mat - np.diag([0.0, 0.0, 2.0])) == 0.0
-    assert np.allclose(np.abs(red.trace.U[-1]), [0.0, 0.0, 1.0])
+    assert np.allclose(np.abs(red.U[-1]), [0.0, 0.0, 1.0])
 
 
 def test_assert_rank_one_recovers_outer_product():
@@ -58,7 +58,7 @@ def test_assert_rank_one_recovers_outer_product():
     red = reduce(a, _zero_b(5))
     assert red.L.mat[-1, -1].real == pytest.approx(3.0, abs=1e-12)
     # the last row of U is the direction conjugated, up to a unit phase
-    overlap = abs(np.vdot(red.trace.U[-1].conj(), v))
+    overlap = abs(np.vdot(red.U[-1].conj(), v))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
@@ -231,7 +231,6 @@ def test_reduction_trace_fields_consistent():
     a, _, _ = random_rank_one(rng, n)
     b = random_hermitian(rng, n)
     red = reduce(a, b)
-    tr = red.trace
     # mu_n, M_block, g, omegas, Omega, W_block and g_abs are rebuilt when
     # serializing; read them back from the decoded document
     doc = json.loads(dumps_doc(reduction_to_doc(red, reduction_residuals(a, b, red))))
@@ -246,10 +245,10 @@ def test_reduction_trace_fields_consistent():
     assert np.all(g_abs >= 0.0)
     assert np.array_equal(omega, np.diag(omegas))
     # M_block is the spectrum of B_block, mu_n the corner of U B U*
-    assert np.allclose(doc["trace"]["M_block"], np.linalg.eigvalsh(tr.B_block.mat))
-    assert doc["trace"]["mu_n"] == (tr.U @ b.mat @ tr.U.conj().T)[-1, -1].real
+    assert np.allclose(doc["trace"]["M_block"], np.linalg.eigvalsh(red.B_block.mat))
+    assert doc["trace"]["mu_n"] == (red.U @ b.mat @ red.U.conj().T)[-1, -1].real
 
-    # M is assembled exactly from the trace pieces
+    # M is assembled exactly from the report's trace pieces
     m = np.zeros((n, n), dtype=complex)
     m[: n - 1, : n - 1] = np.diag(doc["trace"]["M_block"])
     m[: n - 1, n - 1] = g_abs
@@ -261,7 +260,7 @@ def test_reduction_trace_fields_consistent():
     w_full = np.zeros((n, n), dtype=complex)
     w_full[: n - 1, : n - 1] = w_block
     w_full[n - 1, n - 1] = 1.0
-    assert max_abs(red.W - w_full @ tr.U) == 0.0
+    assert max_abs(red.W - w_full @ red.U) == 0.0
 
 
 # Property tests on the spectra the contour tests draw.  A case is built in
@@ -303,7 +302,7 @@ def _assert_reduction_properties(pair, ts):
     assert np.max(np.abs(fa - fl) / np.maximum(1.0, fa)) <= TRACE_INV_TOL
 
     # W and the unitaries it is built from are unitary
-    for u in (w, red.trace.U, red.trace.V_block):
+    for u in (w, red.U, red.V_block):
         assert max_abs(u @ u.conj().T - np.eye(u.shape[0])) <= 1e-10
 
     # M = W B W* has a nonnegative coupling column and a diagonal leading block

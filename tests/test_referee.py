@@ -3,8 +3,10 @@
 mpmath diagonalizes t*A + B at 40 significant digits, with A, B and t taken exactly from their
 doubles, and sums e^{lambda_i}: the true f(t) = tr e^{tA + B} to far below double rounding.
 The bounds are ten times the largest relative errors measured on the 26 sums of the default
-Gram grid, one ensemble pair per n: 4.9e-15 for the dense kernel at n = 4 and 4.4e-14 for the
-contour kernel at n = 32.  The same n = 32 values check the errors that the CONTOUR_NODES
+Gram grid, one ensemble pair per n: 4.9e-15 for the dense kernel at n = 4, 5.3e-15 for it at
+n = 12 = verify's MAX_N, its largest size, and 4.4e-14 for the contour kernel at n = 32.  At n = 12
+that is this file's pair; the largest error at TS is 2.5e-15, and its referee values take about
+0.1 s of mpmath.  The same n = 32 values check the errors that the CONTOUR_NODES
 comment states for 16, 24 and 32 Talbot nodes.
 """
 
@@ -18,6 +20,7 @@ from expconvex import random_rank_one_pair, trace_values
 from expconvex import transform
 from expconvex.tolerances import CONTOUR_MIN_N
 from expconvex.transform import _trace_batch
+from expconvex.verify import MAX_N
 
 TS = (-4.0, 0.5, 4.0)
 
@@ -40,8 +43,8 @@ def _referee(n, t):
 
 
 # A has rank one, so n picks the kernel: dense below CONTOUR_MIN_N, contour from it on
-@pytest.mark.parametrize("n, bound", [(4, 5e-14), (CONTOUR_MIN_N, 5e-13)],
-                         ids=["dense", "contour"])
+@pytest.mark.parametrize("n, bound", [(4, 5e-14), (MAX_N, 5.3e-14), (CONTOUR_MIN_N, 5e-13)],
+                         ids=["dense", "dense-max-n", "contour"])
 def test_trace_kernels_agree_with_the_referee(n, bound):
     pair = _pair(n)
     single = trace_values(pair, TS)

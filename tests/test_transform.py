@@ -368,6 +368,12 @@ def test_growth_exponents_far_point_overflow_is_overflow(tiny):
         growth_exponents(pair)
 
 
+def test_growth_exponents_names_a_0x0_pair():
+    empty = validate_hermitian(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="^matrices are 0x0: f = 0 has no growth exponent$"):
+        growth_exponents(TracePair(empty, empty))
+
+
 def test_growth_exponents_tiny_a_keeps_its_estimate():
     pair = TracePair(hermitian_from_diag([0.0, 1e-300]), hermitian_from_diag([0.0, 0.0]))
     est = growth_exponents(pair)

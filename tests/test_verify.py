@@ -89,6 +89,13 @@ def test_run_verification_validates_flags():
         run_verification(cases=1, max_n=13, seed=0)
 
 
+def test_run_case_names_a_max_n_below_two():
+    # checked before any draw: numpy's integers(2, max_n + 1) would say only "low >= high"
+    for max_n in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"^max_n must be >= 2, got {max_n}$"):
+            run_case(0, 0, max_n)
+
+
 def test_run_case_records_checks_in_order():
     assert [r.check for r in run_case(0, 3, max_n=7)] == CHECK_ORDER
 
