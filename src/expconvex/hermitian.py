@@ -68,6 +68,11 @@ class HermitianMatrix:
         return self.mat.shape[0]
 
     def norm_max(self) -> float:
+        return self._norm_max
+
+    @functools.cached_property
+    def _norm_max(self) -> float:
+        """max_abs(mat), kept from the first call of norm_max on, as mat is frozen."""
         return max_abs(self.mat)
 
     @functools.cached_property

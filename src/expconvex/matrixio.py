@@ -127,52 +127,74 @@ _SPACE_BYTES = (b" ", b"\t", b"\n", b"\r")
 # every byte that can be part of a JSON number
 _NUMBER_BYTES = b"0123456789+-.eE"
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
-
-
-def _pairs_of_numbers(data: bytes, first: int, last: int, n: int) -> bool:
-    """True when data[first:last + 1] reads as n*n [re, im] arrays of number bytes.
-
-    Without numbers and spaces it must read [[,],[,],...,[,]]: no other
-    byte, so no string, literal or object, and no other shape.  Without
-    spaces, the arrays must be joined by "],[" alone, so no number byte
-    lies outside them.  A slot may still hold no number, or a malformed
-    one; orjson refuses both.
-    """
-    packed = data[first:last + 1]
-    for space in _SPACE_BYTES:
-        packed = packed.replace(space, b"")
-    skeleton = packed.translate(None, _NUMBER_BYTES)
-    # lengths first, so that a huge n allocates nothing
-    if len(skeleton) != 4 * n * n + 1 or skeleton != b"[" + b"[,]," * (n * n - 1) + b"[,]]":
-        return False
-    return (packed.startswith(b"[[") and packed.endswith(b"]]")
-            and packed.count(b"],[") == n * n - 1)
+# the size past which a piece of an entries array ends: small enough that its copies stay in
+# the heap that malloc reuses, large enough that the calls per piece cost nothing
+_PIECE_BYTES = 1 << 16
 
 
 def _flat_matrix(data: bytes, first: int, last: int, n: int) -> np.ndarray | None:
     """The n x n matrix whose entries array is data[first:last + 1], or None when it is not one.
 
-    The entries are parsed by one orjson.loads call as a flat array of
-    numbers, so no [re, im] list is built.  The numbers orjson parses are the
-    file's own tokens, so the doubles are those json would parse.  The array
-    orjson gets has no bracket inside it, so its nesting is one level
-    whatever the file holds.
+    Without numbers and spaces the array must read [[,],[,],...,[,]] with n*n pairs: no other
+    byte, so no string, literal or object, and no other shape.  Without spaces, it must start
+    "[[", end "]]" and join its pairs by "],[" alone, so no number byte lies outside a pair.  A
+    slot may still hold no number, or a malformed one; orjson refuses both.
+
+    The inside of the array is read in pieces, each ending just after the first "," that
+    follows a "]" found past _PIECE_BYTES, so that no copy of the whole array is made.  Each
+    piece has its spaces removed, and its skeleton compared with the matching slice of the
+    shape and its "],[" joins counted; a join is split by a piece boundary only as "]," and
+    "[".  Then its brackets become spaces, a plain byte map, and orjson parses it, without its
+    split ",", as one flat array of numbers, written into the 2n*n doubles of the result, so no
+    [re, im] list is built.  The numbers orjson parses are the file's own tokens, so the
+    doubles are those json would parse.  The array orjson gets has no bracket inside it, so
+    its nesting is one level whatever the file holds.
     """
-    if not _pairs_of_numbers(data, first, last, n):
+    count = n * n
+    # the least a valid array takes is [[0,0],...,[0,0]], 6n*n + 1 bytes: a shorter span
+    # leaves before anything of size n is built
+    if last - first < 6 * count:
         return None
     # imported on the first entries array parsed, so that import expconvex.cli
     # and verify never load it
     import orjson
 
-    # the brackets become spaces, a plain byte map and faster than deleting
-    # them, so that the 2n*n comma-separated fields are the slots of the pairs
-    try:
-        values = orjson.loads(b"".join((b"[", data[first + 1:last].translate(_BRACKETS_TO_SPACES), b"]")))
-    except json.JSONDecodeError:  # orjson's error is a subclass
+    flat = np.empty(2 * count)
+    # the skeleton bytes, values and joins so far, and the previous piece without spaces
+    size = filled = joins = 0
+    packed = b""
+    start = first + 1
+    while start < last:
+        split = data.find(b"]", start + _PIECE_BYTES, last)
+        split = data.find(b",", split, last) if split >= 0 else -1
+        end = last if split < 0 else split + 1
+        piece = data[start:end]
+        previous, packed = packed, piece
+        for space in _SPACE_BYTES:
+            packed = packed.replace(space, b"")
+        skeleton = packed.translate(None, _NUMBER_BYTES)
+        # inside the outer brackets the shape is "[,]," repeated, less its last ",": the
+        # skeleton goes on with it where the previous piece's stopped
+        shape = b"[,]," * (len(skeleton) // 4 + 2)
+        phase, size = size % 4, size + len(skeleton)
+        if (size > 4 * count - 1 or skeleton != shape[phase:phase + len(skeleton)]
+                or start == first + 1 and not packed.startswith(b"[")):
+            return None
+        joins += packed.count(b"],[") + (previous.endswith(b"],") and packed.startswith(b"["))
+        numbers = memoryview(piece.translate(_BRACKETS_TO_SPACES))[:None if split < 0 else -1]
+        try:
+            values = orjson.loads(b"".join((b"[", numbers, b"]")))
+        except json.JSONDecodeError:  # orjson's error is a subclass
+            return None
+        # no more values than slots: the skeleton so far holds at most 2n*n - 1 commas
+        flat[filled:filled + len(values)] = np.fromiter(values, float, len(values))
+        filled += len(values)
+        start = end
+    if not (size == 4 * count - 1 and packed.endswith(b"]") and joins == count - 1
+            and filled == 2 * count and np.isfinite(flat).all()):
         return None
-    flat = np.fromiter(values, float, count=2 * n * n)
     # the view pairs each (re, im) into the bits complex(re, im) has, -0.0 included
-    return flat.view(complex).reshape(n, n) if np.isfinite(flat).all() else None
+    return flat.view(complex).reshape(n, n)
 
 
 def _pair_objects(doc, path: str) -> tuple[object, object]:

@@ -5,6 +5,7 @@ import datetime
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import orjson
@@ -20,6 +21,7 @@ from expconvex import (
     gram,
     hermitian_from_diag,
     psd_check,
+    random_rank_one_pair,
     reduce,
     reduction_residuals,
     validate_hermitian,
@@ -271,27 +273,44 @@ def _load_outcome(path, on_b=None):
     return a.view(np.int64), b.view(np.int64)
 
 
+def _json_route_outcome(path):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orjson, "loads", _refuse)  # forces the json route
+        return _load_outcome(path)
+
+
+# piece sizes of the flat route: at 1, 3 and 8 bytes a piece ends after nearly every pair, so
+# that a defect also sits at or beside a piece boundary, and a valid file is read in many pieces
+_PIECE_SIZES = (1, 3, 8, matrixio._PIECE_BYTES)
+
+
+def _at_each_piece_size():
+    """A MonkeyPatch context per piece size, with matrixio._PIECE_BYTES set to it."""
+    for piece in _PIECE_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matrixio, "_PIECE_BYTES", piece)
+            yield mp
+
+
 @PARITY
 @given(text=pair_texts())
 def test_orjson_route_decodes_like_json_route(pair_path, text):
     pair_path.write_bytes(text.encode())
-    reparsed, loaded = [], []
-    with pytest.MonkeyPatch.context() as mp:
+    slow = _json_route_outcome(pair_path)
+    for mp in _at_each_piece_size():
+        reparsed, loaded = [], []
         mp.setattr(matrixio, "_parse_text",
                    lambda *args: reparsed.append(args) or _parse_text(*args))
         _spy_orjson(mp, loaded)
         fast = _load_outcome(pair_path)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(orjson, "loads", _refuse)  # forces the json route
-        slow = _load_outcome(pair_path)
-    if isinstance(slow, str):
-        assert fast == slow
-    else:
-        assert not isinstance(fast, str), fast
-        assert all(np.array_equal(f, s) for f, s in zip(fast, slow))
-    if any(extra in text for extra in BRACKET_EXTRAS):  # a bracket outside the entries arrays
-        assert reparsed
-    assert all(map(_one_flat_array, loaded))
+        if isinstance(slow, str):
+            assert fast == slow
+        else:
+            assert not isinstance(fast, str), fast
+            assert all(np.array_equal(f, s) for f, s in zip(fast, slow))
+        if any(extra in text for extra in BRACKET_EXTRAS):  # a bracket outside the entries arrays
+            assert reparsed
+        assert all(map(_one_flat_array, loaded))
 
 
 def _spy(mp, name, calls):
@@ -304,12 +323,6 @@ def _spy(mp, name, calls):
         return result
 
     mp.setattr(matrixio, name, spy)
-
-
-def _json_route_outcome(path):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(orjson, "loads", _refuse)  # forces the json route
-        return _load_outcome(path)
 
 
 def _same_outcome(got, expected):
@@ -348,18 +361,18 @@ def canonical_pair_texts(draw):
 @given(text=canonical_pair_texts())
 def test_flat_tier_decodes_like_json_route(pair_path, text):
     pair_path.write_bytes(text.encode())
-    calls, loaded = [], []
-    with pytest.MonkeyPatch.context() as mp:
+    slow = _json_route_outcome(pair_path)
+    for mp in _at_each_piece_size():
+        calls, loaded = [], []
         for name in ("matrix_from_doc", "_parse_text"):
             _spy(mp, name, calls)
         _spy_orjson(mp, loaded)
         fast = _load_outcome(pair_path)
-    slow = _json_route_outcome(pair_path)
-    assert _same_outcome(fast, slow)
-    if not isinstance(slow, str):
-        # both objects took the flat route: no json parse, no per-entry decode
-        assert not calls, calls
-    assert all(map(_one_flat_array, loaded))
+        assert _same_outcome(fast, slow)
+        if not isinstance(slow, str):
+            # both objects took the flat route: no json parse, no per-entry decode
+            assert not calls, calls
+        assert all(map(_one_flat_array, loaded))
 
 
 # near-canonical matrix objects: each leaves the flat route, and the file
@@ -407,26 +420,28 @@ _B_OF_N = {
 
 
 def _check_near_canonical(tmp_path, kind, on_b):
-    """A load of the kind's pair file ends as on the json route, orjson parses flat arrays
-    only, and _flat_matrix parses B's entries first and refuses A's, with or without on_b."""
+    """At every piece size, a load of the kind's pair file ends as on the json route, orjson
+    parses flat arrays only, and _flat_matrix parses B's entries first and refuses A's, with or
+    without on_b."""
     a_text = _NEAR_CANONICAL[kind]
     b_text = _B_OF_N.get(re.match(r'\{"n": ([^,]*),', a_text)[1], _B)  # a refused n: any B
     path = tmp_path / "pair.json"
     path.write_text(f'{{"A": {a_text}, "B": {b_text}}}')
-    calls, loaded = [], []
-    with pytest.MonkeyPatch.context() as mp:
+    slow = _json_route_outcome(path)
+    for mp in _at_each_piece_size():
+        calls, loaded = [], []
         _spy(mp, "_flat_matrix", calls)
         _spy_orjson(mp, loaded)
         got = _load_outcome(path, on_b)
-    assert _same_outcome(got, _json_route_outcome(path))
-    assert all(map(_one_flat_array, loaded))
-    flat = [matrix is not None for _, matrix in calls]
-    if kind in _N_REFUSED:
-        assert flat == []
-    elif kind == "n-10-digits":
-        assert flat == [False]
-    else:
-        assert flat == [True, False]
+        assert _same_outcome(got, slow)
+        assert all(map(_one_flat_array, loaded))
+        flat = [matrix is not None for _, matrix in calls]
+        if kind in _N_REFUSED:
+            assert flat == []
+        elif kind == "n-10-digits":
+            assert flat == [False]
+        else:
+            assert flat == [True, False]
 
 
 @pytest.mark.parametrize("kind", list(_NEAR_CANONICAL))
@@ -535,15 +550,15 @@ def test_load_pair_takes_flat_tier(tmp_path):
     path = tmp_path / "pair.json"
     path.write_text('\r\n {"B": {"n": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]},\r\n'
                     '"A": {"entries": [[1.5, -0.0], [2, 0],\n [0, 0], [-1e-320, 3]], "n": 2}}\n')
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
+    expected = np.array([[complex(1.5, -0.0), 2], [0, complex(-1e-320, 3)]])
+    for mp in _at_each_piece_size():
+        calls = []
         for name in ("matrix_from_doc", "_parse_text"):
             _spy(mp, name, calls)
         a, b = load_pair(str(path))
-    assert not calls, calls
-    expected = np.array([[complex(1.5, -0.0), 2], [0, complex(-1e-320, 3)]])
-    assert a.tobytes() == expected.tobytes()
-    assert b.tobytes() == np.array([[0, 1], [1, 0]], dtype=complex).tobytes()
+        assert not calls, calls
+        assert a.tobytes() == expected.tobytes()
+        assert b.tobytes() == np.array([[0, 1], [1, 0]], dtype=complex).tobytes()
 
 
 def test_encoders_match_per_entry_reference():
@@ -819,3 +834,20 @@ def test_ec_report_doc_witness_only_on_failure():
     doc = ec_report_to_doc(rep, "gauss", grid.points)
     assert doc["passed"] is False
     assert len(doc["witness"]) == 3
+
+
+def test_flat_route_copies_no_entries_array_whole(tmp_path):
+    # beyond the bytes of the file and the two matrices, a load holds a few pieces of an
+    # entries array at a time, not the 0.8 MB of one array at n = 128
+    n = 128
+    pair = random_rank_one_pair(np.random.default_rng([34, n]), n)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"A": matrix_to_doc(pair.A.mat), "B": matrix_to_doc(pair.B.mat)}))
+    load_pair(str(path))  # orjson and numpy's caches warm
+    tracemalloc.start()
+    try:
+        a, b = load_pair(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - path.stat().st_size - a.nbytes - b.nbytes <= 1 << 20

@@ -1,5 +1,6 @@
 """Tests for the seeded ensemble runner and its deterministic reports."""
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from expconvex import (
     reduce, reduction_residuals, run_case, run_verification, trace_function, trace_values,
 )
 from expconvex import transform, verify
+from expconvex.hermitian import HermitianMatrix, max_abs
 from expconvex.matrixio import dumps_doc
 from expconvex.tolerances import LIE_ERROR_FLOOR
 
@@ -210,6 +212,24 @@ def test_run_case_points_stay_inside_the_double_range(monkeypatch):
                 assert scale <= 80.0 * (1.0 + 1e-12)
                 assert scale + b.norm_max() < transform._MAX_SCALE
         assert not any("double-precision range" in str(r) for r in out)
+
+
+def test_run_case_takes_one_max_norm_per_matrix(monkeypatch):
+    # A, B, L, M and diag M: the far points, reduce and the batch's range check read their
+    # max-norms, each computed once on the frozen matrix
+    seen = []
+
+    def norm(h):
+        seen.append(h)
+        return max_abs(h.mat)
+
+    cached = functools.cached_property(norm)
+    cached.__set_name__(HermitianMatrix, "_norm_max")
+    monkeypatch.setattr(HermitianMatrix, "_norm_max", cached)
+    for index in range(4):
+        seen.clear()
+        run_case(0, index, 7)
+        assert len(seen) == len(set(map(id, seen))) == 5
 
 
 def test_run_case_stacks_stay_within_one_trace_chunk(monkeypatch):
