@@ -90,11 +90,10 @@ def _require_finite(flag: str, value: float) -> None:
 def _trace_pair(path: str) -> TracePair:
     """The pair of the file at path, with the contour kernel's eigh of its B started ahead.
 
-    load_pair's flat route calls on_b(B) once, after both declared sizes agree and B's entries
-    are parsed, before A's; when that B is Hermitian, transform._eigh_ahead may start its eigh
-    on a second thread while A is parsed and validated.  The pair holds that same B, on which
-    the result is cached (HermitianMatrix._lapack_eigh).  The thread is joined before this
-    returns, on every path; A's errors come before B's, as in cmd_reduce.
+    When load_pair calls on_b (its docstring says when) with a Hermitian B, _eigh_ahead may
+    start its eigh on a second thread while A is parsed and validated.  The pair holds that same
+    B, on which the result is cached (HermitianMatrix._lapack_eigh).  The thread is joined
+    before this returns, on every path; A's errors come before B's, as in cmd_reduce.
     """
     ahead = {}
 

@@ -135,20 +135,21 @@ _PIECE_BYTES = 1 << 16
 def _flat_matrix(data: bytes, first: int, last: int, n: int) -> np.ndarray | None:
     """The n x n matrix whose entries array is data[first:last + 1], or None when it is not one.
 
-    Without numbers and spaces the array must read [[,],[,],...,[,]] with n*n pairs: no other
-    byte, so no string, literal or object, and no other shape.  Without spaces, it must start
-    "[[", end "]]" and join its pairs by "],[" alone, so no number byte lies outside a pair.  A
-    slot may still hold no number, or a malformed one; orjson refuses both.
+    The inside of the array is read in pieces, so that no copy of the whole array is made: a
+    piece ends before the first "," that follows a "]" found past _PIECE_BYTES, and the next
+    starts after that ",".  Each piece is checked on its own.  Without spaces it must start "["
+    and end "]", and without numbers too it must read [,],[,],...,[,], k pairs and no other
+    byte, so no string, literal or object; with the numbers, its pairs must be joined by "],["
+    alone, k - 1 times, so that no number byte lies outside a pair.  A slot may still hold no
+    number, or a malformed one; orjson refuses both.  Then the piece's brackets become spaces,
+    a plain byte map, and orjson parses it as one flat array of 2k numbers, written into the
+    next 2k of the 2n*n doubles of the result, so no [re, im] list is built.  A "," after the
+    last pair leaves an empty last piece, which is refused, and the pieces must hold n*n pairs.
 
-    The inside of the array is read in pieces, each ending just after the first "," that
-    follows a "]" found past _PIECE_BYTES, so that no copy of the whole array is made.  Each
-    piece has its spaces removed, and its skeleton compared with the matching slice of the
-    shape and its "],[" joins counted; a join is split by a piece boundary only as "]," and
-    "[".  Then its brackets become spaces, a plain byte map, and orjson parses it, without its
-    split ",", as one flat array of numbers, written into the 2n*n doubles of the result, so no
-    [re, im] list is built.  The numbers orjson parses are the file's own tokens, so the
-    doubles are those json would parse.  The array orjson gets has no bracket inside it, so
-    its nesting is one level whatever the file holds.
+    The numbers orjson parses are the file's own tokens, so the doubles are those json would
+    parse.  The array orjson gets has no bracket inside it, so its nesting is one level whatever
+    the file holds.  A valid array is cut at its joins only, so it passes; any other array may
+    be refused, since load_pair's json route then decides the file.
     """
     count = n * n
     # the least a valid array takes is [[0,0],...,[0,0]], 6n*n + 1 bytes: a shorter span
@@ -160,38 +161,26 @@ def _flat_matrix(data: bytes, first: int, last: int, n: int) -> np.ndarray | Non
     import orjson
 
     flat = np.empty(2 * count)
-    # the skeleton bytes, values and joins so far, and the previous piece without spaces
-    size = filled = joins = 0
-    packed = b""
-    start = first + 1
-    while start < last:
+    pairs, start = 0, first + 1
+    while start <= last:
         split = data.find(b"]", start + _PIECE_BYTES, last)
         split = data.find(b",", split, last) if split >= 0 else -1
-        end = last if split < 0 else split + 1
-        piece = data[start:end]
-        previous, packed = packed, piece
+        end = last if split < 0 else split
+        piece = packed = data[start:end]
         for space in _SPACE_BYTES:
             packed = packed.replace(space, b"")
         skeleton = packed.translate(None, _NUMBER_BYTES)
-        # inside the outer brackets the shape is "[,]," repeated, less its last ",": the
-        # skeleton goes on with it where the previous piece's stopped
-        shape = b"[,]," * (len(skeleton) // 4 + 2)
-        phase, size = size % 4, size + len(skeleton)
-        if (size > 4 * count - 1 or skeleton != shape[phase:phase + len(skeleton)]
-                or start == first + 1 and not packed.startswith(b"[")):
+        k = (len(skeleton) + 1) // 4
+        if not (packed.startswith(b"[") and packed.endswith(b"]") and pairs + k <= count
+                and skeleton == (b"[,]," * k)[:-1] and packed.count(b"],[") == k - 1):
             return None
-        joins += packed.count(b"],[") + (previous.endswith(b"],") and packed.startswith(b"["))
-        numbers = memoryview(piece.translate(_BRACKETS_TO_SPACES))[:None if split < 0 else -1]
         try:
-            values = orjson.loads(b"".join((b"[", numbers, b"]")))
+            values = orjson.loads(b"".join((b"[", piece.translate(_BRACKETS_TO_SPACES), b"]")))
         except json.JSONDecodeError:  # orjson's error is a subclass
             return None
-        # no more values than slots: the skeleton so far holds at most 2n*n - 1 commas
-        flat[filled:filled + len(values)] = np.fromiter(values, float, len(values))
-        filled += len(values)
-        start = end
-    if not (size == 4 * count - 1 and packed.endswith(b"]") and joins == count - 1
-            and filled == 2 * count and np.isfinite(flat).all()):
+        flat[2 * pairs:2 * (pairs + k)] = np.fromiter(values, float, 2 * k)
+        pairs, start = pairs + k, end + 1
+    if pairs != count or not np.isfinite(flat).all():
         return None
     # the view pairs each (re, im) into the bits complex(re, im) has, -0.0 included
     return flat.view(complex).reshape(n, n)
@@ -226,10 +215,9 @@ def _pair_by_parts(data: bytes, on_b) -> tuple[np.ndarray, np.ndarray] | None:
     to the last "]" before the next "}".  With "[0]" and "[1]" in their place,
     the only arrays left, the short text goes through json.loads and the json
     route's checks; a file that passes them, with arrays that parse as numbers,
-    parses as the short text with the arrays put back.  The declared sizes are
-    compared before either array is parsed; then B's entries are parsed, on_b(B)
-    is called if on_b is given, and A's entries are parsed, so the parses of the
-    two never exist at once.
+    parses as the short text with the arrays put back.  B's entries are parsed
+    before A's, with on_b called between them as load_pair says, so the parses of
+    the two never exist at once.
     """
     spans, end = [], 0
     for _ in range(2):

@@ -184,8 +184,8 @@ def _eigh_ahead(b: HermitianMatrix):
 
     None, and no thread, when b is below CONTOUR_MIN_N, where _trace_batch takes the dense
     kernel.  LAPACK releases the GIL, so the caller's Python work runs meanwhile on another
-    core: the parse of a pair file's A, which load_pair's flat route parses after it calls its
-    hook on B.  The package's one use of threading.
+    core: the parse of a pair file's A, after load_pair's on_b hook.  The package's one use of
+    threading.
     """
     if b.n < CONTOUR_MIN_N:
         return None

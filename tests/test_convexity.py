@@ -209,6 +209,24 @@ def test_trace_function_passes_random_rank_one():
         assert rep.passed
 
 
+@pytest.mark.xfail(strict=True, reason="the tolerance tol * max(1, max|G|) grows with the range of "
+                   "f on the grid sums, so it misses the bump on (s, n) = (0, 2), (0, 4) and (2, 2); "
+                   "deciding on the diagonally scaled Gram matrix catches it")
+def test_gram_check_rejects_small_gaussian_bump():
+    # a true trace function plus 1e-5 f(0) e^{-t^2}, the Gaussian of the non-EC control, is not
+    # exponentially convex, and the Gram check on the default grid must say so on every pair
+    passed = []
+    for s in range(3):
+        for n in (2, 4, 8, 12):
+            f = trace_function(random_rank_one_pair(np.random.default_rng([s, n]), n))
+            bump = 1e-5 * f(0.0)
+            bumped = ScalarFunction(fn=lambda ts, f=f, bump=bump: f.fn(ts) + bump * np.exp(-ts**2),
+                                    label="trace + bump")
+            if check_exponential_convexity(bumped, default_grid()).passed:
+                passed.append((s, n))
+    assert passed == []
+
+
 def test_rank_one_gram_identity():
     # for f(t) = e^{t mu} the Gram matrix is exactly the rank-one v v^T
     rng = np.random.default_rng(32)

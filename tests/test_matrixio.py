@@ -405,6 +405,13 @@ _NEAR_CANONICAL = {
     "number-before-first-pair": '{"n": 1, "entries": [5 [, 0]]}',
     "number-after-last-pair": '{"n": 1, "entries": [[1, ] 5]}',
     "number-joined-across-bracket": '{"n": 1, "entries": [[1, 2]3]}',
+    # a join comma after the last pair, none between two pairs, or two: a piece ends before a
+    # join comma, so these leave an empty piece, or a piece that does not start "[" or end "]"
+    "trailing-join-comma": '{"n": 1, "entries": [[1, 0],]}',
+    "trailing-join-comma-spaced": '{"n": 1, "entries": [[1, 0], ]}',
+    "n2-trailing-join-comma": '{"n": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0],]}',
+    "missing-join-comma": '{"n": 2, "entries": [[1, 0] [0, 0], [0, 0], [1, 0]]}',
+    "doubled-join-comma": '{"n": 2, "entries": [[1, 0],, [0, 0], [0, 0], [1, 0]]}',
 }
 # n is refused by the checks the two routes share, before any entries array is parsed
 _N_REFUSED = {"n-zero", "n-leading-zero", "n-float", "n-negative", "n-string"}
