@@ -196,6 +196,11 @@ def _stacked_eigh(hs) -> list:
     ]
 
 
+def _stack(eigs) -> tuple[np.ndarray, np.ndarray]:
+    """The eigendecompositions (w, v) of eigs, all of one size, as one stacked (w, v)."""
+    return tuple(map(np.array, zip(*eigs)))
+
+
 def _exp_of(eig) -> np.ndarray:
     """e^H = V diag(e^w) V*, symmetrized, from eig = (w, v) = eigh(H).
 
@@ -277,7 +282,7 @@ def _split_steps(eig_x, eig_y, ps) -> np.ndarray:
     """
     (wx, vx), (wy, vy), k = eig_x, eig_y, len(ps)
     eig = [(wx / p, vx) for p in ps] + [(wy / p, vy) for p in ps]
-    exps = _exp_of(tuple(map(np.array, zip(*eig))))
+    exps = _exp_of(_stack(eig))
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.linalg.matrix_power(exps[:k] @ exps[k:], ps[0])
         for j in range(1, k):

@@ -596,7 +596,7 @@ def test_threading_is_used_in_one_helper():
 def test_only_the_readers_of_a_stacked_result_raise_its_kept_error():
     """A private kernel takes plain values: the functions that read a stacked result
     (eigh, trace_values, lie_product_approx, lie_trace_function's f_p, entrywise_ec_check,
-    run_case) are the only callers of hermitian._raised."""
+    verify's _case, the one case of a block) are the only callers of hermitian._raised."""
     callers = set()
     for path in sorted(Path(hermitian_module.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -606,7 +606,7 @@ def test_only_the_readers_of_a_stacked_result_raise_its_kept_error():
     assert callers == {
         ("hermitian", "eigh"), ("hermitian", "lie_product_approx"),
         ("transform", "trace_values"), ("transform", "f_p"),
-        ("convexity", "entrywise_ec_check"), ("verify", "run_case"),
+        ("convexity", "entrywise_ec_check"), ("verify", "_case"),
     }
 
 

@@ -12,7 +12,8 @@ from expconvex import (
     reduce, reduction_residuals, run_case, run_verification, trace_function, trace_values,
 )
 from expconvex import transform, verify
-from expconvex.hermitian import HermitianMatrix, max_abs
+from expconvex.errors import Overflow
+from expconvex.hermitian import HermitianMatrix, eigh, max_abs
 from expconvex.matrixio import dumps_doc
 from expconvex.tolerances import LIE_ERROR_FLOOR
 
@@ -102,22 +103,115 @@ def test_run_case_records_checks_in_order():
     assert [r.check for r in run_case(0, 3, max_n=7)] == CHECK_ORDER
 
 
+def _fields(records):
+    """Every field of every record, with the metric's bits."""
+    return [(r.seed, r.n, r.check, r.passed, None if r.metric is None else r.metric.hex())
+            for r in records]
+
+
+def _target(seed, index, max_n):
+    """The pair that case (seed, index) draws."""
+    rng = np.random.default_rng([seed, index])
+    n = int(rng.integers(2, max_n + 1))
+    verify.random_grid(rng)
+    return random_rank_one_pair(rng, n)
+
+
+def _block_keeps_each_case(seed, cases, max_n, target):
+    """Assert that one block of cases gives every case, the target among cases of its size,
+    the records it gives alone; return the target's check names."""
+    assert cases <= verify._BLOCK
+    report = run_verification(cases, max_n, seed)
+    alone = {index: run_case(seed, index, max_n) for index in range(cases)}
+    assert _fields(report.records) == _fields(r for index in range(cases) for r in alone[index])
+    assert [records[0].n for records in alone.values()].count(alone[target][0].n) > 1
+    return [r.check for r in alone[target]]
+
+
+@pytest.mark.parametrize("max_n", [7, 12])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_block_gives_the_bits_of_single_cases(seed, max_n):
+    # a block stacks each step of its cases of one size, and every Gram matrix: a record keeps
+    # every field and its metric's bits
+    single = [r for index in range(60) for r in run_case(seed, index, max_n)]
+    assert _fields(run_verification(60, max_n, seed).records) == _fields(single)
+
+
 # B = b_scale * I and A = diag(0.5, 0, ...): the largest eigenvalue of tA + B is
 # b_scale + max(0, t / 2), above EXP_OVERFLOW_LIMIT = 700 from t = 2 at
 # b_scale 699.5, from the Gram sums' t = 4 at 699, and only at the growth
 # check's far point t = 160 at 650
 @pytest.mark.parametrize("b_scale, recorded", [(650.0, 9), (699.0, 4), (699.5, 3)])
 def test_case_error_is_recorded_by_the_check_that_raises_it(monkeypatch, b_scale, recorded):
-    def pair(rng, n):
+    def overflowing(n):
         return TracePair(
             hermitian_from_diag([0.5] + [0.0] * (n - 1)), hermitian_from_diag([b_scale] * n)
         )
 
-    monkeypatch.setattr(verify, "random_rank_one_pair", pair)
+    real = verify.random_rank_one_pair
+    monkeypatch.setattr(verify, "random_rank_one_pair", lambda rng, n: overflowing(n))
     for index in range(3):
         # names and the error type only: metrics and passed flags may change with the checks
         names = [r.check for r in run_case(0, index, max_n=7)]
         assert names == CHECK_ORDER[:recorded] + ["case_error(Overflow)"]
+
+    # the pair at one index of a block, whose stacked trace batch then fails and is evaluated
+    # again array by array
+    marked = _target(0, 5, 3).A.mat.tobytes()
+
+    def pair(rng, n):
+        drawn = real(rng, n)
+        return overflowing(n) if drawn.A.mat.tobytes() == marked else drawn
+
+    monkeypatch.setattr(verify, "random_rank_one_pair", pair)
+    names = _block_keeps_each_case(0, 20, 3, 5)
+    assert names == CHECK_ORDER[:recorded] + ["case_error(Overflow)"]
+
+
+# a stacked step that raises for the whole stack, as the Gram eigh on a LAPACK failure and the
+# Lie steps on an overflow do, fails only the case that a call of its own fails
+@pytest.mark.parametrize("step, recorded, error", [
+    ("gram", 4, "ConvergenceFailure"), ("lie", 6, "Overflow")])
+def test_a_stacked_step_that_fails_for_one_case_is_redone_per_case(
+        monkeypatch, step, recorded, error):
+    pair = _target(1, 7, 3)
+    if step == "gram":
+        marked = gram(trace_function(pair), default_grid()).matrix.tobytes()
+        real = np.linalg.eigh
+
+        def flaky(a, *args, **kwargs):
+            if any(m.tobytes() == marked for m in np.asarray(a)):
+                raise np.linalg.LinAlgError("did not converge")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", flaky)
+    else:
+        marked = eigh(pair.A)[0].tobytes()
+        real = verify._split_steps
+
+        def flaky(eig_x, eig_y, ps):
+            if any(w.tobytes() == marked for w in eig_x[0]):
+                raise Overflow("split-step product overflowed double precision")
+            return real(eig_x, eig_y, ps)
+
+        monkeypatch.setattr(verify, "_split_steps", flaky)
+    names = _block_keeps_each_case(1, 20, 3, 7)
+    assert names == CHECK_ORDER[:recorded] + [f"case_error({error})"]
+
+
+def test_blocks_bound_every_stack(monkeypatch):
+    # 300 cases of one size, n = 2: each block of _BLOCK cases makes one stacked call per step
+    eighs = _count_calls(monkeypatch, "eigh")
+    eigvalshs = _count_calls(monkeypatch, "eigvalsh")
+    assert run_verification(300, 2, 0).failures == 0
+    blocks = [min(verify._BLOCK, 300 - start) for start in range(0, 300, verify._BLOCK)]
+    assert len(blocks) > 1
+    # A, B and A + B of every case, then its two Gram matrices; reduce's 1 x 1 blocks aside
+    assert [s for s in eighs if s[1:] == (2, 2)] == [(3 * k, 2, 2) for k in blocks]
+    assert [s for s in eighs if s[1:] == (8, 8)] == [(2 * k, 8, 8) for k in blocks]
+    # at most 11 + 26 + 36 + 4 + 11 + 12 = 100 points per case, in one chunk per block
+    assert len(eigvalshs) == len(blocks)
+    assert all(s[0] <= 100 * k for s, k in zip(eigvalshs, blocks))
 
 
 # eigh fails on the real Gram matrices, after the trace-invariance record
