@@ -18,6 +18,7 @@ import io
 import json
 import math
 import re
+import struct
 
 import numpy as np
 
@@ -126,7 +127,6 @@ def _parse_text(path: str, data: bytes):
 _SPACE_BYTES = (b" ", b"\t", b"\n", b"\r")
 # every byte that can be part of a JSON number
 _NUMBER_BYTES = b"0123456789+-.eE"
-_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 # the size past which a piece of an entries array ends: small enough that its copies stay in
 # the heap that malloc reuses, large enough that the calls per piece cost nothing
 _PIECE_BYTES = 1 << 16
@@ -141,23 +141,22 @@ def _flat_matrix(data: bytes, first: int, last: int, n: int) -> np.ndarray | Non
     and end "]", and without numbers too it must read [,],[,],...,[,], k pairs and no other
     byte, so no string, literal or object; with the numbers, its pairs must be joined by "],["
     alone, k - 1 times, so that no number byte lies outside a pair.  A slot may still hold no
-    number, or a malformed one; orjson refuses both.  Then the piece's brackets become spaces,
-    a plain byte map, and orjson parses it as one flat array of 2k numbers, written into the
-    next 2k of the 2n*n doubles of the result, so no [re, im] list is built.  A "," after the
-    last pair leaves an empty last piece, which is refused, and the pieces must hold n*n pairs.
+    number, or a malformed one; orjson refuses both.  Then the piece's brackets become spaces
+    and orjson parses it as one flat array of 2k numbers, which struct packs into the next 2k
+    of the 2n*n doubles of the result, so no [re, im] list is built.  A "," after the last
+    pair leaves an empty last piece, which is refused, and the pieces must hold n*n pairs.
 
     The numbers orjson parses are the file's own tokens, so the doubles are those json would
-    parse.  The array orjson gets has no bracket inside it, so its nesting is one level whatever
-    the file holds.  A valid array is cut at its joins only, so it passes; any other array may
-    be refused, since load_pair's json route then decides the file.
+    parse; orjson refuses one past the double range, so each is finite.  The array orjson gets
+    has no bracket inside it, so its nesting is one level whatever the file holds.  A valid
+    array is cut at its joins only, so it passes; any other may be left to the json route.
     """
     count = n * n
     # the least a valid array takes is [[0,0],...,[0,0]], 6n*n + 1 bytes: a shorter span
     # leaves before anything of size n is built
     if last - first < 6 * count:
         return None
-    # imported on the first entries array parsed, so that import expconvex.cli
-    # and verify never load it
+    # imported on the first entries array parsed, not when expconvex.cli or verify is imported
     import orjson
 
     flat = np.empty(2 * count)
@@ -174,13 +173,14 @@ def _flat_matrix(data: bytes, first: int, last: int, n: int) -> np.ndarray | Non
         if not (packed.startswith(b"[") and packed.endswith(b"]") and pairs + k <= count
                 and skeleton == (b"[,]," * k)[:-1] and packed.count(b"],[") == k - 1):
             return None
+        piece = piece.replace(b"[", b" ").replace(b"]", b" ")
         try:
-            values = orjson.loads(b"".join((b"[", piece.translate(_BRACKETS_TO_SPACES), b"]")))
+            values = orjson.loads(b"".join((b"[", piece, b"]")))
         except json.JSONDecodeError:  # orjson's error is a subclass
             return None
-        flat[2 * pairs:2 * (pairs + k)] = np.fromiter(values, float, 2 * k)
+        struct.pack_into(f"{2 * k}d", flat, 16 * pairs, *values)
         pairs, start = pairs + k, end + 1
-    if pairs != count or not np.isfinite(flat).all():
+    if pairs != count:
         return None
     # the view pairs each (re, im) into the bits complex(re, im) has, -0.0 included
     return flat.view(complex).reshape(n, n)

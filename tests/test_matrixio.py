@@ -192,7 +192,10 @@ PARITY = settings(max_examples=200, deadline=None, derandomize=True, database=No
 
 _FLOAT_EDGES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
                 1e308, -1e308, 1.7976931348623157e308]
-_INT_EDGES = [2**53 + 1, 2**63, 2**64 + 1, -(2**53 + 1), -(2**63) - 1, -(2**64 + 1)]
+# 2**64 - 1 and -(2**63) are the ends of the range orjson returns as int; 2**64 + 1 and
+# -(2**63) - 1 lie past them, where it returns floats, so the parity tests check both sides
+_INT_EDGES = [2**53 + 1, 2**63, 2**64 - 1, 2**64 + 1, -(2**53 + 1), -(2**63), -(2**63) - 1,
+              -(2**64 + 1)]
 _SPELLINGS = ["1E+2", "-0", "1e-400", "-1e-400", "0e0", "1.5E-3", "-0.0e+0", "1e-320"]
 
 
@@ -394,6 +397,11 @@ _NEAR_CANONICAL = {
     "n-string": '{"n": "1", "entries": [[1, 0]]}',
     "1e400": '{"n": 2, "entries": [[1, 0], [0, 1e400], [0, 0], [1, 0]]}',
     "int-400-digits": '{"n": 1, "entries": [[1' + "0" * 400 + ', 0]]}',
+    # past the double range too: _flat_matrix keeps no finiteness check of its own, so these
+    # fail if an orjson parses one of them to an infinity
+    "-1e400": '{"n": 1, "entries": [[0, -1e400]]}',
+    "1.8e308": '{"n": 1, "entries": [[1.8e308, 0]]}',
+    "int-309-digits": '{"n": 1, "entries": [[2' + "0" * 308 + ', 0]]}',
     "nested-entry": '{"n": 1, "entries": [[[1], 0]]}',
     "plus-sign": '{"n": 1, "entries": [[+1, 0]]}',
     "empty-slot": '{"n": 1, "entries": [[, 0]]}',
@@ -845,16 +853,17 @@ def test_ec_report_doc_witness_only_on_failure():
 
 def test_flat_route_copies_no_entries_array_whole(tmp_path):
     # beyond the bytes of the file and the two matrices, a load holds a few pieces of an
-    # entries array at a time, not the 0.8 MB of one array at n = 128
-    n = 128
-    pair = random_rank_one_pair(np.random.default_rng([34, n]), n)
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps({"A": matrix_to_doc(pair.A.mat), "B": matrix_to_doc(pair.B.mat)}))
-    load_pair(str(path))  # orjson and numpy's caches warm
-    tracemalloc.start()
-    try:
-        a, b = load_pair(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - path.stat().st_size - a.nbytes - b.nbytes <= 1 << 20
+    # entries array at a time, not the 0.8 MB of one array at n = 128 or the 3 MB at n = 256
+    for n in (128, 256):
+        pair = random_rank_one_pair(np.random.default_rng([34, n]), n)
+        path = tmp_path / f"pair-{n}.json"
+        path.write_text(json.dumps({"A": matrix_to_doc(pair.A.mat),
+                                    "B": matrix_to_doc(pair.B.mat)}))
+        load_pair(str(path))  # orjson and numpy's caches warm
+        tracemalloc.start()
+        try:
+            a, b = load_pair(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - path.stat().st_size - a.nbytes - b.nbytes <= 1 << 20, n
